@@ -37,13 +37,11 @@ KIND_NAMES = {
     0: "event_schedule", 1: "event_fire", 2: "event_cancel", 3: "event_reschedule",
     10: "grant_launch", 11: "grant_complete", 12: "grant_abort", 13: "grant_checkpoint",
     14: "dvfs_request", 15: "dvfs_apply", 16: "engine_power_gate",
-    20: "arrival", 21: "placement", 22: "dispatch_fail", 23: "node_crash",
-    24: "node_revive", 25: "orphaned_completion", 26: "recover_replica",
+    23: "node_crash", 24: "node_revive", 26: "recover_replica",
     27: "drop_lost_replica", 28: "migration",
     30: "scale_target", 31: "drain_begin", 32: "power_off", 33: "power_on",
     40: "fault_applied",
-    50: "node_partition", 51: "node_heal", 52: "deferred_completion",
-    53: "deferred_delivered", 54: "deferred_orphaned", 55: "request_retry",
+    50: "node_partition", 51: "node_heal", 54: "deferred_orphaned", 55: "request_retry",
     56: "request_hedge", 57: "request_shed", 58: "request_timeout",
     60: "req_arrival", 61: "req_attempt_launch", 62: "req_complete",
     63: "req_deferred_finish", 64: "req_attempt_orphan",

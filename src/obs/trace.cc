@@ -29,12 +29,8 @@ const char* TraceKindName(TraceKind kind) {
     case TraceKind::kDvfsRequest: return "dvfs_request";
     case TraceKind::kDvfsApply: return "dvfs_apply";
     case TraceKind::kEnginePowerGate: return "engine_power_gate";
-    case TraceKind::kArrival: return "arrival";
-    case TraceKind::kPlacement: return "placement";
-    case TraceKind::kDispatchFail: return "dispatch_fail";
     case TraceKind::kNodeCrash: return "node_crash";
     case TraceKind::kNodeRevive: return "node_revive";
-    case TraceKind::kOrphanedCompletion: return "orphaned_completion";
     case TraceKind::kRecoverReplica: return "recover_replica";
     case TraceKind::kDropLostReplica: return "drop_lost_replica";
     case TraceKind::kMigration: return "migration";
@@ -45,8 +41,6 @@ const char* TraceKindName(TraceKind kind) {
     case TraceKind::kFaultApplied: return "fault_applied";
     case TraceKind::kNodePartition: return "node_partition";
     case TraceKind::kNodeHeal: return "node_heal";
-    case TraceKind::kDeferredCompletion: return "deferred_completion";
-    case TraceKind::kDeferredDelivered: return "deferred_delivered";
     case TraceKind::kDeferredOrphaned: return "deferred_orphaned";
     case TraceKind::kRequestRetry: return "request_retry";
     case TraceKind::kRequestHedge: return "request_hedge";

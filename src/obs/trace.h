@@ -61,13 +61,10 @@ enum class TraceKind : uint8_t {
   kDvfsApply = 15,        // arg = new current MHz
   kEnginePowerGate = 16,  // payload = 1 gated, 0 ungated
 
-  // TraceLayer::kCluster — arg = model index unless noted.
-  kArrival = 20,             // payload = request cost (us of GPU work)
-  kPlacement = 21,           // node/zone = chosen target
-  kDispatchFail = 22,        // no healthy replica: request counted failed
+  // TraceLayer::kCluster — arg = model index unless noted. 20-22 and 25 are
+  // retired: per-request events are the request-correlation kinds 60-68.
   kNodeCrash = 23,           // payload = queued GPU work written off (ns)
   kNodeRevive = 24,          // payload = down duration (ns); enables spans
-  kOrphanedCompletion = 25,  // completion from a pre-crash epoch
   kRecoverReplica = 26,      // replica restored onto node after a crash
   kDropLostReplica = 27,     // replica abandoned (no healthy target)
   kMigration = 28,           // arg = model, node = destination
@@ -81,13 +78,11 @@ enum class TraceKind : uint8_t {
   // TraceLayer::kFault — arg = FaultKind enum value.
   kFaultApplied = 40,  // payload = factor in parts-per-million (when scalar)
 
-  // TraceLayer::kCluster, resilience decade (20-28 is full) — arg = model
-  // index unless noted.
+  // TraceLayer::kCluster, resilience decade — arg = model index unless
+  // noted. 52-53 are retired (kReqDeferredFinish / deferred kReqComplete).
   kNodePartition = 50,      // arg = -1; payload = outstanding GPU work (ns)
   kNodeHeal = 51,           // arg = -1; payload = partition duration (ns); spans
-  kDeferredCompletion = 52, // completion finished behind a partition
-  kDeferredDelivered = 53,  // payload = request latency at delivery (ns)
-  kDeferredOrphaned = 54,   // deferred completion was stale or a duplicate
+  kDeferredOrphaned = 54,   // arg = -1; deferred delivery to a settled request
   kRequestRetry = 55,       // node = retry target, payload = attempt number
   kRequestHedge = 56,       // node = hedge target
   kRequestShed = 57,        // payload = outstanding watermark excess (ns)

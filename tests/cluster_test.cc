@@ -187,6 +187,26 @@ TEST(ClusterTest, MeasurementWindowCoversAllNodeCounters) {
   EXPECT_GE(ns.driver_launches, 2u);  // model-1 request kernel + marker at least
 }
 
+TEST(ClusterTest, RequestLaunchShapeFollowsPolicy) {
+  // One request to a fresh node pays a cold-start switch. Under write-off the
+  // attempt cannot be cancelled, so the switch rides on the attempt's marker:
+  // switch + request + marker, and no timer to cancel. A timeout policy can
+  // cancel the attempt, so the switch gets its own marker.
+  for (const bool timeout : {false, true}) {
+    Simulator sim;
+    ClusterConfig config = SmallConfig(PlacementPolicy::kLeastLoaded);
+    config.num_nodes = 1;
+    config.resilience.enabled = timeout;
+    ClusterDispatcher dispatcher(&sim, config);
+    ASSERT_EQ(dispatcher.Dispatch(0), 0);
+    EXPECT_EQ(dispatcher.nodes()[0]->driver()->launches_issued(), timeout ? 4u : 3u);
+    sim.RunToCompletion();
+    EXPECT_EQ(dispatcher.completed(), 1u);
+    EXPECT_EQ(dispatcher.outstanding_ms()[0], 0.0);
+    EXPECT_EQ(sim.events_canceled(), timeout ? 1u : 0u);  // the disarmed attempt timer
+  }
+}
+
 TEST(ClusterTest, DiurnalArrivalsTrackNormalizedRps) {
   // Empirical check of the Lewis-thinning arrival process: binned arrival
   // counts over one compressed fleet day must follow the integral of

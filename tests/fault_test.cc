@@ -14,6 +14,7 @@
 #include "src/experiments/sweep.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/scenario.h"
+#include "src/obs/span.h"
 
 namespace lithos {
 namespace {
@@ -338,17 +339,18 @@ TEST(PartitionTest, CrashDuringPartitionOrphansDeferredWork) {
   EXPECT_EQ(fleet.metrics().counter("fleet/deferred").value(), 1u);
 
   // The partitioned host dies before the partition heals: its buffered
-  // completion is from a dead epoch, so heal orphans it instead of
-  // delivering stale state.
+  // completion is from a dead epoch, so heal orphans the attempt (the
+  // request fails) instead of delivering stale state. deferred_orphaned
+  // counts only duplicate deliveries to an already-settled request.
   fleet.FailNode(node);
   fleet.HealNode(node);
   EXPECT_EQ(fleet.completed(), 0u);
   EXPECT_EQ(fleet.failed(), 1u);
   EXPECT_EQ(fleet.metrics().counter("fleet/deferred_delivered").value(), 0u);
-  EXPECT_EQ(fleet.metrics().counter("fleet/deferred_orphaned").value(), 1u);
+  EXPECT_EQ(fleet.metrics().counter("fleet/deferred_orphaned").value(), 0u);
 }
 
-TEST(PartitionTest, LegacyDispatchFailsFastIntoPartitionedPool) {
+TEST(PartitionTest, WriteOffPolicyFailsFastIntoPartitionedPool) {
   Simulator sim;
   FleetDispatcher fleet(&sim, ZonedConfig(2, 2));
   fleet.PartitionZone(0);
@@ -356,9 +358,9 @@ TEST(PartitionTest, LegacyDispatchFailsFastIntoPartitionedPool) {
   EXPECT_TRUE(fleet.ZonePartitioned(0));
   EXPECT_TRUE(fleet.ZonePartitioned(1));
 
-  // With every replica unreachable the placer's last resort still names a
-  // node; the write-off path fails the request at admission instead of
-  // launching onto an unreachable host.
+  // With every node unreachable there is nowhere to attempt; the one-attempt
+  // write-off policy fails the request at admission instead of launching
+  // onto an unreachable host.
   fleet.Dispatch(0);
   EXPECT_EQ(fleet.failed(), 1u);
   EXPECT_EQ(fleet.completed(), 0u);
@@ -561,10 +563,63 @@ TEST(ResilienceTest, ShedBoundsOutstandingWork) {
   sim.RunToCompletion();
 }
 
+// Request conservation under one policy: a scripted crash, a partition, a
+// crash behind that partition, and the heal, then a full drain. Every request
+// settles exactly once, in the counters and in the online spans. Returns the
+// settled counts for the byte-identity grid.
+std::string CheckRequestConservation(bool resilient) {
+  Simulator sim;
+  ClusterConfig cc = ResilienceScenario(resilient).cluster;
+  cc.resilience.hedge = resilient;
+  FleetDispatcher fleet(&sim, cc);
+  SpanBuilder spans;
+  fleet.SetSpanSink(&spans);
+  auto busiest = [&fleet](int zone) {
+    int best = fleet.zone(zone).begin();
+    for (int n = best; n < fleet.zone(zone).end(); ++n) {
+      if (fleet.outstanding_ms()[n] > fleet.outstanding_ms()[best]) {
+        best = n;
+      }
+    }
+    return best;
+  };
+  int behind = -1;
+  sim.ScheduleAt(FromMillis(300), [&] { fleet.FailNode(busiest(1)); });
+  sim.ScheduleAt(FromMillis(400), [&] {
+    behind = busiest(0);
+    fleet.PartitionZone(0);
+  });
+  sim.ScheduleAt(FromMillis(420), [&] { fleet.FailNode(behind); });
+  sim.ScheduleAt(FromMillis(700), [&] { fleet.HealZone(0); });
+  fleet.StartArrivals(FromSeconds(1));
+  sim.RunToCompletion();
+
+  const uint64_t shed = fleet.metrics().counter("fleet/shed").value();
+  EXPECT_GT(fleet.metrics().counter("fleet/deferred").value(), 0u);
+  if (!resilient) {
+    EXPECT_GT(fleet.failed(), 0u);  // write-off loses what the crashes caught
+  }
+  EXPECT_EQ(fleet.dispatched(), fleet.completed() + fleet.failed() + shed);
+  EXPECT_EQ(spans.num_requests(), fleet.dispatched());
+  uint64_t completed = 0, failed = 0, shed_spans = 0;
+  for (const RequestSpan& s : spans.Spans()) {
+    EXPECT_FALSE(s.partial) << "request " << s.id;
+    completed += s.outcome == RequestOutcome::kCompleted;
+    failed += s.outcome == RequestOutcome::kFailed;
+    shed_spans += s.outcome == RequestOutcome::kShed;
+  }
+  EXPECT_EQ(completed, fleet.completed());
+  EXPECT_EQ(failed, fleet.failed());
+  EXPECT_EQ(shed_spans, shed);
+  return std::to_string(completed) + " " + std::to_string(failed) + " " +
+         std::to_string(shed_spans) + "\n";
+}
+
 TEST(FaultReplayTest, ResilienceGridIsByteIdenticalAcrossJobs) {
   // The resilience bench's CI property at test scale: the full rack+partition
   // schedule, replayed under both policies through SweepRunner at --jobs 1,
-  // 2, and 8, serializes to identical bytes.
+  // 2, and 8, serializes to identical bytes. Each point also checks request
+  // conservation under its policy.
   auto run_grid = [](int jobs) {
     SweepRunner runner(jobs);
     std::vector<SweepPoint<std::string>> points;
@@ -592,7 +647,7 @@ TEST(FaultReplayTest, ResilienceGridIsByteIdenticalAcrossJobs) {
                                     std::to_string(p.failed) + " " + std::to_string(p.p99_ms) +
                                     " " + std::to_string(p.goodput_ms_per_s) + "\n";
                           }
-                          return blob;
+                          return blob + CheckRequestConservation(resilient);
                         }});
     }
     std::string all;

@@ -95,7 +95,7 @@ TEST(TraceRecorderTest, LayerMaskFiltersAtAppendTime) {
   TraceRecorder trace(0);
   trace.SetLayerMask(TraceRecorder::LayerBit(TraceLayer::kCluster));
   trace.Append(1, TraceLayer::kSim, TraceKind::kEventFire, -1, -1, -1, 0);
-  trace.Append(2, TraceLayer::kCluster, TraceKind::kArrival, -1, -1, 3, 0);
+  trace.Append(2, TraceLayer::kCluster, TraceKind::kNodeCrash, 3, 0, -1, 0);
   ASSERT_EQ(trace.size(), 1u);
   EXPECT_EQ(trace.Records()[0].time_ns, 2);
   EXPECT_EQ(trace.total(), 1u) << "masked appends never count";

@@ -153,7 +153,7 @@ TEST(SpanBuilderTest, IgnoresNonClusterLayersAndNonRequestKinds) {
   TraceRecord sim_layer = Req(0, TraceKind::kReqArrival, 1, 0);
   sim_layer.layer = static_cast<uint8_t>(TraceLayer::kSim);
   b.Observe(sim_layer);
-  b.Observe(Req(0, TraceKind::kArrival, 2, 0));        // kind 20: not request-scoped
+  b.Observe(Req(0, TraceKind::kNodeCrash, 2, 0));      // kind 23: not request-scoped
   b.Observe(Req(0, TraceKind::kRequestRetry, 3, 0));   // kind 55: pre-correlation
   EXPECT_EQ(b.observed(), 0u);
   EXPECT_EQ(b.num_requests(), 0u);
