@@ -86,20 +86,7 @@ int main(int argc, char** argv) {
       "Cluster fault tolerance: zone outage, crashes, stragglers at region scale",
       "ROADMAP region-scale item; PhoenixOS-style checkpoint/restore recovery");
 
-  const bench::BenchOptions opts = bench::ParseBenchOptions(argc, argv);
-  SweepRunner runner(opts.jobs);
-  bench::JsonEmitter json("cluster_faults");
-
-  // --trace records the model-affinity zone-outage point: cluster, control,
-  // and fault layers only (sim/engine records at 1024 nodes would flood the
-  // ring with heap churn nobody reads at fleet scale). One grid point owns
-  // the recorder, so the trace bytes are identical for any --jobs.
-  TraceRecorder trace(static_cast<size_t>(opts.trace_limit));
-  trace.SetLayerMask(TraceRecorder::LayerBit(TraceLayer::kCluster) |
-                     TraceRecorder::LayerBit(TraceLayer::kControl) |
-                     TraceRecorder::LayerBit(TraceLayer::kFault));
-  bench::ApplyTraceMask(trace, opts);
-  TraceRecorder* recorder = opts.trace_path.empty() ? nullptr : &trace;
+  bench::FleetBench fleet("cluster_faults", argc, argv);
 
   struct GridPoint {
     PlacementPolicy policy;
@@ -113,37 +100,20 @@ int main(int argc, char** argv) {
       {PlacementPolicy::kModelAffinity, "zone-outage"},
       {PlacementPolicy::kLeastLoaded, "zone-outage"},
   };
-  // --scenario keeps only matching grid points (quick single-scenario runs);
-  // --fault-seed overrides the injector seed for every surviving point.
-  grid.erase(std::remove_if(grid.begin(), grid.end(),
-                            [&opts](const GridPoint& g) {
-                              return !bench::ScenarioSelected(opts, g.scenario);
-                            }),
-             grid.end());
-  if (grid.empty()) {
-    std::fprintf(stderr, "error: --scenario '%s' matches no grid point\n",
-                 opts.scenario.c_str());
+  if (!fleet.Select(grid, [](const GridPoint& g) { return g.scenario; })) {
     return 1;
   }
 
-  std::vector<SweepPoint<FleetFaultResult>> points;
+  // --trace records the model-affinity zone-outage point.
+  std::vector<bench::FleetRun> runs;
   for (const GridPoint& g : grid) {
-    const bool traced =
-        g.policy == PlacementPolicy::kModelAffinity && g.scenario == "zone-outage";
-    TraceRecorder* point_trace = traced ? recorder : nullptr;
-    const long long fault_seed = opts.fault_seed;
-    points.push_back(
-        {PlacementPolicyName(g.policy) + "/" + g.scenario, [g, point_trace, fault_seed] {
-           FleetFaultConfig config = BaseConfig(g.policy);
-           config.faults = Scenario(g.scenario);
-           if (fault_seed >= 0) {
-             config.faults.seed = static_cast<uint64_t>(fault_seed);
-           }
-           config.trace = point_trace;
-           return RunFleetFaultScenario(config);
-         }});
+    FleetFaultConfig config = BaseConfig(g.policy);
+    config.faults = Scenario(g.scenario);
+    runs.push_back({PlacementPolicyName(g.policy) + "/" + g.scenario, std::move(config),
+                    g.policy == PlacementPolicy::kModelAffinity && g.scenario == "zone-outage"});
   }
-  const std::vector<FleetFaultResult> results = runner.Run(points);
+  const std::vector<FleetFaultResult> results = fleet.Run(std::move(runs));
+  bench::JsonEmitter& json = fleet.json();
 
   std::printf("\n%d nodes in %d zones (%d per zone), %.0f rps flat, static-peak pool;\n"
               "fault window [%.1fs, %.1fs), post-recovery window [%.1fs, %.1fs)\n",
@@ -152,10 +122,8 @@ int main(int argc, char** argv) {
 
   Table table({"policy", "scenario", "phase", "p99 ms", "mean ms", "rps", "goodput ms/s",
                "failed", "recov", "migr"});
-  uint64_t total_events = 0;
   for (size_t i = 0; i < grid.size(); ++i) {
     const FleetFaultResult& r = results[i];
-    total_events += r.events_fired;
     const std::string policy = PlacementPolicyName(grid[i].policy);
     for (const FaultPhaseStats& phase : r.phases) {
       table.AddRow({policy, grid[i].scenario, phase.name, Table::Num(phase.p99_ms, 2),
@@ -169,8 +137,8 @@ int main(int argc, char** argv) {
     json.Metric(prefix + "post_p99_ms", r.phases[2].p99_ms);
     json.Metric(prefix + "pre_goodput_ms_per_s", r.phases[0].goodput_ms_per_s);
     json.Metric(prefix + "post_goodput_ms_per_s", r.phases[2].goodput_ms_per_s);
-    json.Metric(prefix + "failed_requests", static_cast<double>(r.failed_requests));
-    json.Metric(prefix + "recoveries", static_cast<double>(r.recoveries));
+    json.Metric(prefix + "failed_requests", static_cast<double>(r.totals.Count("fleet/failed")));
+    json.Metric(prefix + "recoveries", static_cast<double>(r.recovery_log.size()));
   }
   table.Print();
 
@@ -186,8 +154,8 @@ int main(int argc, char** argv) {
             : 0.0;
     std::printf("  %-14s recovery=%.3f  (lost %llu requests, %llu replica recoveries)\n",
                 PlacementPolicyName(grid[i].policy).c_str(), ratio,
-                static_cast<unsigned long long>(r.failed_requests),
-                static_cast<unsigned long long>(r.recoveries));
+                static_cast<unsigned long long>(r.totals.Count("fleet/failed")),
+                static_cast<unsigned long long>(r.recovery_log.size()));
     json.Metric(PlacementPolicyName(grid[i].policy) + "_zone_outage_recovery_ratio", ratio);
   }
   std::printf("\nRecovery is restore-only: a dead node cannot run its checkpoint half, so the\n"
@@ -215,21 +183,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  uint64_t total_scheduled = 0;
-  for (const FleetFaultResult& r : results) {
-    total_scheduled += r.sim.scheduled;
-  }
-  std::printf("\nSimulated events across the grid: %llu fired / %llu scheduled\n",
-              static_cast<unsigned long long>(total_events),
-              static_cast<unsigned long long>(total_scheduled));
-  json.Metric("total_events_fired", static_cast<double>(total_events));
-  json.Metric("total_events_scheduled", static_cast<double>(total_scheduled));
-  json.SetRun(runner.jobs(), runner.wall_seconds());
-  json.WallMetric("sweep_wall_seconds", runner.wall_seconds());
-  json.WallMetric("events_per_wall_second",
-                  runner.wall_seconds() > 0 ? total_events / runner.wall_seconds() : 0.0);
-  json.Write();
-  bench::WriteTraceIfRequested(trace, opts);
-  runner.PrintSummary("cluster_faults");
-  return 0;
+  return fleet.Finish(results);
 }

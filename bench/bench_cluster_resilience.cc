@@ -136,20 +136,7 @@ int main(int argc, char** argv) {
       "Request-level resilience: retry/hedge/shed vs rack crashes and partitions",
       "ISSUE 8 gray-failure grid; dispatch-path policies at region scale");
 
-  const bench::BenchOptions opts = bench::ParseBenchOptions(argc, argv);
-  SweepRunner runner(opts.jobs);
-  bench::JsonEmitter json("cluster_resilience");
-
-  // --trace records the headline point (rack+partition under the full
-  // policy): cluster, control, and fault layers only, same rationale as
-  // bench_cluster_faults. One grid point owns the recorder, so the trace
-  // bytes are identical for any --jobs.
-  TraceRecorder trace(static_cast<size_t>(opts.trace_limit));
-  trace.SetLayerMask(TraceRecorder::LayerBit(TraceLayer::kCluster) |
-                     TraceRecorder::LayerBit(TraceLayer::kControl) |
-                     TraceRecorder::LayerBit(TraceLayer::kFault));
-  bench::ApplyTraceMask(trace, opts);
-  TraceRecorder* recorder = opts.trace_path.empty() ? nullptr : &trace;
+  bench::FleetBench fleet("cluster_resilience", argc, argv);
 
   struct GridPoint {
     std::string scenario;
@@ -166,34 +153,20 @@ int main(int argc, char** argv) {
       {"rack+partition", Policy::kRetry},
       {"rack+partition", Policy::kFull},
   };
-  grid.erase(std::remove_if(grid.begin(), grid.end(),
-                            [&opts](const GridPoint& g) {
-                              return !bench::ScenarioSelected(opts, g.scenario);
-                            }),
-             grid.end());
-  if (grid.empty()) {
-    std::fprintf(stderr, "error: --scenario '%s' matches no grid point\n",
-                 opts.scenario.c_str());
+  if (!fleet.Select(grid, [](const GridPoint& g) { return g.scenario; })) {
     return 1;
   }
 
-  std::vector<SweepPoint<FleetFaultResult>> points;
+  // --trace records the headline point: rack+partition under the full policy.
+  std::vector<bench::FleetRun> runs;
   for (const GridPoint& g : grid) {
-    const bool traced = g.scenario == "rack+partition" && g.policy == Policy::kFull;
-    TraceRecorder* point_trace = traced ? recorder : nullptr;
-    const long long fault_seed = opts.fault_seed;
-    points.push_back(
-        {g.scenario + "/" + PolicyName(g.policy), [g, point_trace, fault_seed] {
-           FleetFaultConfig config = BaseConfig(g.policy);
-           config.faults = Scenario(g.scenario);
-           if (fault_seed >= 0) {
-             config.faults.seed = static_cast<uint64_t>(fault_seed);
-           }
-           config.trace = point_trace;
-           return RunFleetFaultScenario(config);
-         }});
+    FleetFaultConfig config = BaseConfig(g.policy);
+    config.faults = Scenario(g.scenario);
+    runs.push_back({g.scenario + "/" + PolicyName(g.policy), std::move(config),
+                    g.scenario == "rack+partition" && g.policy == Policy::kFull});
   }
-  const std::vector<FleetFaultResult> results = runner.Run(points);
+  const std::vector<FleetFaultResult> results = fleet.Run(std::move(runs));
+  bench::JsonEmitter& json = fleet.json();
 
   std::printf("\n%d nodes, %d zones x %d racks (%d-node racks), %.0f rps flat;\n"
               "fault window [%.1fs, %.1fs), recovery window [%.1fs, %.1fs)\n",
@@ -202,18 +175,18 @@ int main(int argc, char** argv) {
 
   Table table({"scenario", "policy", "phase", "p99 ms", "rps", "goodput ms/s", "failed",
                "retry", "hedge", "shed", "timeout"});
-  uint64_t total_events = 0;
   for (size_t i = 0; i < grid.size(); ++i) {
     const FleetFaultResult& r = results[i];
-    total_events += r.events_fired;
+    const auto total = [&r](const char* counter) {
+      return std::to_string(r.totals.Count(counter));
+    };
     for (const FaultPhaseStats& phase : r.phases) {
+      const bool post = phase.name == "post";
       table.AddRow({grid[i].scenario, PolicyName(grid[i].policy), phase.name,
                     Table::Num(phase.p99_ms, 2), Table::Num(phase.throughput_rps, 0),
                     Table::Num(phase.goodput_ms_per_s, 0), std::to_string(phase.failed),
-                    phase.name == "post" ? std::to_string(r.retries) : "-",
-                    phase.name == "post" ? std::to_string(r.hedges) : "-",
-                    phase.name == "post" ? std::to_string(r.shed) : "-",
-                    phase.name == "post" ? std::to_string(r.timeouts) : "-"});
+                    post ? total("fleet/retries") : "-", post ? total("fleet/hedges") : "-",
+                    post ? total("fleet/shed") : "-", post ? total("fleet/timeouts") : "-"});
     }
     std::string prefix = grid[i].scenario + "_" + PolicyName(grid[i].policy) + "_";
     for (char& c : prefix) {
@@ -226,14 +199,11 @@ int main(int argc, char** argv) {
     json.Metric(prefix + "post_p99_ms", r.phases[2].p99_ms);
     json.Metric(prefix + "pre_goodput_ms_per_s", r.phases[0].goodput_ms_per_s);
     json.Metric(prefix + "post_goodput_ms_per_s", r.phases[2].goodput_ms_per_s);
-    json.Metric(prefix + "failed_requests", static_cast<double>(r.failed_requests));
-    json.Metric(prefix + "retries", static_cast<double>(r.retries));
-    json.Metric(prefix + "hedges", static_cast<double>(r.hedges));
-    json.Metric(prefix + "hedge_wins", static_cast<double>(r.hedge_wins));
-    json.Metric(prefix + "timeouts", static_cast<double>(r.timeouts));
-    json.Metric(prefix + "shed", static_cast<double>(r.shed));
-    json.Metric(prefix + "deferred_delivered", static_cast<double>(r.deferred_delivered));
-    json.Metric(prefix + "deferred_orphaned", static_cast<double>(r.deferred_orphaned));
+    json.Metric(prefix + "failed_requests", r.totals.ValueOf("fleet/failed"));
+    for (const char* counter : {"retries", "hedges", "hedge_wins", "timeouts", "shed",
+                                "deferred_delivered", "deferred_orphaned"}) {
+      json.Metric(prefix + counter, r.totals.ValueOf(std::string("fleet/") + counter));
+    }
   }
   table.Print();
 
@@ -249,14 +219,14 @@ int main(int argc, char** argv) {
         full.phases[0].goodput_ms_per_s > 0
             ? full.phases[2].goodput_ms_per_s / full.phases[0].goodput_ms_per_s
             : 0.0;
+    const uint64_t failed_writeoff = writeoff.totals.Count("fleet/failed");
+    const uint64_t failed_full = full.totals.Count("fleet/failed");
     const double reduction =
-        full.failed_requests > 0
-            ? static_cast<double>(writeoff.failed_requests) /
-                  static_cast<double>(full.failed_requests)
-            : static_cast<double>(writeoff.failed_requests);
+        failed_full > 0 ? static_cast<double>(failed_writeoff) / static_cast<double>(failed_full)
+                        : static_cast<double>(failed_writeoff);
     std::printf("  %-16s %-10.3f %-12llu %-14llu %.1fx\n", grid[i].scenario.c_str(),
-                recovery, static_cast<unsigned long long>(writeoff.failed_requests),
-                static_cast<unsigned long long>(full.failed_requests), reduction);
+                recovery, static_cast<unsigned long long>(failed_writeoff),
+                static_cast<unsigned long long>(failed_full), reduction);
     std::string key = grid[i].scenario;
     for (char& c : key) {
       if (c == '+' || c == '-') {
@@ -270,21 +240,5 @@ int main(int argc, char** argv) {
               "requests than write-off under rack+partition; shed keeps admitted p99\n"
               "bounded through the fault window.\n");
 
-  uint64_t total_scheduled = 0;
-  for (const FleetFaultResult& r : results) {
-    total_scheduled += r.sim.scheduled;
-  }
-  std::printf("\nSimulated events across the grid: %llu fired / %llu scheduled\n",
-              static_cast<unsigned long long>(total_events),
-              static_cast<unsigned long long>(total_scheduled));
-  json.Metric("total_events_fired", static_cast<double>(total_events));
-  json.Metric("total_events_scheduled", static_cast<double>(total_scheduled));
-  json.SetRun(runner.jobs(), runner.wall_seconds());
-  json.WallMetric("sweep_wall_seconds", runner.wall_seconds());
-  json.WallMetric("events_per_wall_second",
-                  runner.wall_seconds() > 0 ? total_events / runner.wall_seconds() : 0.0);
-  json.Write();
-  bench::WriteTraceIfRequested(trace, opts);
-  runner.PrintSummary("cluster_resilience");
-  return 0;
+  return fleet.Finish(results);
 }

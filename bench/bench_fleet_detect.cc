@@ -23,7 +23,6 @@
 // across runs and --jobs like all bench stdout (CI cmps).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/bench_util.h"
 #include "src/common/table.h"
@@ -139,53 +138,25 @@ int main(int argc, char** argv) {
       "Gray-failure detection and critical-path latency attribution",
       "ISSUE 9 observability loop; detector scored against injected ground truth");
 
-  const bench::BenchOptions opts = bench::ParseBenchOptions(argc, argv);
-  SweepRunner runner(opts.jobs);
-  bench::JsonEmitter json("fleet_detect");
-
-  // --trace records the mixed point (cluster/control/fault layers): the
-  // request-correlation records it contains are what trace_analyze replays
-  // offline into the same spans the online SpanBuilder assembles here.
-  TraceRecorder trace(static_cast<size_t>(opts.trace_limit));
-  trace.SetLayerMask(TraceRecorder::LayerBit(TraceLayer::kCluster) |
-                     TraceRecorder::LayerBit(TraceLayer::kControl) |
-                     TraceRecorder::LayerBit(TraceLayer::kFault));
-  bench::ApplyTraceMask(trace, opts);
-  TraceRecorder* recorder = opts.trace_path.empty() ? nullptr : &trace;
+  bench::FleetBench fleet("fleet_detect", argc, argv);
 
   std::vector<std::string> grid = {"stragglers", "partition", "mixed"};
-  grid.erase(std::remove_if(grid.begin(), grid.end(),
-                            [&opts](const std::string& g) {
-                              return !bench::ScenarioSelected(opts, g);
-                            }),
-             grid.end());
-  if (grid.empty()) {
-    std::fprintf(stderr, "error: --scenario '%s' matches no grid point\n",
-                 opts.scenario.c_str());
+  if (!fleet.Select(grid, [](const std::string& g) { return g; })) {
     return 1;
   }
 
-  // The mixed point owns the span sink (and the recorder): one owner per
-  // sink keeps the assembled spans byte-identical at any --jobs.
+  // The mixed point records --trace and feeds the online span sink: the
+  // request-correlation records in the trace are what trace_analyze replays
+  // offline into the same spans assembled here.
   SpanBuilder spans;
-  std::vector<SweepPoint<FleetFaultResult>> points;
+  std::vector<bench::FleetRun> runs;
   for (const std::string& scenario : grid) {
-    const bool traced = scenario == "mixed";
-    TraceRecorder* point_trace = traced ? recorder : nullptr;
-    SpanBuilder* point_spans = traced ? &spans : nullptr;
-    const long long fault_seed = opts.fault_seed;
-    points.push_back({scenario, [scenario, point_trace, point_spans, fault_seed] {
-                        FleetFaultConfig config = BaseConfig();
-                        config.faults = Scenario(scenario);
-                        if (fault_seed >= 0) {
-                          config.faults.seed = static_cast<uint64_t>(fault_seed);
-                        }
-                        config.trace = point_trace;
-                        config.spans = point_spans;
-                        return RunFleetFaultScenario(config);
-                      }});
+    FleetFaultConfig config = BaseConfig();
+    config.faults = Scenario(scenario);
+    runs.push_back({scenario, std::move(config), scenario == "mixed"});
   }
-  const std::vector<FleetFaultResult> results = runner.Run(points);
+  const std::vector<FleetFaultResult> results = fleet.Run(std::move(runs), &spans);
+  bench::JsonEmitter& json = fleet.json();
 
   std::printf("\n%d nodes, %d zones x %d racks, %.0f rps; faults in [%.1fs, %.1fs),\n"
               "detector window = control period (250ms), crash state announced,\n"
@@ -206,18 +177,6 @@ int main(int argc, char** argv) {
                   std::to_string(score.matched_verdicts),
                   std::to_string(score.detected_spans), Table::Num(score.precision, 3),
                   Table::Num(score.recall, 3), Table::Num(score.median_ttd_windows, 1)});
-    if (std::getenv("LITHOS_DETECT_DEBUG") != nullptr) {
-      std::printf("DEBUG %s truth:\n", grid[i].c_str());
-      for (const TruthSpan& t : truth) {
-        std::printf("  %s node=%d zone=%d [%.3f, %.3f]ms\n",
-                    VerdictKindName(t.kind), t.node, t.zone, ToMillis(t.start),
-                    ToMillis(t.end));
-      }
-      std::printf("DEBUG %s verdicts:\n", grid[i].c_str());
-      for (const std::string& line : r.detector_lines) {
-        std::printf("  %s\n", line.c_str());
-      }
-    }
     if (unscored > 0) {
       std::printf("note: %s: %zu announced/out-of-scope fault span(s) excluded from "
                   "scoring\n",
@@ -277,29 +236,12 @@ int main(int argc, char** argv) {
     json.Metric("mixed_spans_attributed", static_cast<double>(stats.attributed));
     json.Metric("mixed_attribution_exact_sum",
                 attributor.attributions().size() == exact ? 1.0 : 0.0);
-    json.Metric("mixed_hedges", static_cast<double>(r.hedges));
-    json.Metric("mixed_retries", static_cast<double>(r.retries));
+    json.Metric("mixed_hedges", r.totals.ValueOf("fleet/hedges"));
+    json.Metric("mixed_retries", r.totals.ValueOf("fleet/retries"));
   }
 
   std::printf("\nTargets: precision >= 0.9 and recall >= 0.8 on injected stragglers\n"
               "and partitions; median time-to-detection < 2 control periods.\n");
 
-  uint64_t total_events = 0;
-  uint64_t total_scheduled = 0;
-  for (const FleetFaultResult& r : results) {
-    total_events += r.events_fired;
-    total_scheduled += r.sim.scheduled;
-  }
-  std::printf("\nSimulated events across the grid: %llu fired / %llu scheduled\n",
-              static_cast<unsigned long long>(total_events),
-              static_cast<unsigned long long>(total_scheduled));
-  json.Metric("total_events_fired", static_cast<double>(total_events));
-  json.SetRun(runner.jobs(), runner.wall_seconds());
-  json.WallMetric("sweep_wall_seconds", runner.wall_seconds());
-  json.WallMetric("events_per_wall_second",
-                  runner.wall_seconds() > 0 ? total_events / runner.wall_seconds() : 0.0);
-  json.Write();
-  bench::WriteTraceIfRequested(trace, opts);
-  runner.PrintSummary("fleet_detect");
-  return 0;
+  return fleet.Finish(results);
 }

@@ -164,24 +164,6 @@ FleetFaultConfig BaseConfig(const GridPoint& point) {
   return config;
 }
 
-double PhaseGoodput(const FleetFaultResult& r, const std::string& phase) {
-  for (const FaultPhaseStats& stats : r.phases) {
-    if (stats.name == phase) {
-      return stats.goodput_ms_per_s;
-    }
-  }
-  return 0;
-}
-
-double PhaseP99(const FleetFaultResult& r, const std::string& phase) {
-  for (const FaultPhaseStats& stats : r.phases) {
-    if (stats.name == phase) {
-      return stats.p99_ms;
-    }
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -189,19 +171,7 @@ int main(int argc, char** argv) {
       "Self-healing control plane: detector-driven remediation",
       "ISSUE 10 remediation loop; remedy arm vs dispatch-only resilience");
 
-  const bench::BenchOptions opts = bench::ParseBenchOptions(argc, argv);
-  SweepRunner runner(opts.jobs);
-  bench::JsonEmitter json("fleet_remediate");
-
-  // --trace records the heal_herd remedy point: control-layer records show
-  // the full action lifecycle (verdict -> quarantine/drain -> rollback,
-  // kinds 70..76) interleaved with the controller's scaling records.
-  TraceRecorder trace(static_cast<size_t>(opts.trace_limit));
-  trace.SetLayerMask(TraceRecorder::LayerBit(TraceLayer::kCluster) |
-                     TraceRecorder::LayerBit(TraceLayer::kControl) |
-                     TraceRecorder::LayerBit(TraceLayer::kFault));
-  bench::ApplyTraceMask(trace, opts);
-  TraceRecorder* recorder = opts.trace_path.empty() ? nullptr : &trace;
+  bench::FleetBench fleet("fleet_remediate", argc, argv);
 
   std::vector<GridPoint> grid = {
       {"stragglers_base", "stragglers", false},
@@ -212,32 +182,19 @@ int main(int argc, char** argv) {
       {"storm", "storm", true},
       {"healthy", "healthy", true},
   };
-  grid.erase(std::remove_if(grid.begin(), grid.end(),
-                            [&opts](const GridPoint& g) {
-                              return !bench::ScenarioSelected(opts, g.name);
-                            }),
-             grid.end());
-  if (grid.empty()) {
-    std::fprintf(stderr, "error: --scenario '%s' matches no grid point\n",
-                 opts.scenario.c_str());
+  if (!fleet.Select(grid, [](const GridPoint& g) { return g.name; })) {
     return 1;
   }
 
-  std::vector<SweepPoint<FleetFaultResult>> points;
+  // --trace records the heal_herd remedy point: control-layer records show
+  // the full action lifecycle (verdict -> quarantine/drain -> rollback,
+  // kinds 70..76) interleaved with the controller's scaling records.
+  std::vector<bench::FleetRun> runs;
   for (const GridPoint& point : grid) {
-    TraceRecorder* point_trace =
-        point.name == "heal_herd_remedy" ? recorder : nullptr;
-    const long long fault_seed = opts.fault_seed;
-    points.push_back({point.name, [point, point_trace, fault_seed] {
-                        FleetFaultConfig config = BaseConfig(point);
-                        if (fault_seed >= 0) {
-                          config.faults.seed = static_cast<uint64_t>(fault_seed);
-                        }
-                        config.trace = point_trace;
-                        return RunFleetFaultScenario(config);
-                      }});
+    runs.push_back({point.name, BaseConfig(point), point.name == "heal_herd_remedy"});
   }
-  const std::vector<FleetFaultResult> results = runner.Run(points);
+  const std::vector<FleetFaultResult> results = fleet.Run(std::move(runs));
+  bench::JsonEmitter& json = fleet.json();
 
   std::printf("\n%d nodes, %d zones x %d racks, %.0f rps; faults in [%.1fs, %.1fs);\n"
               "detector window = control period (250ms); remedy arm adds the\n"
@@ -248,13 +205,13 @@ int main(int argc, char** argv) {
                "actions", "defer", "rollback"});
   for (size_t i = 0; i < grid.size(); ++i) {
     const FleetFaultResult& r = results[i];
-    table.AddRow({grid[i].name, Table::Num(PhaseGoodput(r, "during"), 0),
-                  Table::Num(PhaseP99(r, "during"), 1),
-                  Table::Num(PhaseGoodput(r, "post"), 0),
-                  Table::Num(PhaseP99(r, "post"), 1),
-                  std::to_string(r.remedy_actions),
-                  std::to_string(r.remedy_deferrals),
-                  std::to_string(r.remedy_rollbacks)});
+    table.AddRow({grid[i].name, Table::Num(r.Phase("during").goodput_ms_per_s, 0),
+                  Table::Num(r.Phase("during").p99_ms, 1),
+                  Table::Num(r.Phase("post").goodput_ms_per_s, 0),
+                  Table::Num(r.Phase("post").p99_ms, 1),
+                  std::to_string(r.remedy.actions()),
+                  std::to_string(r.remedy.deferrals),
+                  std::to_string(r.remedy.rollbacks)});
   }
   table.Print();
 
@@ -268,14 +225,14 @@ int main(int argc, char** argv) {
       continue;
     }
     const FleetFaultResult& r = results[i];
-    actions.AddRow({point.name, std::to_string(r.remedy_quarantines),
-                    std::to_string(r.remedy_drains),
-                    std::to_string(r.remedy_restarts),
-                    std::to_string(r.remedy_rebalances),
-                    std::to_string(r.remedy_rollbacks),
-                    std::to_string(r.remedy_deferrals),
-                    std::to_string(r.remedy_peak_fleet_drains),
-                    std::to_string(r.remedy_peak_zone_drains),
+    actions.AddRow({point.name, std::to_string(r.remedy.quarantines),
+                    std::to_string(r.remedy.drains),
+                    std::to_string(r.remedy.restarts),
+                    std::to_string(r.remedy.rebalances),
+                    std::to_string(r.remedy.rollbacks),
+                    std::to_string(r.remedy.deferrals),
+                    std::to_string(r.remedy.peak_fleet_drains),
+                    std::to_string(r.remedy.peak_zone_drains),
                     std::to_string(r.remedy_justified_actions),
                     std::to_string(r.remedy_unjustified_actions),
                     std::to_string(r.remedy_injected_actions)});
@@ -315,14 +272,14 @@ int main(int argc, char** argv) {
       continue;  // filtered out via --scenario
     }
     for (const std::string& phase : {std::string("during"), std::string("post")}) {
-      const double b = PhaseGoodput(results[base], phase);
-      const double m = PhaseGoodput(results[remedy], phase);
+      const double b = results[base].Phase(phase).goodput_ms_per_s;
+      const double m = results[remedy].Phase(phase).goodput_ms_per_s;
       const double ratio = b > 0 ? m / b : 0;
       // >= 1.0 with float-dust tolerance: a dead tie must not flake the gate.
       const bool pass = ratio >= 0.9995;
       ok = ok && pass;
-      const double bp = PhaseP99(results[base], phase);
-      const double mp = PhaseP99(results[remedy], phase);
+      const double bp = results[base].Phase(phase).p99_ms;
+      const double mp = results[remedy].Phase(phase).p99_ms;
       std::printf("  %-10s %-6s goodput remedy/base = %.4f  p99 %.1f -> %.1f ms  [%s]\n",
                   scenario.c_str(), phase.c_str(), ratio, bp, mp,
                   pass ? "ok" : "FAIL");
@@ -335,77 +292,60 @@ int main(int argc, char** argv) {
     const GridPoint& point = grid[i];
     const FleetFaultResult& r = results[i];
     if (point.name == "healthy") {
-      const bool pass = r.remedy_actions == 0 && r.remedy_rebalances == 0;
+      const bool pass = r.remedy.actions() == 0 && r.remedy.rebalances == 0;
       ok = ok && pass;
       std::printf("  healthy: actions=%llu rebalances=%llu  [%s]\n",
-                  static_cast<unsigned long long>(r.remedy_actions),
-                  static_cast<unsigned long long>(r.remedy_rebalances),
+                  static_cast<unsigned long long>(r.remedy.actions()),
+                  static_cast<unsigned long long>(r.remedy.rebalances),
                   pass ? "ok" : "FAIL");
       json.Metric("healthy_zero_touch", pass ? 1.0 : 0.0);
     }
     if (point.name == "false_positive") {
       const uint64_t injected = r.remedy_injected_actions;
-      const bool pass = injected > 0 && r.remedy_synthetic_rollbacks == injected;
+      const bool pass = injected > 0 && r.remedy.synthetic_rollbacks == injected;
       ok = ok && pass;
       std::printf("  false_positive: injected=%llu rolled back=%llu  [%s]\n",
                   static_cast<unsigned long long>(injected),
-                  static_cast<unsigned long long>(r.remedy_synthetic_rollbacks),
+                  static_cast<unsigned long long>(r.remedy.synthetic_rollbacks),
                   pass ? "ok" : "FAIL");
       json.Metric("injected_rollback_fraction",
                   injected > 0
-                      ? static_cast<double>(r.remedy_synthetic_rollbacks) /
+                      ? static_cast<double>(r.remedy.synthetic_rollbacks) /
                             static_cast<double>(injected)
                       : 0.0);
     }
     if (point.remediate) {
       const RemediationConfig rc = Remediation(point.scenario);
-      const bool pass = r.remedy_peak_fleet_drains <= rc.max_drains_fleet &&
-                        r.remedy_peak_zone_drains <= rc.max_drains_per_zone;
+      const bool pass = r.remedy.peak_fleet_drains <= rc.max_drains_fleet &&
+                        r.remedy.peak_zone_drains <= rc.max_drains_per_zone;
       ok = ok && pass;
       if (!pass) {
         std::printf("  %s: governor caps exceeded (fleet %d/%d, zone %d/%d)  [FAIL]\n",
-                    point.name.c_str(), r.remedy_peak_fleet_drains,
-                    rc.max_drains_fleet, r.remedy_peak_zone_drains,
+                    point.name.c_str(), r.remedy.peak_fleet_drains,
+                    rc.max_drains_fleet, r.remedy.peak_zone_drains,
                     rc.max_drains_per_zone);
       }
       json.Metric(point.name + "_peak_fleet_drains",
-                  static_cast<double>(r.remedy_peak_fleet_drains));
+                  static_cast<double>(r.remedy.peak_fleet_drains));
       json.Metric(point.name + "_peak_zone_drains",
-                  static_cast<double>(r.remedy_peak_zone_drains));
-      json.Metric(point.name + "_actions", static_cast<double>(r.remedy_actions));
+                  static_cast<double>(r.remedy.peak_zone_drains));
+      json.Metric(point.name + "_actions", static_cast<double>(r.remedy.actions()));
       json.Metric(point.name + "_deferrals",
-                  static_cast<double>(r.remedy_deferrals));
+                  static_cast<double>(r.remedy.deferrals));
       json.Metric(point.name + "_rollbacks",
-                  static_cast<double>(r.remedy_rollbacks));
+                  static_cast<double>(r.remedy.rollbacks));
       json.Metric(point.name + "_rebalances",
-                  static_cast<double>(r.remedy_rebalances));
+                  static_cast<double>(r.remedy.rebalances));
       json.Metric(point.name + "_unjustified_actions",
                   static_cast<double>(r.remedy_unjustified_actions));
     }
-    json.Metric(point.name + "_during_goodput", PhaseGoodput(r, "during"));
-    json.Metric(point.name + "_post_goodput", PhaseGoodput(r, "post"));
-    json.Metric(point.name + "_during_p99", PhaseP99(r, "during"));
-    json.Metric(point.name + "_post_p99", PhaseP99(r, "post"));
+    json.Metric(point.name + "_during_goodput", r.Phase("during").goodput_ms_per_s);
+    json.Metric(point.name + "_post_goodput", r.Phase("post").goodput_ms_per_s);
+    json.Metric(point.name + "_during_p99", r.Phase("during").p99_ms);
+    json.Metric(point.name + "_post_p99", r.Phase("post").p99_ms);
   }
   std::printf("  all gates: [%s]\n", ok ? "ok" : "FAIL");
   json.Metric("all_gates_pass", ok ? 1.0 : 0.0);
 
-  uint64_t total_events = 0;
-  uint64_t total_scheduled = 0;
-  for (const FleetFaultResult& r : results) {
-    total_events += r.events_fired;
-    total_scheduled += r.sim.scheduled;
-  }
-  std::printf("\nSimulated events across the grid: %llu fired / %llu scheduled\n",
-              static_cast<unsigned long long>(total_events),
-              static_cast<unsigned long long>(total_scheduled));
-  json.Metric("total_events_fired", static_cast<double>(total_events));
-  json.SetRun(runner.jobs(), runner.wall_seconds());
-  json.WallMetric("sweep_wall_seconds", runner.wall_seconds());
-  json.WallMetric("events_per_wall_second",
-                  runner.wall_seconds() > 0 ? total_events / runner.wall_seconds() : 0.0);
-  json.Write();
-  bench::WriteTraceIfRequested(trace, opts);
-  runner.PrintSummary("fleet_remediate");
-  return 0;
+  return fleet.Finish(results);
 }

@@ -1,6 +1,7 @@
 // Shared helpers for the figure/table reproduction benches: experiment
 // definitions (which models appear where), solo-baseline caching for the
-// paper's normalisations, and headline printing.
+// paper's normalisations, headline printing, and the grid driver the fleet
+// fault-scenario benches share.
 #ifndef LITHOS_BENCH_BENCH_UTIL_H_
 #define LITHOS_BENCH_BENCH_UTIL_H_
 
@@ -17,6 +18,7 @@
 #include "src/common/table.h"
 #include "src/experiments/harness.h"
 #include "src/experiments/sweep.h"
+#include "src/fault/scenario.h"
 #include "src/obs/trace.h"
 
 namespace lithos::bench {
@@ -372,6 +374,109 @@ inline void PrintHeader(const std::string& title, const std::string& paper_ref) 
   std::printf("Reproduces: %s\n", paper_ref.c_str());
   std::printf("==================================================================\n");
 }
+
+// --- Fleet fault-scenario benches ---------------------------------------------
+
+// One grid point of a fleet bench: its sweep label, the config it runs, and
+// whether it is the one point that records --trace (and feeds the span sink).
+struct FleetRun {
+  std::string name;
+  FleetFaultConfig config;
+  bool traced = false;
+};
+
+// The grid driver of the 1024-node fleet benches (faults, resilience,
+// detect, remediate). A bench builds its grid, filters it with Select(),
+// runs it with Run(), prints its own tables and headline checks into the
+// json(), and ends with `return Finish(results)`.
+class FleetBench {
+ public:
+  // `name` names the JSON file (bench/out/BENCH_<name>.json) and the sweep
+  // summary. The recorder keeps the cluster, control and fault layers:
+  // sim/engine records at 1024 nodes would flood the ring with heap churn
+  // nobody reads at fleet scale (--trace-mask overrides).
+  FleetBench(const std::string& name, int argc, char** argv)
+      : name_(name),
+        opts_(ParseBenchOptions(argc, argv)),
+        runner_(opts_.jobs),
+        json_(name),
+        trace_(static_cast<size_t>(opts_.trace_limit)) {
+    trace_.SetLayerMask(TraceRecorder::LayerBit(TraceLayer::kCluster) |
+                        TraceRecorder::LayerBit(TraceLayer::kControl) |
+                        TraceRecorder::LayerBit(TraceLayer::kFault));
+    ApplyTraceMask(trace_, opts_);
+  }
+
+  JsonEmitter& json() { return json_; }
+
+  // --scenario: keeps the grid points whose key(point) matches. When none
+  // does, prints an error and returns false (the bench then exits 1).
+  template <typename Point, typename Key>
+  bool Select(std::vector<Point>& grid, Key key) const {
+    grid.erase(std::remove_if(grid.begin(), grid.end(),
+                              [&](const Point& p) { return !ScenarioSelected(opts_, key(p)); }),
+               grid.end());
+    if (grid.empty()) {
+      std::fprintf(stderr, "error: --scenario '%s' matches no grid point\n",
+                   opts_.scenario.c_str());
+      return false;
+    }
+    return true;
+  }
+
+  // Runs every point through RunFleetFaultScenario on the sweep pool and
+  // returns the results in declaration order. --fault-seed overrides each
+  // point's injector seed. The traced point gets the recorder (when --trace
+  // was given) and `spans`; one owner per sink keeps the trace bytes and
+  // spans identical for any --jobs.
+  std::vector<FleetFaultResult> Run(std::vector<FleetRun> runs, SpanBuilder* spans = nullptr) {
+    std::vector<SweepPoint<FleetFaultResult>> points;
+    for (FleetRun& run : runs) {
+      FleetFaultConfig config = std::move(run.config);
+      if (opts_.fault_seed >= 0) {
+        config.faults.seed = static_cast<uint64_t>(opts_.fault_seed);
+      }
+      if (run.traced) {
+        config.trace = opts_.trace_path.empty() ? nullptr : &trace_;
+        config.spans = spans;
+      }
+      points.push_back(
+          {run.name, [config = std::move(config)] { return RunFleetFaultScenario(config); }});
+    }
+    return runner_.Run(points);
+  }
+
+  // The closing block: simulated events across the grid (stdout and JSON),
+  // the run's wall metrics, the JSON and trace files, and the sweep summary.
+  int Finish(const std::vector<FleetFaultResult>& results) {
+    uint64_t fired = 0;
+    uint64_t scheduled = 0;
+    for (const FleetFaultResult& r : results) {
+      fired += r.sim.fired;
+      scheduled += r.sim.scheduled;
+    }
+    std::printf("\nSimulated events across the grid: %llu fired / %llu scheduled\n",
+                static_cast<unsigned long long>(fired),
+                static_cast<unsigned long long>(scheduled));
+    json_.Metric("total_events_fired", static_cast<double>(fired));
+    json_.Metric("total_events_scheduled", static_cast<double>(scheduled));
+    const double wall = runner_.wall_seconds();
+    json_.SetRun(runner_.jobs(), wall);
+    json_.WallMetric("sweep_wall_seconds", wall);
+    json_.WallMetric("events_per_wall_second", wall > 0 ? fired / wall : 0.0);
+    json_.Write();
+    WriteTraceIfRequested(trace_, opts_);
+    runner_.PrintSummary(name_);
+    return 0;
+  }
+
+ private:
+  std::string name_;
+  BenchOptions opts_;
+  SweepRunner runner_;
+  JsonEmitter json_;
+  TraceRecorder trace_;
+};
 
 }  // namespace lithos::bench
 

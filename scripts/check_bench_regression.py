@@ -8,6 +8,11 @@ benches can emit extra diagnostics freely. All baseline metrics are floors
 ("higher is better"); 0/1 flags like the determinism bits work naturally
 because 1 * (1 - 0.2) = 0.8 still requires the flag to be 1.
 
+A baseline may also carry an "exact" object: each of its metrics must be
+present in the run's "metrics" and equal to the baseline value, in either
+direction, whatever the tolerance. It pins deterministic outputs that are
+not acceptance targets (a baseline may hold "exact" alone).
+
 Wall-clock metrics live in a separate "wall_metrics" object and are compared
 only when the current run's recorded "jobs" count matches the baseline's —
 a parallel sweep (--jobs 8) must never fail a serial-era wall-clock floor.
@@ -31,7 +36,10 @@ import sys
 def load_doc(path):
     with open(path) as f:
         doc = json.load(f)
-    metrics = doc.get("metrics")
+    exact = doc.get("exact")
+    if exact is not None and not isinstance(exact, dict):
+        sys.exit(f"{path}: 'exact' present but not an object")
+    metrics = doc.get("metrics", {} if exact else None)
     if not isinstance(metrics, dict):
         sys.exit(f"{path}: no 'metrics' object")
     wall = doc.get("wall_metrics")
@@ -39,6 +47,7 @@ def load_doc(path):
         sys.exit(f"{path}: 'wall_metrics' present but not an object")
     return {
         "metrics": metrics,
+        "exact": exact or {},
         "wall_metrics": wall or {},
         "jobs": int(doc.get("jobs", 1)),
     }
@@ -80,6 +89,18 @@ def compare(section, current, baseline, default_tol, overrides, failures):
             failures.append(f"{key}: {value:.6g} < floor {floor:.6g}")
 
 
+def compare_exact(current, exact, failures):
+    for key, base_value in sorted(exact.items()):
+        if key not in current:
+            failures.append(f"{key}: missing from the current run")
+            continue
+        value = current[key]
+        status = "ok" if value == base_value else "FAIL"
+        print(f"{status:4s} [exact] {key}: {value:.10g} (baseline {base_value:.10g})")
+        if value != base_value:
+            failures.append(f"{key}: {value:.10g} != exact {base_value:.10g}")
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -108,8 +129,9 @@ def main():
     failures = []
     compare("metrics", current["metrics"], baseline["metrics"], args.tolerance, overrides,
             failures)
+    compare_exact(current["metrics"], baseline["exact"], failures)
 
-    compared = len(baseline["metrics"])
+    compared = len(baseline["metrics"]) + len(baseline["exact"])
     if baseline["wall_metrics"]:
         if current["jobs"] == baseline["jobs"]:
             compare("wall", current["wall_metrics"], baseline["wall_metrics"], args.tolerance,

@@ -1,5 +1,6 @@
 #include "src/fault/scenario.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "src/common/check.h"
@@ -60,6 +61,14 @@ bool ActionJustified(const RemedyEvent& event,
 
 }  // namespace
 
+const FaultPhaseStats& FleetFaultResult::Phase(const std::string& name) const {
+  const auto it = std::find_if(phases.begin(), phases.end(), [&name](const FaultPhaseStats& s) {
+    return s.name == name;
+  });
+  LITHOS_CHECK(it != phases.end());
+  return *it;
+}
+
 FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config) {
   LITHOS_CHECK(!config.phases.empty());
   for (size_t i = 0; i < config.phases.size(); ++i) {
@@ -95,8 +104,6 @@ FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config) {
   injector.Arm();
 
   FleetFaultResult result;
-  result.num_nodes = config.cluster.num_nodes;
-  result.num_zones = config.cluster.num_zones;
   result.phases.resize(config.phases.size());
 
   // Online gray-failure detection: first tick one window in, last at or
@@ -179,18 +186,9 @@ FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config) {
   result.stragglers = injector.stragglers();
   result.rack_crashes = injector.rack_crashes();
   result.partitions = injector.partitions();
-  result.failed_requests = fleet.failed();
-  result.recoveries = static_cast<uint64_t>(fleet.recovery_log().size());
-  result.retries = fleet.metrics().counter("fleet/retries").value();
-  result.hedges = fleet.metrics().counter("fleet/hedges").value();
-  result.hedge_wins = fleet.metrics().counter("fleet/hedge_wins").value();
-  result.timeouts = fleet.metrics().counter("fleet/timeouts").value();
-  result.shed = fleet.metrics().counter("fleet/shed").value();
-  result.deferred_delivered = fleet.metrics().counter("fleet/deferred_delivered").value();
-  result.deferred_orphaned = fleet.metrics().counter("fleet/deferred_orphaned").value();
-  result.events_fired = sim.events_fired();
   result.sim = sim.counters();
   result.metric_phases = fleet.metrics().phases();
+  result.totals = fleet.metrics().Snapshot("totals");
   if (detector) {
     result.verdicts = detector->verdicts();
     result.detector_lines = detector->Lines();
@@ -200,16 +198,7 @@ FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config) {
   if (remedy) {
     result.remedy_events = remedy->events();
     result.remedy_lines = remedy->Lines();
-    result.remedy_quarantines = remedy->quarantines();
-    result.remedy_drains = remedy->drains();
-    result.remedy_restarts = remedy->restarts();
-    result.remedy_rebalances = remedy->rebalances();
-    result.remedy_rollbacks = remedy->rollbacks();
-    result.remedy_synthetic_rollbacks = remedy->synthetic_rollbacks();
-    result.remedy_deferrals = remedy->deferrals();
-    result.remedy_actions = remedy->actions();
-    result.remedy_peak_fleet_drains = remedy->peak_fleet_drains();
-    result.remedy_peak_zone_drains = remedy->peak_zone_drains();
+    result.remedy = remedy->counts();
     for (const RemedyEvent& event : result.remedy_events) {
       if (event.action != RemedyAction::kQuarantine &&
           event.action != RemedyAction::kDrain &&

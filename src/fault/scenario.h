@@ -6,7 +6,9 @@
 // bench_cluster_faults sweeps through SweepRunner, so every (policy x
 // scenario) grid point is byte-identical at any `--jobs` value. The result
 // also carries the injector's applied-fault trace and the dispatcher's
-// recovery log for the deterministic-replay tests.
+// recovery log for the deterministic-replay tests. Counters the metrics
+// registry or the remediation controller already keep are returned as their
+// snapshot, not copied field by field.
 #ifndef LITHOS_FAULT_SCENARIO_H_
 #define LITHOS_FAULT_SCENARIO_H_
 
@@ -97,33 +99,24 @@ struct FaultPhaseStats {
 };
 
 struct FleetFaultResult {
-  int num_nodes = 0;
-  int num_zones = 0;
   std::vector<FaultPhaseStats> phases;
   std::vector<std::string> schedule;      // pre-generated fault schedule
   std::vector<std::string> fault_trace;   // faults actually applied
-  std::vector<std::string> recovery_log;  // dispatcher recovery actions
+  std::vector<std::string> recovery_log;  // dispatcher recovery actions, lifetime
   uint64_t node_crashes = 0;
   uint64_t zone_outages = 0;
   uint64_t stragglers = 0;
   uint64_t rack_crashes = 0;     // rack-correlated crash groups applied
   uint64_t partitions = 0;       // zone partitions applied
-  uint64_t failed_requests = 0;  // lifetime, across all phases and gaps
-  uint64_t recoveries = 0;       // recovery-log entries
-  // Request-level resilience traffic (lifetime fleet/* counters; retries,
-  // hedges, timeouts and shed are zero under the write-off policy).
-  uint64_t retries = 0;
-  uint64_t hedges = 0;
-  uint64_t hedge_wins = 0;
-  uint64_t timeouts = 0;
-  uint64_t shed = 0;
-  uint64_t deferred_delivered = 0;
-  uint64_t deferred_orphaned = 0;
-  uint64_t events_fired = 0;     // simulator events over the whole run
   SimCounters sim;               // full event-core counters for the run
   // Registry snapshots, one per phase in order: every fleet/* counter as
   // its window delta, gauges at window end (see MetricsRegistry phases).
   std::vector<MetricsRegistry::PhaseSnapshot> metric_phases;
+  // Registry snapshot when the run ends: counters at their value then
+  // (fleet/failed, fleet/retries, fleet/hedges, ... over the whole run;
+  // counters BeginMeasurement resets, such as fleet/recoveries, count
+  // only since the last phase opened).
+  MetricsRegistry::PhaseSnapshot totals;
   // Gray-failure detection output (empty unless config.detect): the
   // detector's episode verdicts, their deterministic text rendering, and the
   // injector's ground-truth fault intervals clamped to the horizon.
@@ -132,20 +125,11 @@ struct FleetFaultResult {
   std::vector<GroundTruthSpan> ground_truth;
   int detector_ticks = 0;
   // Remediation output (empty/zero unless config.remediate): the
-  // issue-ordered action log and its rendering, action counters, governor
-  // high-water marks, and ground-truth action scoring.
+  // issue-ordered action log and its rendering, and the controller's
+  // action counters and governor high-water marks.
   std::vector<RemedyEvent> remedy_events;
   std::vector<std::string> remedy_lines;
-  uint64_t remedy_quarantines = 0;
-  uint64_t remedy_drains = 0;
-  uint64_t remedy_restarts = 0;
-  uint64_t remedy_rebalances = 0;
-  uint64_t remedy_rollbacks = 0;
-  uint64_t remedy_synthetic_rollbacks = 0;
-  uint64_t remedy_deferrals = 0;
-  uint64_t remedy_actions = 0;        // quarantines + drains + restarts
-  int remedy_peak_fleet_drains = 0;   // <= remediation.max_drains_fleet
-  int remedy_peak_zone_drains = 0;    // <= remediation.max_drains_per_zone
+  RemedyCounts remedy;
   // Action precision against the injector's ground truth: of the gray
   // actions NOT triggered by injected false positives, how many landed on a
   // node/zone with a truth span active at (or within a grace window before)
@@ -153,6 +137,9 @@ struct FleetFaultResult {
   uint64_t remedy_justified_actions = 0;
   uint64_t remedy_unjustified_actions = 0;
   uint64_t remedy_injected_actions = 0;  // actions from synthetic verdicts
+
+  // The phase named `name`; a name not in the config is a checked error.
+  const FaultPhaseStats& Phase(const std::string& name) const;
 };
 
 // Builds simulator + FleetDispatcher + FleetController + FaultInjector,

@@ -1,14 +1,18 @@
 #include "src/obs/metrics.h"
 
+#include <algorithm>
+#include <cstdio>
+
 namespace lithos {
 
 double MetricsRegistry::PhaseSnapshot::ValueOf(const std::string& metric) const {
-  for (const auto& [name, value] : values) {
-    if (name == metric) {
-      return value;
-    }
+  const auto it = std::find_if(values.begin(), values.end(),
+                               [&metric](const auto& entry) { return entry.first == metric; });
+  if (it == values.end()) {
+    std::fprintf(stderr, "no metric '%s' in snapshot '%s'\n", metric.c_str(), name.c_str());
   }
-  return 0.0;
+  LITHOS_CHECK(it != values.end());
+  return it->second;
 }
 
 MetricsRegistry::Entry& MetricsRegistry::FindOrCreate(const std::string& name,
@@ -78,16 +82,16 @@ void MetricsRegistry::BeginPhase(const std::string& name) {
   }
 }
 
-void MetricsRegistry::EndPhase() {
-  LITHOS_CHECK(phase_open_);
+MetricsRegistry::PhaseSnapshot MetricsRegistry::Capture(
+    const std::string& name, const std::map<size_t, uint64_t>& counter_base) const {
   PhaseSnapshot snap;
-  snap.name = phase_name_;
+  snap.name = name;
   for (size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
     if (e.type == Type::kCounter) {
       const uint64_t value = e.counter->value();
-      auto it = phase_counter_base_.find(i);
-      const uint64_t base = it == phase_counter_base_.end() ? 0 : it->second;
+      auto it = counter_base.find(i);
+      const uint64_t base = it == counter_base.end() ? 0 : it->second;
       // A counter Reset() mid-phase restarts its window at zero.
       const uint64_t delta = value >= base ? value - base : value;
       snap.values.emplace_back(e.name, static_cast<double>(delta));
@@ -96,7 +100,16 @@ void MetricsRegistry::EndPhase() {
     }
     // Histograms are not windowed; read them directly.
   }
-  phases_.push_back(std::move(snap));
+  return snap;
+}
+
+MetricsRegistry::PhaseSnapshot MetricsRegistry::Snapshot(const std::string& name) const {
+  return Capture(name, {});
+}
+
+void MetricsRegistry::EndPhase() {
+  LITHOS_CHECK(phase_open_);
+  phases_.push_back(Capture(phase_name_, phase_counter_base_));
   phase_open_ = false;
   phase_counter_base_.clear();
 }

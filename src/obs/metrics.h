@@ -17,9 +17,11 @@
 // Phases: BeginPhase()/EndPhase() bracket a measurement window (e.g. the
 // pre/during/post windows of a fault scenario). EndPhase() snapshots every
 // counter as its delta over the window and every gauge at its current value,
-// appending a copyable PhaseSnapshot to phases(). Histograms and time series
-// are excluded from phase snapshots (histogram samples are not windowed;
-// time series are already windowed by sim-time); read them directly.
+// appending a copyable PhaseSnapshot to phases(); Snapshot() takes the same
+// kind of snapshot with counters at their absolute value (e.g. run totals).
+// Histograms and time series are excluded from snapshots (histogram samples
+// are not windowed; time series are already windowed by sim-time); read them
+// directly.
 #ifndef LITHOS_OBS_METRICS_H_
 #define LITHOS_OBS_METRICS_H_
 
@@ -151,11 +153,17 @@ class MetricsRegistry {
  public:
   struct PhaseSnapshot {
     std::string name;
-    // (instrument name, value): counters as window deltas, gauges at their
-    // end-of-window value, in registration order.
+    // (instrument name, value): counters as window deltas (absolute values
+    // for Snapshot()), gauges at their end-of-window value, in registration
+    // order.
     std::vector<std::pair<std::string, double>> values;
 
+    // Looks up `metric`; a name the snapshot does not hold is a checked error.
     double ValueOf(const std::string& metric) const;
+    // A counter's value as an integer (counters are exact in a double).
+    uint64_t Count(const std::string& metric) const {
+      return static_cast<uint64_t>(ValueOf(metric));
+    }
   };
 
   MetricsRegistry() = default;
@@ -177,6 +185,9 @@ class MetricsRegistry {
   // Closes the window opened by BeginPhase() and appends its snapshot.
   void EndPhase();
   const std::vector<PhaseSnapshot>& phases() const { return phases_; }
+  // Every counter and gauge at its current value, labelled `name`. Leaves
+  // any open phase untouched.
+  PhaseSnapshot Snapshot(const std::string& name) const;
 
   // Flat (name, value) rows in registration order: counters and gauges as
   // their current value; histograms expanded to <name>/count, <name>/mean,
@@ -201,6 +212,10 @@ class MetricsRegistry {
   };
 
   Entry& FindOrCreate(const std::string& name, Type type);
+  // Counters as their delta from `counter_base` (indexed by entry position;
+  // a missing entry baselines at zero), gauges at their current value.
+  PhaseSnapshot Capture(const std::string& name,
+                        const std::map<size_t, uint64_t>& counter_base) const;
 
   std::vector<Entry> entries_;  // registration order
   std::map<std::string, size_t> index_;

@@ -32,7 +32,7 @@
 namespace lithos {
 
 // Which subsystem emitted a record. Values are part of the on-disk format —
-// append only, never renumber (scripts/trace_to_chrome.py mirrors them).
+// append only, never renumber (saved traces are read back by number).
 enum class TraceLayer : uint8_t {
   kSim = 0,      // event core: schedule / fire / cancel / reschedule
   kEngine = 1,   // per-GPU execution engine: grants, checkpoints, DVFS, gating

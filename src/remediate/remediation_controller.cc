@@ -130,7 +130,7 @@ void RemediationController::HandleVerdict(TimeNs now,
       state.phase_until = now + cfg_.quarantine_window;
       state.verdict = pending.index;
       state.synthetic = pending.synthetic;
-      ++quarantines_;
+      ++counts_.quarantines;
       Record(now, RemedyAction::kQuarantine, v.node, v.zone, v.kind,
              pending.synthetic, v.score);
       Trace(now, TraceKind::kRemedyQuarantine, v.node, v.zone, 0,
@@ -180,7 +180,7 @@ bool RemediationController::TryCapacityAction(TimeNs now, int node,
       deferred.kind = kind;
       deferred.score = score;
       deferred_.push_back(deferred);
-      ++deferrals_;
+      ++counts_.deferrals;
       Record(now, RemedyAction::kDefer, node, dispatcher_->ZoneOfNode(node),
              kind, synthetic, static_cast<double>(reason));
       Trace(now, TraceKind::kRemedyGovernorDefer, node,
@@ -197,21 +197,21 @@ bool RemediationController::TryCapacityAction(TimeNs now, int node,
     dispatcher_->FailNode(node);
     state.phase = Phase::kRestarting;
     state.phase_until = now + cfg_.restart_duration;
-    ++restarts_;
+    ++counts_.restarts;
     Record(now, RemedyAction::kRestart, node, zone, kind, synthetic, score);
     Trace(now, TraceKind::kRemedyDrainStart, node, zone, 1, 0);
   } else {
     controller_->RequestDrain(node);
     state.phase = Phase::kDraining;
     state.phase_until = now + cfg_.drain_hold;
-    ++drains_;
+    ++counts_.drains;
     Record(now, RemedyAction::kDrain, node, zone, kind, synthetic, score);
     Trace(now, TraceKind::kRemedyDrainStart, node, zone, 0, 0);
   }
 
   const int fleet_now = ConcurrentDrains(-1);
-  peak_fleet_drains_ = std::max(peak_fleet_drains_, fleet_now);
-  peak_zone_drains_ = std::max(peak_zone_drains_, ConcurrentDrains(zone));
+  counts_.peak_fleet_drains = std::max(counts_.peak_fleet_drains, fleet_now);
+  counts_.peak_zone_drains = std::max(counts_.peak_zone_drains, ConcurrentDrains(zone));
   return true;
 }
 
@@ -294,9 +294,9 @@ void RemediationController::Rollback(TimeNs now, int node) {
     detector_->Demote(state.verdict);
     demoted_index = static_cast<int32_t>(state.verdict);
   }
-  ++rollbacks_;
+  ++counts_.rollbacks;
   if (state.synthetic) {
-    ++synthetic_rollbacks_;
+    ++counts_.synthetic_rollbacks;
   }
   ++state.rollback_count;
   const int shift = std::min(state.rollback_count - 1, 20);
@@ -366,7 +366,7 @@ void RemediationController::HerdRebalance(TimeNs now) {
     return;
   }
   controller_->RequestRebalance();
-  ++rebalances_;
+  ++counts_.rebalances;
   Record(now, RemedyAction::kRebalance, -1, -1, Verdict::Kind::kPartition,
          false, imbalance);
   Trace(now, TraceKind::kRemedyRebalanceMove, -1, -1, 0,

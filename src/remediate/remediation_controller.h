@@ -153,6 +153,26 @@ struct RemedyEvent {
   double detail = 0;  // verdict score / herd imbalance / defer reason code
 };
 
+// What the controller has done so far: action counters and the governor's
+// high-water marks.
+struct RemedyCounts {
+  uint64_t quarantines = 0;
+  uint64_t drains = 0;
+  uint64_t restarts = 0;
+  uint64_t rebalances = 0;
+  uint64_t rollbacks = 0;
+  uint64_t synthetic_rollbacks = 0;  // rollbacks of injected false positives
+  uint64_t deferrals = 0;
+  // Peak concurrent drains+restarts observed fleet-wide and in any single
+  // zone (<= the configured caps, always).
+  int peak_fleet_drains = 0;
+  int peak_zone_drains = 0;
+
+  // Actions triggered by gray verdicts only (quarantine/drain/restart);
+  // rebalances, rollbacks, and deferrals are not "actions" for scoring.
+  uint64_t actions() const { return quarantines + drains + restarts; }
+};
+
 class RemediationController : public VerdictSink {
  public:
   // Registers itself as `detector`'s verdict sink. All four collaborators
@@ -175,20 +195,10 @@ class RemediationController : public VerdictSink {
   const std::vector<RemedyEvent>& events() const { return events_; }
   std::vector<std::string> Lines() const;
 
-  uint64_t quarantines() const { return quarantines_; }
-  uint64_t drains() const { return drains_; }
-  uint64_t restarts() const { return restarts_; }
-  uint64_t rebalances() const { return rebalances_; }
-  uint64_t rollbacks() const { return rollbacks_; }
-  uint64_t synthetic_rollbacks() const { return synthetic_rollbacks_; }
-  uint64_t deferrals() const { return deferrals_; }
-  // Actions triggered by gray verdicts only (quarantine/drain/restart);
-  // rebalances, rollbacks, and deferrals are not "actions" for scoring.
-  uint64_t actions() const { return quarantines_ + drains_ + restarts_; }
-  // Governor high-water marks: peak concurrent drains+restarts observed
-  // fleet-wide and in any single zone (<= the configured caps, always).
-  int peak_fleet_drains() const { return peak_fleet_drains_; }
-  int peak_zone_drains() const { return peak_zone_drains_; }
+  const RemedyCounts& counts() const { return counts_; }
+  uint64_t actions() const { return counts_.actions(); }
+  uint64_t rollbacks() const { return counts_.rollbacks; }
+  uint64_t deferrals() const { return counts_.deferrals; }
   int ticks() const { return ticks_; }
 
   // Attaches a binary trace recorder (nullptr detaches): the action
@@ -269,15 +279,7 @@ class RemediationController : public VerdictSink {
   int recovery_ticks_left_ = 0;
 
   std::vector<RemedyEvent> events_;
-  uint64_t quarantines_ = 0;
-  uint64_t drains_ = 0;
-  uint64_t restarts_ = 0;
-  uint64_t rebalances_ = 0;
-  uint64_t rollbacks_ = 0;
-  uint64_t synthetic_rollbacks_ = 0;
-  uint64_t deferrals_ = 0;
-  int peak_fleet_drains_ = 0;
-  int peak_zone_drains_ = 0;
+  RemedyCounts counts_;
   int ticks_ = 0;
   TraceRecorder* trace_ = nullptr;
 };

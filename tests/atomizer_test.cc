@@ -108,10 +108,16 @@ TEST_F(AtomizerTest, AdaptiveScaleIsPerKernel) {
 // Property (Algorithm 1 correctness): for any blocks/duration/allocation, the
 // atom ranges are non-empty, contiguous, non-overlapping, and cover [0, B)
 // exactly once.
+// GoogleTest names each case by dumping the parameter's bytes, so the padding
+// is spelled out as zeroed fields: otherwise the names carry stack garbage and
+// differ from build to build.
 struct AtomCase {
+  AtomCase(uint32_t b, double ms, int g) : blocks(b), predicted_ms(ms), granted(g) {}
   uint32_t blocks;
+  uint32_t pad0 = 0;
   double predicted_ms;
   int granted;
+  int pad1 = 0;
 };
 
 class AtomPartitionTest : public ::testing::TestWithParam<AtomCase> {};

@@ -190,7 +190,7 @@ TEST(FaultTest, ControllerReplacesDeadReplicasOntoSurvivors) {
   const FleetFaultResult result = RunFleetFaultScenario(config);
 
   // The outage stranded replicas; the controller re-placed them.
-  EXPECT_GT(result.recoveries, 0u);
+  EXPECT_GT(result.recovery_log.size(), 0u);
   EXPECT_FALSE(result.recovery_log.empty());
   EXPECT_EQ(result.zone_outages, 1u);
   // Work was lost during the outage but service recovered: the post phase
@@ -198,7 +198,7 @@ TEST(FaultTest, ControllerReplacesDeadReplicasOntoSurvivors) {
   // attributed to the phase in which the node died, so the outage phase —
   // which opens at the same instant the zone drops — carries them.
   ASSERT_EQ(result.phases.size(), 3u);
-  EXPECT_GT(result.failed_requests, 0u);
+  EXPECT_GT(result.totals.Count("fleet/failed"), 0u);
   EXPECT_GT(result.phases[1].failed, 0u);
   EXPECT_GT(result.phases[0].goodput_ms_per_s, 0.0);
   EXPECT_GE(result.phases[2].goodput_ms_per_s, 0.85 * result.phases[0].goodput_ms_per_s);
@@ -241,8 +241,8 @@ TEST(FaultReplayTest, TraceAndRecoveryAreByteIdenticalAcrossRuns) {
   EXPECT_EQ(a.schedule, b.schedule);
   EXPECT_EQ(a.fault_trace, b.fault_trace);
   EXPECT_EQ(a.recovery_log, b.recovery_log);
-  EXPECT_EQ(a.failed_requests, b.failed_requests);
-  EXPECT_EQ(a.events_fired, b.events_fired);
+  EXPECT_EQ(a.totals.values, b.totals.values);
+  EXPECT_EQ(a.sim.fired, b.sim.fired);
   ASSERT_EQ(a.phases.size(), b.phases.size());
   for (size_t i = 0; i < a.phases.size(); ++i) {
     EXPECT_EQ(a.phases[i].p99_ms, b.phases[i].p99_ms);
@@ -512,11 +512,11 @@ TEST(ResilienceTest, RetryRecoversWorkWrittenOffByLegacyPath) {
 
   EXPECT_EQ(writeoff.partitions, 1u);
   EXPECT_EQ(writeoff.rack_crashes, 2u);
-  EXPECT_EQ(writeoff.retries, 0u);
+  EXPECT_EQ(writeoff.totals.Count("fleet/retries"), 0u);
 
-  EXPECT_GT(writeoff.failed_requests, 0u);
-  EXPECT_LT(resilient.failed_requests, writeoff.failed_requests);
-  EXPECT_GT(resilient.retries, 0u);
+  EXPECT_GT(writeoff.totals.Count("fleet/failed"), 0u);
+  EXPECT_LT(resilient.totals.Count("fleet/failed"), writeoff.totals.Count("fleet/failed"));
+  EXPECT_GT(resilient.totals.Count("fleet/retries"), 0u);
   // Recovery: the resilient post phase serves goodput comparable to pre.
   ASSERT_EQ(resilient.phases.size(), 3u);
   EXPECT_GE(resilient.phases[2].goodput_ms_per_s,
@@ -529,8 +529,8 @@ TEST(ResilienceTest, HedgeFirstCompletionWinsWithoutDoubleCounting) {
   config.cluster.resilience.hedge_delay = FromMillis(2);
   const FleetFaultResult r = RunFleetFaultScenario(config);
 
-  EXPECT_GT(r.hedges, 0u);
-  EXPECT_GT(r.hedge_wins, 0u);
+  EXPECT_GT(r.totals.Count("fleet/hedges"), 0u);
+  EXPECT_GT(r.totals.Count("fleet/hedge_wins"), 0u);
   // First completion wins exactly once: no phase completes meaningfully more
   // requests than were dispatched into it (small carryover crosses phase
   // boundaries; duplicated completions would roughly double the count).
@@ -635,13 +635,13 @@ TEST(FaultReplayTest, ResilienceGridIsByteIdenticalAcrossJobs) {
                           for (const std::string& line : r.recovery_log) {
                             blob += line + "\n";
                           }
-                          blob += std::to_string(r.failed_requests) + " " +
-                                  std::to_string(r.retries) + " " +
-                                  std::to_string(r.hedges) + " " +
-                                  std::to_string(r.hedge_wins) + " " +
-                                  std::to_string(r.timeouts) + " " +
-                                  std::to_string(r.deferred_delivered) + " " +
-                                  std::to_string(r.deferred_orphaned) + "\n";
+                          for (const char* counter :
+                               {"fleet/failed", "fleet/retries", "fleet/hedges",
+                                "fleet/hedge_wins", "fleet/timeouts",
+                                "fleet/deferred_delivered", "fleet/deferred_orphaned"}) {
+                            blob += std::to_string(r.totals.Count(counter)) + " ";
+                          }
+                          blob += "\n";
                           for (const FaultPhaseStats& p : r.phases) {
                             blob += p.name + " " + std::to_string(p.completed) + " " +
                                     std::to_string(p.failed) + " " + std::to_string(p.p99_ms) +

@@ -175,8 +175,13 @@ TEST(KernelTest, MakeKernelCalibratesFullDeviceLatency) {
 
 // Property sweep: latency is non-increasing in TPCs and non-decreasing as
 // frequency drops, across a grid of kernel shapes.
+// GoogleTest names each case by dumping the parameter's bytes, so the padding
+// is spelled out as a zeroed field: otherwise the names carry stack garbage and
+// differ from build to build.
 struct LatencyLawCase {
+  LatencyLawCase(uint32_t b, double p, double s) : blocks(b), parallel(p), sens(s) {}
   uint32_t blocks;
+  uint32_t pad = 0;
   double parallel;
   double sens;
 };

@@ -24,8 +24,8 @@ namespace {
 TEST(TraceFormatTest, RecordIs32BytesWithNoPadding) {
   static_assert(sizeof(TraceRecord) == 32);
   static_assert(sizeof(TraceFileHeader) == 40);
-  // Field offsets are part of the on-disk format (mirrored by
-  // scripts/trace_to_chrome.py's "<qBBHiiiq").
+  // Field offsets are part of the on-disk format (Python's struct format
+  // "<qBBHiiiq" reads a record).
   EXPECT_EQ(offsetof(TraceRecord, time_ns), 0u);
   EXPECT_EQ(offsetof(TraceRecord, layer), 8u);
   EXPECT_EQ(offsetof(TraceRecord, kind), 9u);
@@ -226,11 +226,15 @@ TEST(MetricsRegistryTest, RowsExpandHistogramsInRegistrationOrder) {
 TEST(MetricsRegistryTest, PhasesSnapshotCounterDeltasAndGaugeValues) {
   MetricsRegistry registry;
   Counter& c = registry.counter("done");
+  registry.histogram("latency").Add(4.0);
   Gauge& g = registry.gauge("level");
+  registry.timeseries("zone", 10).Observe(0, 1.0);
   c.Inc(10);
   registry.BeginPhase("pre");
   c.Inc(3);
   g.Set(1.0);
+  // A mid-phase Snapshot reads absolute values and leaves the phase alone.
+  const MetricsRegistry::PhaseSnapshot mid = registry.Snapshot("mid");
   registry.EndPhase();
   registry.BeginPhase("during");
   c.Inc(9);
@@ -244,6 +248,20 @@ TEST(MetricsRegistryTest, PhasesSnapshotCounterDeltasAndGaugeValues) {
   EXPECT_DOUBLE_EQ(pre.ValueOf("level"), 1.0);
   EXPECT_DOUBLE_EQ(registry.phases()[1].ValueOf("done"), 9.0);
   EXPECT_DOUBLE_EQ(registry.phases()[1].ValueOf("level"), 2.0);
+
+  // Snapshot: counters absolute, gauges current, histograms and time series
+  // left out, registration order.
+  EXPECT_EQ(mid.name, "mid");
+  ASSERT_EQ(mid.values.size(), 2u);
+  EXPECT_EQ(mid.values[0].first, "done");
+  EXPECT_EQ(mid.Count("done"), 13u);
+  EXPECT_EQ(mid.values[1].first, "level");
+  EXPECT_DOUBLE_EQ(mid.ValueOf("level"), 1.0);
+  EXPECT_EQ(registry.Snapshot("end").Count("done"), 22u);
+
+  // A name the snapshot does not hold is an error, not a silent zero.
+  EXPECT_DEATH(pre.ValueOf("dnoe"), "no metric 'dnoe' in snapshot 'pre'");
+  EXPECT_DEATH(mid.Count("latency"), "no metric 'latency'");
 }
 
 TEST(MetricsRegistryTest, BeginPhaseClosesAnOpenPhase) {
@@ -317,14 +335,16 @@ TEST(TraceDeterminismTest, FaultScenarioResultsUnchangedByTracing) {
     EXPECT_EQ(untraced.phases[i].p99_ms, traced.phases[i].p99_ms);
     EXPECT_EQ(untraced.phases[i].goodput_ms_per_s, traced.phases[i].goodput_ms_per_s);
   }
-  EXPECT_EQ(untraced.events_fired, traced.events_fired);
-  EXPECT_EQ(untraced.failed_requests, traced.failed_requests);
+  EXPECT_EQ(untraced.sim.fired, traced.sim.fired);
+  EXPECT_EQ(untraced.totals.values, traced.totals.values);
 }
 
 TEST(TraceDeterminismTest, FaultScenarioPhaseSnapshotsBracketCollect) {
   const FleetFaultResult r = RunFleetFaultScenario(SmallOutageConfig(nullptr));
   ASSERT_EQ(r.metric_phases.size(), r.phases.size());
+  uint64_t phase_failed = 0;
   for (size_t i = 0; i < r.phases.size(); ++i) {
+    phase_failed += r.phases[i].failed;
     EXPECT_EQ(r.metric_phases[i].name, r.phases[i].name);
     // The counter delta counts every completion *event* inside the window;
     // Collect gates on arrival time, so in-flight carryover from before the
@@ -338,6 +358,11 @@ TEST(TraceDeterminismTest, FaultScenarioPhaseSnapshotsBracketCollect) {
     EXPECT_DOUBLE_EQ(r.metric_phases[i].ValueOf("fleet/migrations"),
                      static_cast<double>(r.phases[i].migrations));
   }
+  // fleet/failed never resets, so the run total covers every phase's losses
+  // (and any lost in the gaps between phases).
+  EXPECT_EQ(r.totals.name, "totals");
+  EXPECT_GT(phase_failed, 0u);
+  EXPECT_GE(r.totals.Count("fleet/failed"), phase_failed);
   EXPECT_GT(r.sim.scheduled, 0u);
   EXPECT_GE(r.sim.scheduled, r.sim.fired);
 }

@@ -70,11 +70,11 @@ TEST(RemediateGovernorTest, DeferralsRetryInFifoOrder) {
                                Inject(FromSeconds(1), 7, 9.0)};
   const FleetFaultResult result = RunFleetFaultScenario(config);
 
-  EXPECT_EQ(result.remedy_quarantines, 3u);
-  EXPECT_EQ(result.remedy_drains, 3u);
-  EXPECT_EQ(result.remedy_deferrals, 2u);
-  EXPECT_EQ(result.remedy_peak_fleet_drains, 1);
-  EXPECT_EQ(result.remedy_peak_zone_drains, 1);
+  EXPECT_EQ(result.remedy.quarantines, 3u);
+  EXPECT_EQ(result.remedy.drains, 3u);
+  EXPECT_EQ(result.remedy.deferrals, 2u);
+  EXPECT_EQ(result.remedy.peak_fleet_drains, 1);
+  EXPECT_EQ(result.remedy.peak_zone_drains, 1);
 
   // Deferrals recorded in delivery order, both on the fleet cap.
   const std::vector<RemedyEvent> defers = EventsOf(result, RemedyAction::kDefer);
@@ -113,11 +113,11 @@ TEST(RemediateGovernorTest, CapacityFloorBlocksDrainInSmallFleet) {
   config.remediation.inject = {Inject(FromSeconds(1), 1, 9.0)};
   const FleetFaultResult result = RunFleetFaultScenario(config);
 
-  EXPECT_EQ(result.remedy_quarantines, 1u);
-  EXPECT_EQ(result.remedy_drains, 0u);
-  EXPECT_EQ(result.remedy_restarts, 0u);
-  EXPECT_EQ(result.remedy_peak_fleet_drains, 0);
-  ASSERT_GE(result.remedy_deferrals, 1u);
+  EXPECT_EQ(result.remedy.quarantines, 1u);
+  EXPECT_EQ(result.remedy.drains, 0u);
+  EXPECT_EQ(result.remedy.restarts, 0u);
+  EXPECT_EQ(result.remedy.peak_fleet_drains, 0);
+  ASSERT_GE(result.remedy.deferrals, 1u);
   const std::vector<RemedyEvent> defers = EventsOf(result, RemedyAction::kDefer);
   ASSERT_EQ(defers.size(), 1u);
   EXPECT_EQ(defers[0].node, 1);
@@ -142,9 +142,9 @@ TEST(RemediateFlapTest, RollbackBacksOffRearm) {
                                Inject(FromMillis(5500), 5, 1.5)};
   const FleetFaultResult result = RunFleetFaultScenario(config);
 
-  EXPECT_EQ(result.remedy_rollbacks, 2u);
-  EXPECT_EQ(result.remedy_synthetic_rollbacks, 2u);
-  EXPECT_EQ(result.remedy_quarantines, 2u);  // damped verdict took no action
+  EXPECT_EQ(result.remedy.rollbacks, 2u);
+  EXPECT_EQ(result.remedy.synthetic_rollbacks, 2u);
+  EXPECT_EQ(result.remedy.quarantines, 2u);  // damped verdict took no action
 
   const std::vector<RemedyEvent> quarantines =
       EventsOf(result, RemedyAction::kQuarantine);
@@ -239,10 +239,10 @@ TEST(RemediateRollbackTest, FalsePositiveRollbackRestoresPlacement) {
   sim.RunUntil(horizon);
 
   // The false positive ran the full quarantine -> probation -> rollback arc.
-  EXPECT_EQ(remedy.quarantines(), 1u);
-  EXPECT_EQ(remedy.drains(), 0u);
-  EXPECT_EQ(remedy.rollbacks(), 1u);
-  EXPECT_EQ(remedy.synthetic_rollbacks(), 1u);
+  EXPECT_EQ(remedy.counts().quarantines, 1u);
+  EXPECT_EQ(remedy.counts().drains, 0u);
+  EXPECT_EQ(remedy.counts().rollbacks, 1u);
+  EXPECT_EQ(remedy.counts().synthetic_rollbacks, 1u);
 
   const PlacementSnapshot after = PlacementSnapshot::Of(fleet);
   EXPECT_EQ(after.replicas, before.replicas);
@@ -263,8 +263,8 @@ TEST(RemediateDeterminismTest, ActionLogIsByteIdenticalAcrossRuns) {
   const FleetFaultResult a = RunFleetFaultScenario(config);
   const FleetFaultResult b = RunFleetFaultScenario(config);
   EXPECT_EQ(a.remedy_lines, b.remedy_lines);
-  EXPECT_EQ(a.remedy_actions, b.remedy_actions);
-  EXPECT_EQ(a.remedy_deferrals, b.remedy_deferrals);
+  EXPECT_EQ(a.remedy.actions(), b.remedy.actions());
+  EXPECT_EQ(a.remedy.deferrals, b.remedy.deferrals);
   ASSERT_EQ(a.phases.size(), b.phases.size());
   for (size_t i = 0; i < a.phases.size(); ++i) {
     EXPECT_EQ(a.phases[i].completed, b.phases[i].completed);

@@ -4,13 +4,13 @@
 //   trace_export <trace.bin>                  one text line per record
 //   trace_export --chrome <trace.bin> [out]   Chrome JSON (stdout by default)
 //
-// The Chrome export mirrors scripts/trace_to_chrome.py (the zero-dependency
-// Python twin CI smoke-tests): pid = zone + 1 (0 = fleet-wide), tid =
-// node + 1, complete ("X") spans reconstructed from kGrantComplete /
-// kNodeRevive duration payloads, flow events ("s"/"t"/"f", id = request id)
-// for the request-correlation records so Perfetto draws causal arrows,
-// instants ("i") for everything else, and
-// timestamps in microseconds (Chrome's unit) at nanosecond precision.
+// The Chrome export: pid = zone + 1 (0 = fleet-wide), tid = node + 1,
+// complete ("X") spans reconstructed from the duration payloads of
+// kGrantComplete / kNodeRevive / kNodeHeal / kRemedyDrainDone, flow events
+// ("s"/"t"/"f", id = request id) for the request-correlation records so
+// Perfetto draws causal arrows, instants ("i") named by TraceKindName for
+// everything else, and timestamps in microseconds (Chrome's unit) at
+// nanosecond precision.
 // Output depends only on the trace bytes, so it is as deterministic as the
 // trace itself.
 #include <cinttypes>
@@ -141,8 +141,7 @@ int ExportChrome(const LoadedTrace& trace, std::FILE* out) {
     // primary launch starts the flow ("s"), every later launch (retry or
     // hedge) is a step ("t"), and the completion finishes it ("f"). The flow
     // id is the request id (payload), which the recorder scopes to the run.
-    // Still one JSON event per record, so record/event count parity with the
-    // text dump and scripts/trace_to_chrome.py holds.
+    // Still one JSON event per record (after the per-zone metadata events).
     const char* flow_ph = nullptr;
     switch (static_cast<TraceKind>(r.kind)) {
       case TraceKind::kReqAttemptLaunch:
