@@ -1,6 +1,7 @@
 // Event-core throughput: micro benchmarks of the discrete-event simulator
 // (events/sec, new slab/d-ary-heap core vs the pre-PR priority_queue +
-// unordered_map core) plus end-to-end wall-clock of the two scenario
+// unordered_map core), a whole-GPU MPS churn micro of the execution engine's
+// hot path, plus end-to-end wall-clock of the two scenario
 // families every figure rides on — single-GPU inference stacking and the
 // fleet-autoscale day. Emits BENCH_sim_core.json so CI can gate event-core
 // regressions (scripts/check_bench_regression.py against
@@ -20,6 +21,7 @@
 #include "src/autoscale/fleet_controller.h"
 #include "src/common/table.h"
 #include "src/experiments/harness.h"
+#include "src/gpu/execution_engine.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
@@ -217,6 +219,57 @@ double ChurnReschedulePerSec(int64_t ops, int pending) {
   return static_cast<double>(ops + fired) / SecondsSince(t0);
 }
 
+// --- Micro 3: whole-GPU MPS churn ------------------------------------------
+// `k` concurrent equal-weight grants share every TPC of an A100, as on a
+// fleet node under MPS; each completion launches a successor until `total`
+// grants have completed. Every launch and completion checkpoints and
+// reschedules all co-tenants, so the rate measures the engine's per-mutation
+// cost: per-TPC bookkeeping plus one latency evaluation per rate change.
+class MpsChurn {
+ public:
+  MpsChurn(int64_t total, int k)
+      : engine_(&sim_, spec_),
+        all_(spec_.AllTpcs()),
+        kernel_(MakeKernel("mps", 4096, FromMicros(200), 0.9, 0.5, spec_)),
+        total_(total),
+        k_(k) {}
+
+  // Launch->complete cycles per wall second.
+  double GrantsPerSec() {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int c = 0; c < k_; ++c) {
+      Launch(c);
+    }
+    sim_.RunToCompletion();
+    return static_cast<double>(completed_) / SecondsSince(t0);
+  }
+
+ private:
+  void Launch(int client) {
+    WorkItem item;
+    item.kernel = &kernel_;
+    item.client_id = client;
+    item.on_complete = [this](const GrantInfo& info) {
+      ++completed_;
+      if (launched_ < total_) {
+        Launch(info.client_id);
+      }
+    };
+    ++launched_;
+    engine_.Launch(std::move(item), all_);
+  }
+
+  Simulator sim_;
+  const GpuSpec spec_ = GpuSpec::A100();
+  ExecutionEngine engine_;
+  const TpcMask all_;
+  const KernelDesc kernel_;
+  const int64_t total_;
+  const int k_;
+  int64_t launched_ = 0;
+  int64_t completed_ = 0;
+};
+
 // --- End-to-end scenarios ----------------------------------------------------
 
 FleetStackingResult RunStackingScenario() {
@@ -288,6 +341,8 @@ int main(int argc, char** argv) {
   constexpr int kRingSize = 64;
   constexpr int64_t kChurnOps = 2'000'000;
   constexpr int kChurnPending = 512;
+  constexpr int64_t kMpsChurnGrants = 400'000;
+  constexpr int kMpsChurnConcurrency = 8;
 
   // Warm both allocators once, then measure.
   RingEventsPerSec<Simulator>(kRingTotal / 10, kRingSize);
@@ -303,6 +358,8 @@ int main(int argc, char** argv) {
   const double churn_new_resched = ChurnReschedulePerSec(kChurnOps, kChurnPending);
   const double churn_legacy =
       ChurnCancelReinsertPerSec<legacy::Simulator>(kChurnOps, kChurnPending);
+  MpsChurn(kMpsChurnGrants / 10, kMpsChurnConcurrency).GrantsPerSec();  // warm-up
+  const double mps_churn = MpsChurn(kMpsChurnGrants, kMpsChurnConcurrency).GrantsPerSec();
 
   Table micro({"micro", "legacy Mev/s", "new Mev/s", "speedup"});
   const double ring_speedup = ring_new / ring_legacy;
@@ -320,6 +377,8 @@ int main(int argc, char** argv) {
   std::printf("\nTraced ring (binary recorder attached, %zu-record ring): %.2f Mev/s "
               "(%.0f%% of untraced)\n",
               TraceRecorder::kSegmentRecords, ring_traced / 1e6, 100 * ring_traced_fraction);
+  std::printf("Whole-GPU MPS churn (%d concurrent grants on all TPCs): %.3f M grants/s\n",
+              kMpsChurnConcurrency, mps_churn / 1e6);
 
   // Throughput numbers depend on the machine's wall clock, so they go in the
   // jobs-gated wall_metrics section (this bench is always a jobs=1 run).
@@ -333,6 +392,7 @@ int main(int argc, char** argv) {
   json.WallMetric("churn_events_per_sec_legacy", churn_legacy);
   json.WallMetric("churn_speedup", churn_speedup);
   json.WallMetric("churn_cancel_speedup", churn_new_cancel / churn_legacy);
+  json.WallMetric("mps_churn_grants_per_sec", mps_churn);
 
   // --- End-to-end ------------------------------------------------------------
   std::printf("\nEnd-to-end scenario wall-clock (same seed run twice; metrics must be identical)\n");

@@ -98,8 +98,8 @@ class TpcScheduler {
 
   bool StealAllowed(int thief, int tpc) const;
 
-  GpuSpec spec_;
   LithosConfig config_;
+  int total_tpcs_;
   std::array<int, kMaxTpcs> home_owner_;   // -1 = free pool
   std::array<int, kMaxTpcs> occupant_;     // -1 = idle
   std::array<TimeNs, kMaxTpcs> busy_until_;

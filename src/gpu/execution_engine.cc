@@ -17,6 +17,7 @@ constexpr double kProgressEpsilon = 1e-9;
 ExecutionEngine::ExecutionEngine(Simulator* sim, const GpuSpec& spec)
     : sim_(sim),
       spec_(spec),
+      total_tpcs_(spec.TotalTpcs()),
       current_mhz_(spec.max_mhz),
       desired_mhz_(spec.max_mhz),
       last_account_(sim->Now()) {}
@@ -71,17 +72,15 @@ double ExecutionEngine::CurrentLatencyNs(const Grant& g) const {
   double effective = 0;
   double foreign_sum = 0;
   int n = 0;
-  for (int t = 0; t < spec_.TotalTpcs(); ++t) {
-    if (g.mask.test(t)) {
-      LITHOS_CHECK_GT(sharers_[t], 0);
-      const double total_w = share_weight_[t];
-      effective += w / total_w;
-      if (total_w > w) {
-        foreign_sum += (total_w - w) / total_w;
-      }
-      ++n;
+  ForEachTpc(g.mask, [&](int t) {
+    LITHOS_CHECK_GT(sharers_[t], 0);
+    const double total_w = share_weight_[t];
+    effective += w / total_w;
+    if (total_w > w) {
+      foreign_sum += (total_w - w) / total_w;
     }
-  }
+    ++n;
+  });
   effective = std::max(effective, 1e-6);
   double lat = static_cast<double>(k.RangeLatencyNs(spec_, lo, hi, effective, current_mhz_));
 
@@ -92,7 +91,7 @@ double ExecutionEngine::CurrentLatencyNs(const Grant& g) const {
   if (foreign > 0) {
     const double own_span =
         std::min(1.0, static_cast<double>(k.MaxUsefulTpcs(spec_)) /
-                          static_cast<double>(spec_.TotalTpcs()));
+                          static_cast<double>(total_tpcs_));
     // Quadratic in the foreign fraction: a kernel that retains most of the
     // issue bandwidth (e.g. hardware stream priority boosts its share) hides
     // contention much better than one swamped by foreign blocks.
@@ -134,7 +133,7 @@ double ExecutionEngine::InstantPowerW() const {
     return spec_.gated_power_w;
   }
   const double busy_frac =
-      static_cast<double>(busy_mask_.count()) / static_cast<double>(spec_.TotalTpcs());
+      static_cast<double>(busy_mask_.count()) / static_cast<double>(total_tpcs_);
   const double f_ratio = static_cast<double>(current_mhz_) / static_cast<double>(spec_.max_mhz);
   const double idle_scale = spec_.idle_freq_floor + (1.0 - spec_.idle_freq_floor) * f_ratio;
   return spec_.idle_power_w * idle_scale +
@@ -142,10 +141,16 @@ double ExecutionEngine::InstantPowerW() const {
 }
 
 void ExecutionEngine::CheckpointGrant(Grant& g) {
+  // The rate cached by the last RescheduleGrant is exact: its inputs (share
+  // weights on g's TPCs, the clock, g's own mask and item) change only on
+  // paths that checkpoint g first and reschedule it afterwards.
+#ifndef NDEBUG
+  LITHOS_CHECK(g.latency_ns == CurrentLatencyNs(g));
+#endif
   const TimeNs now = sim_->Now();
   const double elapsed = static_cast<double>(now - g.last_checkpoint);
   if (elapsed > 0) {
-    g.progress = std::min(1.0, g.progress + elapsed / CurrentLatencyNs(g));
+    g.progress = std::min(1.0, g.progress + elapsed / g.latency_ns);
   }
   g.last_checkpoint = now;
   if (trace_ != nullptr) {
@@ -188,7 +193,8 @@ void ExecutionEngine::RescheduleAllRunning() {
 }
 
 void ExecutionEngine::RescheduleGrant(Grant& g) {
-  const double remaining = (1.0 - g.progress) * CurrentLatencyNs(g);
+  g.latency_ns = CurrentLatencyNs(g);
+  const double remaining = (1.0 - g.progress) * g.latency_ns;
   const TimeNs finish =
       sim_->Now() + std::max<DurationNs>(0, static_cast<DurationNs>(std::ceil(remaining)));
   if (g.completion_event != 0 && sim_->Reschedule(g.completion_event, finish)) {
@@ -208,15 +214,17 @@ void ExecutionEngine::EnsureClient(int client_id) {
   }
 }
 
+void ExecutionEngine::CheckOnDevice(const TpcMask& mask) const {
+  LITHOS_CHECK((mask >> static_cast<size_t>(total_tpcs_)).none());
+}
+
 void ExecutionEngine::AddToTpcs(Grant& g) {
-  for (int t = 0; t < spec_.TotalTpcs(); ++t) {
-    if (g.mask.test(t)) {
-      if (sharers_[t]++ == 0) {
-        busy_mask_.set(t);
-      }
-      share_weight_[t] += g.item.share_weight;
+  ForEachTpc(g.mask, [&](int t) {
+    if (sharers_[t]++ == 0) {
+      busy_mask_.set(t);
     }
-  }
+    share_weight_[t] += g.item.share_weight;
+  });
   const int c = g.item.client_id;
   EnsureClient(c);
   client_alloc_tpcs_[static_cast<size_t>(c)] += static_cast<int>(g.mask.count());
@@ -227,17 +235,15 @@ void ExecutionEngine::AddToTpcs(Grant& g) {
 }
 
 void ExecutionEngine::RemoveFromTpcs(Grant& g) {
-  for (int t = 0; t < spec_.TotalTpcs(); ++t) {
-    if (g.mask.test(t)) {
-      LITHOS_CHECK_GT(sharers_[t], 0);
-      if (--sharers_[t] == 0) {
-        busy_mask_.reset(t);
-        share_weight_[t] = 0;  // Clear accumulated floating-point residue.
-      } else {
-        share_weight_[t] -= g.item.share_weight;
-      }
+  ForEachTpc(g.mask, [&](int t) {
+    LITHOS_CHECK_GT(sharers_[t], 0);
+    if (--sharers_[t] == 0) {
+      busy_mask_.reset(t);
+      share_weight_[t] = 0;  // Clear accumulated floating-point residue.
+    } else {
+      share_weight_[t] -= g.item.share_weight;
     }
-  }
+  });
   const int c = g.item.client_id;
   client_alloc_tpcs_[static_cast<size_t>(c)] -= static_cast<int>(g.mask.count());
   if (--client_running_[static_cast<size_t>(c)] == 0) {
@@ -249,6 +255,7 @@ void ExecutionEngine::RemoveFromTpcs(Grant& g) {
 GrantId ExecutionEngine::Launch(WorkItem item, const TpcMask& mask) {
   LITHOS_CHECK(item.kernel != nullptr);
   LITHOS_CHECK_GT(mask.count(), 0u);
+  CheckOnDevice(mask);
   LITHOS_CHECK(!power_gated_);  // a powered-off device cannot execute work
 
   FlushAccounting();
@@ -302,6 +309,7 @@ void ExecutionEngine::Resume(GrantId id, const TpcMask& mask) {
   LITHOS_CHECK(g != nullptr);
   LITHOS_CHECK(g->paused);
   LITHOS_CHECK_GT(mask.count(), 0u);
+  CheckOnDevice(mask);
   LITHOS_CHECK(!power_gated_);
 
   FlushAccounting();
@@ -317,6 +325,7 @@ void ExecutionEngine::Reassign(GrantId id, const TpcMask& mask) {
   Grant* g = Resolve(id);
   LITHOS_CHECK(g != nullptr);
   LITHOS_CHECK_GT(mask.count(), 0u);
+  CheckOnDevice(mask);
 
   if (g->paused) {
     g->mask = mask;  // No rates change until Resume.

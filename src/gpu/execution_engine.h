@@ -195,6 +195,9 @@ class ExecutionEngine {
     WorkItem item;
     TpcMask mask;
     double progress = 0;          // fraction of work done, [0, 1]
+    // CurrentLatencyNs at the last RescheduleGrant: the rate CheckpointGrant
+    // folds progress at (see CheckpointGrant for why it is still current).
+    double latency_ns = 0;
     TimeNs last_checkpoint = 0;
     TimeNs submit_time = 0;
     TimeNs start_time = 0;
@@ -223,7 +226,8 @@ class ExecutionEngine {
   void FlushAccounting();
 
   // Folds elapsed time into one grant's progress at its current rate. Must
-  // run before anything changes that rate.
+  // run before anything changes that rate, and every such change must be
+  // followed by RescheduleGrant, which caches the new rate.
   void CheckpointGrant(Grant& g);
 
   // Affected set: running grants whose mask overlaps `touched`. Checkpoint
@@ -245,9 +249,12 @@ class ExecutionEngine {
   void AddToTpcs(Grant& g);
   void RemoveFromTpcs(Grant& g);
   void EnsureClient(int client_id);
+  // Masks handed to the engine name only TPCs the device has.
+  void CheckOnDevice(const TpcMask& mask) const;
 
   Simulator* sim_;
   GpuSpec spec_;
+  int total_tpcs_;  // spec_.TotalTpcs(), read once
 
   std::vector<Grant> grants_;            // slab; iterate by slot, skip !occupied
   std::vector<uint32_t> free_grants_;

@@ -9,17 +9,16 @@ namespace lithos {
 TpcMask TpcRange(int lo, int hi) {
   LITHOS_CHECK_GE(lo, 0);
   LITHOS_CHECK_LE(hi, kMaxTpcs);
-  TpcMask mask;
-  for (int i = lo; i < hi; ++i) {
-    mask.set(i);
+  if (hi <= lo) {
+    return {};
   }
-  return mask;
+  return ~TpcMask() >> (kMaxTpcs - (hi - lo)) << lo;
 }
 
 int FirstTpc(const TpcMask& mask) {
-  for (int i = 0; i < kMaxTpcs; ++i) {
-    if (mask.test(i)) {
-      return i;
+  for (int w = 0; w < kTpcWords; ++w) {
+    if (const uint64_t bits = TpcWord(mask, w); bits != 0) {
+      return w * kTpcWordBits + __builtin_ctzll(bits);
     }
   }
   return -1;

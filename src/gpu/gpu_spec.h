@@ -21,6 +21,27 @@ namespace lithos {
 inline constexpr int kMaxTpcs = 128;
 using TpcMask = std::bitset<kMaxTpcs>;
 
+// Masks are walked as two 64-bit words: bit i of word w is TPC 64 * w + i.
+inline constexpr int kTpcWordBits = 64;
+inline constexpr int kTpcWords = kMaxTpcs / kTpcWordBits;
+
+inline uint64_t TpcWord(const TpcMask& mask, int w) {
+  static_assert(kTpcWords == 2, "TpcWord splits the mask into exactly two words");
+  return (w == 0 ? mask << kTpcWordBits >> kTpcWordBits : mask >> kTpcWordBits).to_ullong();
+}
+
+// Calls fn(t) for every set TPC t in ascending order, at the cost of one
+// count-trailing-zeros per set bit. Ascending order keeps floating-point sums
+// over the mask bit-identical to an index loop.
+template <typename Fn>
+void ForEachTpc(const TpcMask& mask, Fn&& fn) {
+  for (int w = 0; w < kTpcWords; ++w) {
+    for (uint64_t bits = TpcWord(mask, w); bits != 0; bits &= bits - 1) {
+      fn(w * kTpcWordBits + __builtin_ctzll(bits));
+    }
+  }
+}
+
 // Builds a mask with TPCs [lo, hi) set.
 TpcMask TpcRange(int lo, int hi);
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -23,13 +24,11 @@ struct FuzzResult {
   std::multiset<GrantId> completions;
 };
 
-class EngineFuzzTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(EngineFuzzTest, EveryGrantCompletesOrAbortsExactlyOnce) {
+void ExpectEveryGrantCompletesOrAbortsExactlyOnce(const GpuSpec& spec, uint64_t seed) {
   Simulator sim;
-  GpuSpec spec = GpuSpec::A100();
   ExecutionEngine engine(&sim, spec);
-  Rng rng(GetParam());
+  Rng rng(seed);
+  const int total = spec.TotalTpcs();
 
   std::vector<KernelDesc> kernels;
   kernels.reserve(8);
@@ -43,6 +42,7 @@ TEST_P(EngineFuzzTest, EveryGrantCompletesOrAbortsExactlyOnce) {
   FuzzResult result;
   std::vector<GrantId> live;
   std::vector<GrantId> paused;
+  std::map<GrantId, TpcMask> masks;  // last mask each grant was given
 
   // Schedule a random action every 100us for 200 steps.
   for (int step = 0; step < 200; ++step) {
@@ -57,10 +57,27 @@ TEST_P(EngineFuzzTest, EveryGrantCompletesOrAbortsExactlyOnce) {
       prune(live);
       prune(paused);
 
+      // Per-TPC sharer counts and the busy mask match the running grants'
+      // masks, checked with a plain bit loop on every TPC of the device.
+      std::vector<int> sharers(static_cast<size_t>(total), 0);
+      TpcMask busy;
+      for (const GrantId g : live) {
+        for (int t = 0; t < total; ++t) {
+          if (masks[g].test(t)) {
+            ++sharers[static_cast<size_t>(t)];
+            busy.set(t);
+          }
+        }
+      }
+      EXPECT_EQ(engine.BusyMask(), busy);
+      for (int t = 0; t < total; ++t) {
+        EXPECT_EQ(engine.SharersOn(t), sharers[static_cast<size_t>(t)]) << "TPC " << t;
+      }
+
       if (action <= 4 || (live.empty() && paused.empty())) {
         // Launch on a random non-empty mask.
-        const int lo = static_cast<int>(rng.UniformInt(0, 52));
-        const int hi = static_cast<int>(rng.UniformInt(lo + 1, 54));
+        const int lo = static_cast<int>(rng.UniformInt(0, total - 2));
+        const int hi = static_cast<int>(rng.UniformInt(lo + 1, total));
         WorkItem item;
         item.kernel = &kernels[static_cast<size_t>(rng.UniformInt(0, 7))];
         item.client_id = static_cast<int>(rng.UniformInt(1, 4));
@@ -71,6 +88,7 @@ TEST_P(EngineFuzzTest, EveryGrantCompletesOrAbortsExactlyOnce) {
           EXPECT_GE(info.end_time, info.start_time);
         };
         live.push_back(engine.Launch(std::move(item), TpcRange(lo, hi)));
+        masks[live.back()] = TpcRange(lo, hi);
         ++result.launched;
       } else if (action == 5 && !live.empty()) {
         const size_t i = static_cast<size_t>(rng.UniformInt(0, static_cast<int>(live.size()) - 1));
@@ -80,12 +98,14 @@ TEST_P(EngineFuzzTest, EveryGrantCompletesOrAbortsExactlyOnce) {
       } else if (action == 6 && !paused.empty()) {
         const size_t i =
             static_cast<size_t>(rng.UniformInt(0, static_cast<int>(paused.size()) - 1));
-        engine.Resume(paused[i], TpcRange(0, static_cast<int>(rng.UniformInt(1, 54))));
+        masks[paused[i]] = TpcRange(0, static_cast<int>(rng.UniformInt(1, total)));
+        engine.Resume(paused[i], masks[paused[i]]);
         live.push_back(paused[i]);
         paused.erase(paused.begin() + static_cast<long>(i));
       } else if (action == 7 && !live.empty()) {
         const size_t i = static_cast<size_t>(rng.UniformInt(0, static_cast<int>(live.size()) - 1));
-        engine.Reassign(live[i], TpcRange(0, static_cast<int>(rng.UniformInt(1, 54))));
+        masks[live[i]] = TpcRange(0, static_cast<int>(rng.UniformInt(1, total)));
+        engine.Reassign(live[i], masks[live[i]]);
       } else if (action >= 8 && !live.empty()) {
         const size_t i = static_cast<size_t>(rng.UniformInt(0, static_cast<int>(live.size()) - 1));
         engine.Abort(live[i]);
@@ -121,7 +141,24 @@ TEST_P(EngineFuzzTest, EveryGrantCompletesOrAbortsExactlyOnce) {
   EXPECT_GE(stats.busy_tpc_seconds, 0.0);
 }
 
+class EngineFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EngineFuzzTest, EveryGrantCompletesOrAbortsExactlyOnce) {
+  ExpectEveryGrantCompletesOrAbortsExactlyOnce(GpuSpec::A100(), GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzzTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
+
+// The H100's 68 TPCs cross the 64-bit word boundary of TpcMask, which the
+// A100's 54 never reach.
+class EngineFuzzH100Test : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EngineFuzzH100Test, EveryGrantCompletesOrAbortsExactlyOnce) {
+  ExpectEveryGrantCompletesOrAbortsExactlyOnce(GpuSpec::H100(), GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzzH100Test,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
 
 // The sum of per-client allocated TPC-seconds can never exceed

@@ -2,6 +2,9 @@
 // table, kernel occupancy, and the ground-truth latency law.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/gpu/gpu_spec.h"
 #include "src/gpu/kernel.h"
 
@@ -61,6 +64,58 @@ TEST(TpcMaskTest, RangeAndFirst) {
   EXPECT_FALSE(mask.test(7));
   EXPECT_EQ(FirstTpc(mask), 3);
   EXPECT_EQ(FirstTpc(TpcMask{}), -1);
+}
+
+// Reference: one test() per index.
+std::vector<int> NaiveSetTpcs(const TpcMask& mask) {
+  std::vector<int> tpcs;
+  for (int t = 0; t < kMaxTpcs; ++t) {
+    if (mask.test(t)) {
+      tpcs.push_back(t);
+    }
+  }
+  return tpcs;
+}
+
+std::vector<int> WordWiseSetTpcs(const TpcMask& mask) {
+  std::vector<int> tpcs;
+  ForEachTpc(mask, [&](int t) { tpcs.push_back(t); });
+  return tpcs;
+}
+
+// The word-wise helpers must agree with a bit loop on both sides of the
+// 64-bit word boundary (the H100's 68 TPCs cross it).
+TEST(TpcMaskTest, WordWiseHelpersMatchBitLoopAcrossWordBoundary) {
+  for (int lo = 0; lo <= kMaxTpcs; ++lo) {
+    for (int hi = lo; hi <= kMaxTpcs; ++hi) {
+      TpcMask naive;
+      for (int t = lo; t < hi; ++t) {
+        naive.set(t);
+      }
+      const TpcMask range = TpcRange(lo, hi);
+      ASSERT_EQ(range, naive) << "[" << lo << ", " << hi << ")";
+      ASSERT_EQ(FirstTpc(range), hi > lo ? lo : -1);
+      ASSERT_EQ(WordWiseSetTpcs(range), NaiveSetTpcs(range));
+    }
+  }
+
+  Rng rng(0x5EED);
+  for (int i = 0; i < 2000; ++i) {
+    // Random density; every third mask fills only the low (i % 6 == 3) or
+    // the high (i % 6 == 0) word, so each word is sometimes empty.
+    const double density = rng.Uniform(0.0, 1.0);
+    const int span = i % 3 == 0 ? 64 : kMaxTpcs;
+    const int offset = i % 6 == 0 ? 64 : 0;
+    TpcMask mask;
+    for (int t = 0; t < span; ++t) {
+      if (rng.Uniform(0.0, 1.0) < density) {
+        mask.set(offset + t);
+      }
+    }
+    const std::vector<int> naive = NaiveSetTpcs(mask);
+    ASSERT_EQ(WordWiseSetTpcs(mask), naive);
+    ASSERT_EQ(FirstTpc(mask), naive.empty() ? -1 : naive.front());
+  }
 }
 
 TEST(KernelTest, OccupancyLimitedByThreads) {
