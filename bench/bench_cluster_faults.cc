@@ -132,12 +132,7 @@ int main(int argc, char** argv) {
                     std::to_string(phase.recoveries), std::to_string(phase.migrations)});
     }
     const std::string prefix = policy + "_" + grid[i].scenario + "_";
-    json.Metric(prefix + "pre_p99_ms", r.phases[0].p99_ms);
-    json.Metric(prefix + "during_p99_ms", r.phases[1].p99_ms);
-    json.Metric(prefix + "post_p99_ms", r.phases[2].p99_ms);
-    json.Metric(prefix + "pre_goodput_ms_per_s", r.phases[0].goodput_ms_per_s);
-    json.Metric(prefix + "post_goodput_ms_per_s", r.phases[2].goodput_ms_per_s);
-    json.Metric(prefix + "failed_requests", static_cast<double>(r.totals.Count("fleet/failed")));
+    EmitPhaseMetrics(json, prefix, r);
     json.Metric(prefix + "recoveries", static_cast<double>(r.recovery_log.size()));
   }
   table.Print();

@@ -194,12 +194,7 @@ int main(int argc, char** argv) {
         c = '_';
       }
     }
-    json.Metric(prefix + "pre_p99_ms", r.phases[0].p99_ms);
-    json.Metric(prefix + "during_p99_ms", r.phases[1].p99_ms);
-    json.Metric(prefix + "post_p99_ms", r.phases[2].p99_ms);
-    json.Metric(prefix + "pre_goodput_ms_per_s", r.phases[0].goodput_ms_per_s);
-    json.Metric(prefix + "post_goodput_ms_per_s", r.phases[2].goodput_ms_per_s);
-    json.Metric(prefix + "failed_requests", r.totals.ValueOf("fleet/failed"));
+    EmitPhaseMetrics(json, prefix, r);
     for (const char* counter : {"retries", "hedges", "hedge_wins", "timeouts", "shed",
                                 "deferred_delivered", "deferred_orphaned"}) {
       json.Metric(prefix + counter, r.totals.ValueOf(std::string("fleet/") + counter));

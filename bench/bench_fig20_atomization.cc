@@ -65,8 +65,8 @@ int main() {
       RequestRecorder rec;
       rec.SetWarmupEnd(cfg.warmup);
       auto factory = [&](int n) { return MakeBertLargeInference(cfg.spec, n); };
-      BatchingInferenceServer server(&driver, hp_client, factory, h.max_batch, h.batch_delay,
-                                     &rec);
+      BatchingInferenceServer server(&driver, hp_client, factory, h.max_batch,
+                                     AppSpec::kBatchDelay, &rec);
       PoissonArrivals arrivals(&sim, h.load_rps, 7, [&server] { server.Submit(); });
       arrivals.Start(cfg.warmup + cfg.duration);
       ClosedLoopRunner runner(&driver, be_client, MakeVgg19Training(cfg.spec, batch));
@@ -108,8 +108,8 @@ int main() {
       RequestRecorder rec;
       rec.SetWarmupEnd(cfg.warmup);
       auto factory = [&](int n) { return MakeBertLargeInference(cfg.spec, n); };
-      BatchingInferenceServer server(&driver, hp_client, factory, h.max_batch, h.batch_delay,
-                                     &rec);
+      BatchingInferenceServer server(&driver, hp_client, factory, h.max_batch,
+                                     AppSpec::kBatchDelay, &rec);
       PoissonArrivals arrivals(&sim, h.load_rps, 7, [&server] { server.Submit(); });
       arrivals.Start(cfg.warmup + cfg.duration);
       // BE: big-prefill Llama requests in a closed loop (prefill kernels grow

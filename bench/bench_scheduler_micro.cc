@@ -42,8 +42,7 @@ BENCHMARK(BM_AtomizerPlan)->Arg(1000)->Arg(100000);
 
 void BM_PredictorPredict(benchmark::State& state) {
   const GpuSpec spec = GpuSpec::A100();
-  LithosConfig cfg;
-  LatencyPredictor predictor(spec, cfg);
+  LatencyPredictor predictor(spec);
   const OperatorKey key{1, 3, 0xfeed};
   for (int t : {1, 13, 27, 40, 54}) {
     ExecConditions c;
@@ -62,8 +61,7 @@ BENCHMARK(BM_PredictorPredict);
 
 void BM_PredictorRecord(benchmark::State& state) {
   const GpuSpec spec = GpuSpec::A100();
-  LithosConfig cfg;
-  LatencyPredictor predictor(spec, cfg);
+  LatencyPredictor predictor(spec);
   ExecConditions c;
   c.tpcs = 27;
   c.freq_mhz = spec.max_mhz;

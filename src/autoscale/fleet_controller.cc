@@ -9,6 +9,12 @@
 #include "src/obs/trace.h"
 
 namespace lithos {
+namespace {
+
+// Outstanding GPU-ms at or below which a draining node counts as empty.
+constexpr double kDrainEpsilonMs = 0.01;
+
+}  // namespace
 
 std::string NodePowerName(NodePower state) {
   switch (state) {
@@ -259,7 +265,7 @@ void FleetController::CompleteDrains() {
     // deferred results), just unreachable — power stays on until it heals.
     if (states_[n] == NodePower::kDraining &&
         !dispatcher_->NodePartitioned(static_cast<int>(n)) &&
-        outstanding[n] <= config_.drain_epsilon_ms &&
+        outstanding[n] <= kDrainEpsilonMs &&
         dispatcher_->nodes()[n]->engine()->NumRunningGrants() == 0) {
       dispatcher_->PowerGateNode(node, true);
       states_[n] = NodePower::kPoweredOff;
@@ -283,11 +289,11 @@ void FleetController::Tick(TimeNs until) {
   desired = std::clamp(desired, config_.min_nodes, snap.total_nodes);
 
   // Scale-down hysteresis: grow immediately, shed only after the demand has
-  // stayed below the current provision for scale_down_patience ticks.
+  // stayed below the current provision for kScaleDownPatience ticks.
   const int provisioned = powered_on_nodes();
   if (desired < provisioned) {
     ++below_ticks_;
-    if (below_ticks_ < config_.scale_down_patience) {
+    if (below_ticks_ < kScaleDownPatience) {
       desired = provisioned;
     }
   } else {

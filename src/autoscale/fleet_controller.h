@@ -83,19 +83,16 @@ struct AutoscaleConfig {
   // stranded on draining nodes — always complete regardless of the cap, so
   // a drain can finish.
   int max_migrations_per_period = 4;
-
-  // Scale-down hysteresis: the demand estimate must call for fewer nodes
-  // for this many consecutive ticks before any node drains. Scale-up is
-  // immediate — growing fast and shedding slowly damps the oscillation a
-  // lagging (reactive) signal otherwise rings with.
-  int scale_down_patience = 2;
-
-  // Outstanding GPU-ms at or below which a draining node counts as empty.
-  double drain_epsilon_ms = 0.01;
 };
 
 class FleetController {
  public:
+  // Scale-down hysteresis: the demand estimate must call for fewer nodes
+  // for this many consecutive ticks before any node drains. Scale-up is
+  // immediate — growing fast and shedding slowly damps the oscillation a
+  // lagging (reactive) signal otherwise rings with.
+  static constexpr int kScaleDownPatience = 2;
+
   FleetController(Simulator* sim, ClusterDispatcher* dispatcher, const AutoscaleConfig& config);
   FleetController(const FleetController&) = delete;
   FleetController& operator=(const FleetController&) = delete;

@@ -15,8 +15,16 @@ void MpsBackend::OnStreamReady(Stream* stream) {
 
 // --- Priority -----------------------------------------------------------------
 
+namespace {
+
+// Share weight of high-priority streams: models the hardware's preferential
+// block scheduling for higher-priority streams.
+constexpr double kHpWeight = 8.0;
+
+}  // namespace
+
 void PriorityBackend::OnStreamReady(Stream* stream) {
-  const double boost = IsHighPriority(stream->client_id()) ? hp_weight_ : 1.0;
+  const double boost = IsHighPriority(stream->client_id()) ? kHpWeight : 1.0;
   SubmitWhole(stream, engine_->spec().AllTpcs(), boost);
 }
 

@@ -46,15 +46,9 @@ class MpsBackend : public BaselineBackend {
 
 class PriorityBackend : public BaselineBackend {
  public:
-  // hp_weight models the hardware's preferential block scheduling for
-  // higher-priority streams.
-  PriorityBackend(Simulator* sim, ExecutionEngine* engine, double hp_weight = 8.0)
-      : BaselineBackend(sim, engine), hp_weight_(hp_weight) {}
+  PriorityBackend(Simulator* sim, ExecutionEngine* engine) : BaselineBackend(sim, engine) {}
   std::string Name() const override { return "Priority"; }
   void OnStreamReady(Stream* stream) override;
-
- private:
-  double hp_weight_;
 };
 
 // --- REEF (kernel-boundary BE gating) ----------------------------------------------

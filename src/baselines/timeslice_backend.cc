@@ -5,6 +5,13 @@
 #include "src/common/check.h"
 
 namespace lithos {
+namespace {
+
+// How long one context holds the whole device before the round-robin moves
+// on.
+constexpr DurationNs kQuantum = FromMillis(2.0);
+
+}  // namespace
 
 void TimesliceBackend::OnClientRegistered(const Client& client) {
   BaselineBackend::OnClientRegistered(client);
@@ -79,7 +86,7 @@ void TimesliceBackend::SwitchTo(int client_id) {
 void TimesliceBackend::ArmQuantum() {
   // Re-arm the standing timer in place; a fresh event is only created the
   // first time (or after the timer fired and cleared itself).
-  const TimeNs at = sim_->Now() + quantum_;
+  const TimeNs at = sim_->Now() + kQuantum;
   if (quantum_event_ != 0 && sim_->Reschedule(quantum_event_, at)) {
     return;
   }

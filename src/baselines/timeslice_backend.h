@@ -21,9 +21,7 @@ namespace lithos {
 
 class TimesliceBackend : public BaselineBackend {
  public:
-  TimesliceBackend(Simulator* sim, ExecutionEngine* engine,
-                   DurationNs quantum = FromMillis(2.0))
-      : BaselineBackend(sim, engine), quantum_(quantum) {}
+  TimesliceBackend(Simulator* sim, ExecutionEngine* engine) : BaselineBackend(sim, engine) {}
 
   std::string Name() const override { return "Time slicing"; }
   void OnClientRegistered(const Client& client) override;
@@ -54,7 +52,6 @@ class TimesliceBackend : public BaselineBackend {
   void ArmQuantum();
   void OnQuantumExpired();
 
-  DurationNs quantum_;
   std::vector<int> rotation_;  // registration order
   std::unordered_map<int, ClientSlot> slots_;
   int current_ = -1;

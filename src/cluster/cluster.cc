@@ -9,6 +9,15 @@
 #include "src/obs/trace.h"
 
 namespace lithos {
+namespace {
+
+// Live-migration cost in GPU ms per unit of model size, split evenly
+// between a memory-bound checkpoint kernel on the source node and a
+// restore kernel on the destination (PhoenixOS-style OS-level GPU
+// checkpoint/transfer/restore; see docs/autoscale.md).
+constexpr double kMigrationCostMsPerSize = 2.5;
+
+}  // namespace
 
 // --- GpuNode -----------------------------------------------------------------
 
@@ -80,23 +89,20 @@ ClusterDispatcher::ClusterDispatcher(Simulator* sim, const ClusterConfig& config
     request_kernels_.push_back(MakeKernel("fleet/" + m.id, blocks, FromMillis(m.cost_ms), 0.92,
                                           0.6, config_.spec));
     // Switch kernel: memory-bound weight load proportional to model size;
-    // weakly parallel and frequency-insensitive. Never launched when the
-    // configured switch cost is zero (the floor only keeps MakeKernel's
-    // coefficient solve well-defined).
-    const double switch_ms = config_.switch_cost_ms_per_size * m.size;
-    switch_kernels_.push_back(MakeKernel("load/" + m.id, 256,
-                                         FromMillis(std::max(0.001, switch_ms)), 0.6, 0.1,
-                                         config_.spec));
+    // weakly parallel and frequency-insensitive.
+    const double switch_ms = kSwitchCostMsPerSize * m.size;
+    switch_kernels_.push_back(
+        MakeKernel("load/" + m.id, 256, FromMillis(switch_ms), 0.6, 0.1, config_.spec));
     // Migration halves: checkpoint on the source, restore on the destination.
     // Memory-bound like the switch kernel (weight movement dominates), each
     // carrying half of the size-proportional migration cost.
-    const double half_migration_ms = 0.5 * config_.migration_cost_ms_per_size * m.size;
+    const double half_migration_ms = 0.5 * kMigrationCostMsPerSize * m.size;
     checkpoint_kernels_.push_back(MakeKernel("ckpt/" + m.id, 256,
-                                             FromMillis(std::max(0.001, half_migration_ms)), 0.5,
-                                             0.1, config_.spec));
+                                             FromMillis(half_migration_ms), 0.5, 0.1,
+                                             config_.spec));
     restore_kernels_.push_back(MakeKernel("restore/" + m.id, 256,
-                                          FromMillis(std::max(0.001, half_migration_ms)), 0.5,
-                                          0.1, config_.spec));
+                                          FromMillis(half_migration_ms), 0.5, 0.1,
+                                          config_.spec));
     arrival_rng_.emplace_back(config_.seed * 1315423911u + i * 2654435761u + 17);
   }
 
@@ -265,10 +271,7 @@ void ClusterDispatcher::ChargeMigrationKernel(int node, int model_index,
   LITHOS_CHECK(!node_state_[node].failed);
   LITHOS_CHECK(!node_state_[node].partitioned);
   const FleetModel& model = fleet_.models()[model_index];
-  const double half_ms = 0.5 * config_.migration_cost_ms_per_size * model.size;
-  if (half_ms <= 0) {
-    return;
-  }
+  const double half_ms = 0.5 * kMigrationCostMsPerSize * model.size;
   Stream* stream = StreamFor(node, model_index);
   Driver* driver = nodes_[node]->driver();
   driver->CuLaunchKernel(stream, kernel);

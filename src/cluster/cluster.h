@@ -100,15 +100,6 @@ struct ResilienceConfig {
   // observed timeouts. 0 disables.
   DurationNs quarantine = FromMillis(500);
 
-  // Per-model retry budget: retries for a model are allowed while
-  // lifetime_retries(m) < retry_budget_fraction * lifetime_dispatched(m)
-  //                      + retry_budget_floor.
-  // Caps retry storms during correlated failures (a meltdown cannot more
-  // than ~1.2x the offered load) while leaving isolated faults fully
-  // retryable.
-  double retry_budget_fraction = 0.2;
-  uint64_t retry_budget_floor = 32;
-
   // Hedged dispatch: if the first attempt has not completed after
   // hedge_delay, launch one duplicate on a distinct healthy node; first
   // completion wins and the loser is cancelled through the driver/engine
@@ -150,16 +141,6 @@ struct ClusterConfig {
   // FleetTelemetry::NormalizedRps over that compressed day. 0 = flat traffic
   // at the mean rate.
   double seconds_per_day = 0.0;
-
-  // Model-switch cost in GPU ms per unit of (normalized) model size, charged
-  // when a node's previously served model differs from the incoming one.
-  double switch_cost_ms_per_size = 0.8;
-
-  // Live-migration cost in GPU ms per unit of model size, split evenly
-  // between a memory-bound checkpoint kernel on the source node and a
-  // restore kernel on the destination (PhoenixOS-style OS-level GPU
-  // checkpoint/transfer/restore; see docs/autoscale.md).
-  double migration_cost_ms_per_size = 2.5;
 
   DurationNs warmup = FromSeconds(1);
   DurationNs duration = FromSeconds(8);
@@ -235,6 +216,19 @@ struct ClusterResult {
 
 class ClusterDispatcher {
  public:
+  // Model-switch cost in GPU ms per unit of (normalized) model size, charged
+  // when a node's previously served model differs from the incoming one.
+  static constexpr double kSwitchCostMsPerSize = 0.8;
+
+  // Per-model retry budget: retries for a model are allowed while
+  // lifetime_retries(m) < kRetryBudgetFraction * lifetime_dispatched(m)
+  //                      + kRetryBudgetFloor.
+  // Caps retry storms during correlated failures (a meltdown cannot more
+  // than ~1.2x the offered load) while leaving isolated faults fully
+  // retryable.
+  static constexpr double kRetryBudgetFraction = 0.2;
+  static constexpr uint64_t kRetryBudgetFloor = 32;
+
   ClusterDispatcher(Simulator* sim, const ClusterConfig& config);
 
   const std::vector<FleetModel>& models() const { return fleet_.models(); }
@@ -583,9 +577,9 @@ class ClusterDispatcher {
 
   // Fleet-level accounting lives in the registry as named instruments; the
   // pointers below are the cached hot-path handles (stable for the
-  // registry's lifetime). Counter/gauge semantics mirror the old members:
-  // dispatched/completed/failed and dispatched_request_ms are lifetime,
-  // the rest reset when BeginMeasurement() opens a window.
+  // registry's lifetime). dispatched/completed/failed and
+  // dispatched_request_ms are lifetime; the rest reset when
+  // BeginMeasurement() opens a window.
   MetricsRegistry metrics_;
   Counter* ctr_dispatched_ = nullptr;
   Counter* ctr_completed_ = nullptr;

@@ -14,10 +14,10 @@
 //                         long tail of cold models together so whole GPUs
 //                         are freed — the paper's consolidation argument.
 //
-// Placement is no longer frozen at construction: every placer carries a
-// mutable per-model replica set and a per-node enabled bit, so the autoscale
-// control plane (src/autoscale/) can re-home replicas (live migration) and
-// take nodes in and out of rotation (drain / power-off) mid-run.
+// Every placer carries a mutable per-model replica set and a per-node
+// enabled bit, so the autoscale control plane (src/autoscale/) can re-home
+// replicas (live migration) and take nodes in and out of rotation (drain /
+// power-off) mid-run.
 //
 // At region scale the flat O(N) scan becomes the dispatch bottleneck, so a
 // ZoneTopology upgrades model-affinity to a hierarchical two-stage variant

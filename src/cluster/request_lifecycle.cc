@@ -68,12 +68,6 @@ int ClusterDispatcher::Dispatch(int model_index) {
     const double watermark = rc.shed_watermark_ms * std::max(1, active_node_count_);
     if (total_outstanding_ms_ > watermark) {
       ctr_shed_->Inc();
-      if (trace_ != nullptr) {
-        // payload = outstanding excess over the watermark, ns.
-        trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kRequestShed,
-                       -1, -1, model_index,
-                       static_cast<int64_t>((total_outstanding_ms_ - watermark) * 1e6));
-      }
       EmitReq(TraceKind::kReqShed, -1, -1, model_index, rid);
       return -1;
     }
@@ -127,10 +121,6 @@ int ClusterDispatcher::Dispatch(int model_index) {
         return;  // no distinct healthy node to hedge onto
       }
       ctr_hedges_->Inc();
-      if (trace_ != nullptr) {
-        trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kRequestHedge,
-                       target, zone_topo_.ZoneOf(target), r.model, 0);
-      }
       LaunchAttempt(slot, target, /*is_hedge=*/true);
     });
     req.hedge_armed = true;
@@ -163,7 +153,7 @@ int ClusterDispatcher::PickAttemptNode(int model_index, const RequestState& req,
   const double timeout_ms =
       static_cast<double>(config_.resilience.attempt_timeout) / 1e6;
   const FleetModel& model = fleet_.models()[model_index];
-  const double switch_ms = config_.switch_cost_ms_per_size * model.size;
+  const double switch_ms = kSwitchCostMsPerSize * model.size;
   auto doomed = [&](int n) {
     if (node_quarantine_until_[static_cast<size_t>(n)] > sim_->Now()) {
       return true;  // remediation quarantined the whole node
@@ -266,23 +256,21 @@ void ClusterDispatcher::LaunchAttempt(uint32_t slot, int node, bool is_hedge) {
   const ResilienceConfig& rc = config_.resilience;
   double cost_ms = model.cost_ms;
   if (state.last_model != req.model) {
-    const double switch_ms = config_.switch_cost_ms_per_size * model.size;
-    if (switch_ms > 0) {
-      driver->CuLaunchKernel(stream, &switch_kernels_[req.model]);
-      if (rc.attempt_timeout > 0 || rc.hedge) {
-        AddOutstanding(node, switch_ms);
-        const uint64_t switch_epoch = state.epoch;
-        driver->CuStreamAddCallback(stream, [this, node, switch_ms, switch_epoch] {
-          if (node_state_[node].epoch == switch_epoch) {
-            AddOutstanding(node, -switch_ms);
-          }
-        });
-      } else {
-        cost_ms += switch_ms;
-      }
-      if (measured) {
-        ++state.switches_measured;
-      }
+    const double switch_ms = kSwitchCostMsPerSize * model.size;
+    driver->CuLaunchKernel(stream, &switch_kernels_[req.model]);
+    if (rc.attempt_timeout > 0 || rc.hedge) {
+      AddOutstanding(node, switch_ms);
+      const uint64_t switch_epoch = state.epoch;
+      driver->CuStreamAddCallback(stream, [this, node, switch_ms, switch_epoch] {
+        if (node_state_[node].epoch == switch_epoch) {
+          AddOutstanding(node, -switch_ms);
+        }
+      });
+    } else {
+      cost_ms += switch_ms;
+    }
+    if (measured) {
+      ++state.switches_measured;
     }
     state.last_model = req.model;
   }
@@ -362,12 +350,6 @@ void ClusterDispatcher::OnAttemptTimeout(uint32_t slot, uint32_t gen) {
     quarantine_until_[static_cast<size_t>(req.model) * config_.num_nodes + node] =
         sim_->Now() + config_.resilience.quarantine;
   }
-  if (trace_ != nullptr) {
-    const int node = req.tries.empty() ? -1 : req.tries.back().node;
-    trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kRequestTimeout,
-                   node, node >= 0 ? zone_topo_.ZoneOf(node) : -1, req.model,
-                   req.attempts);
-  }
   if (!req.tries.empty()) {
     const int last = static_cast<int>(req.tries.size()) - 1;
     const int node = req.tries[last].node;
@@ -424,10 +406,9 @@ bool ClusterDispatcher::TryCancelAttempt(uint32_t slot, int attempt) {
 }
 
 bool ClusterDispatcher::RetryBudgetAllows(int model_index) const {
-  const ResilienceConfig& rc = config_.resilience;
-  const double budget = rc.retry_budget_fraction *
-                            static_cast<double>(model_dispatched_[model_index]) +
-                        static_cast<double>(rc.retry_budget_floor);
+  const double budget =
+      kRetryBudgetFraction * static_cast<double>(model_dispatched_[model_index]) +
+      static_cast<double>(kRetryBudgetFloor);
   return static_cast<double>(model_retries_[model_index]) < budget;
 }
 
@@ -458,11 +439,6 @@ void ClusterDispatcher::TryRetryOrFail(uint32_t slot) {
       }
       ++model_retries_[r.model];
       ctr_retries_->Inc();
-      if (trace_ != nullptr) {
-        // payload = attempt number being launched.
-        trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kRequestRetry,
-                       node, zone_topo_.ZoneOf(node), r.model, r.attempts + 1);
-      }
       LaunchAttempt(slot, node, /*is_hedge=*/false);
     });
     req.timer_armed = true;

@@ -1,14 +1,15 @@
-// Tunable configuration of the LithOS backend.
+// Tunable configuration of the LithOS backend: the feature switches the
+// ablations toggle, the latency-slip parameter k, and the few limits tests
+// vary.
 //
-// Defaults follow the paper: atoms target roughly millisecond granularity
-// ("atom(~us)" against "kernel(~ms)" in Fig. 8 is the goal after splitting),
-// the latency-slip parameter k = 1.1 bounds right-sizing and DVFS degradation
-// to ~10% (Sections 7.2, 7.3), and outstanding-work limits keep the GPU
-// backlog shallow so scheduling stays flexible (Section 4.3).
+// Defaults follow the paper: k = 1.1 bounds right-sizing and DVFS
+// degradation to ~10% (Sections 7.2, 7.3), and outstanding-work limits keep
+// the GPU backlog shallow so scheduling stays flexible (Section 4.3). The
+// OS's fixed policy — atom sizing, the best-effort outstanding limit,
+// right-sizing exploration, DVFS cadence and predictor smoothing — lives as
+// named constants in the module that applies it.
 #ifndef LITHOS_CORE_CONFIG_H_
 #define LITHOS_CORE_CONFIG_H_
-
-#include "src/common/time.h"
 
 namespace lithos {
 
@@ -24,63 +25,21 @@ struct LithosConfig {
   // scheduling caps the width at the kernel's occupancy bound.
   bool allocate_full_quota = false;
 
-  // --- Kernel Atomizer -------------------------------------------------------
-  // Target duration of one atom. Kernels predicted shorter than
-  // min_atomize_duration are launched whole.
-  DurationNs atom_duration = FromMillis(1.0);
-  DurationNs min_atomize_duration = FromMillis(2.0);
-  // Hard cap on atoms per kernel (the paper's example splits a 64-block grid
-  // into at most 64 atoms; large grids would otherwise explode).
-  int max_atoms_per_kernel = 32;
-  // Cost model of the Prelude kernel: fixed launch overhead per atom plus an
-  // early-exit tax per skipped thread block.
-  DurationNs prelude_launch_overhead = FromMicros(3.0);
-  double early_exit_ns_per_block = 12.0;
-  // Adaptive control: if measured atomization overhead for an operator
-  // exceeds this fraction, its atom_duration is doubled (§4.4,
-  // "Performance Optimizations").
-  double max_overhead_fraction = 0.10;
-
-  // --- Launch overheads ------------------------------------------------------
-  // Plain (non-atomized) kernel dispatch overhead through the interposition
-  // layer.
-  DurationNs launch_overhead = FromMicros(2.0);
-
   // --- TPC Scheduler / sync queues --------------------------------------------
-  // Maximum outstanding atoms per client before the dispatcher throttles
-  // (sync-queue backlog threshold, Fig. 8 step 5).
+  // Maximum outstanding atoms per high-priority client before the dispatcher
+  // throttles (sync-queue backlog threshold, Fig. 8 step 5).
   int max_outstanding_hp = 4;
-  int max_outstanding_be = 2;
-  // A thief may only take a TPC whose busy-until timer expires within this
-  // margin of now (i.e. it is idle or about to be).
-  DurationNs steal_idle_margin = 0;
-  // Share weight used for work running on stolen TPCs (lower hardware stream
-  // priority, §4.3); only relevant if masks ever overlap.
-  double stolen_share_weight = 0.25;
 
   // --- Right-sizing ------------------------------------------------------------
   // Latency-slip parameter k: accept up to this multiplicative latency
   // increase in exchange for fewer TPCs (k = 1.1 in §7.2).
   double rightsizing_slip = 1.10;
-  // Exploration: shrink factor applied while probing down the scaling curve.
-  double rightsizing_probe_factor = 0.5;
-  // Observations of an operator required before the fitted curve is trusted.
-  int rightsizing_min_observations = 2;
 
   // --- DVFS ---------------------------------------------------------------------
   double dvfs_slip = 1.10;
-  // Re-evaluation cadence of the frequency target; must be much larger than
-  // the hardware switch latency to avoid thrashing (§4.6).
-  DurationNs dvfs_period = FromMillis(250);
   // Number of batches observed at f_max before scaling begins (the learning
   // period, §4.6 "Operation").
   int dvfs_learning_batches = 3;
-
-  // --- Latency predictor ----------------------------------------------------------
-  // Prior for never-seen operators.
-  DurationNs predictor_default_latency = FromMicros(100);
-  // EWMA smoothing for repeated observations under identical conditions.
-  double predictor_ewma_alpha = 0.3;
 };
 
 }  // namespace lithos

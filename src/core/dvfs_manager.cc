@@ -12,7 +12,7 @@ void DvfsManager::Start() {
     return;
   }
   started_ = true;
-  sim_->ScheduleAfter(config_.dvfs_period, [this] { Evaluate(); });
+  sim_->ScheduleAfter(kPeriod, [this] { Evaluate(); });
 }
 
 void DvfsManager::RecordKernel(int queue_id, DurationNs runtime_ns, double sensitivity) {
@@ -73,7 +73,7 @@ int DvfsManager::ComputeTargetMhz() const {
 
 void DvfsManager::Evaluate() {
   engine_->RequestFrequencyMhz(ComputeTargetMhz());
-  sim_->ScheduleAfter(config_.dvfs_period, [this] { Evaluate(); });
+  sim_->ScheduleAfter(kPeriod, [this] { Evaluate(); });
 }
 
 }  // namespace lithos

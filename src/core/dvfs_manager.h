@@ -27,6 +27,10 @@ namespace lithos {
 
 class DvfsManager {
  public:
+  // Re-evaluation cadence of the frequency target; must be much larger than
+  // the hardware switch latency to avoid thrashing (§4.6).
+  static constexpr DurationNs kPeriod = FromMillis(250);
+
   DvfsManager(Simulator* sim, ExecutionEngine* engine, const LithosConfig& config);
 
   // Starts the periodic evaluation loop (no-op when DVFS is disabled).

@@ -10,7 +10,7 @@
 //
 // The atomizer also implements the paper's two performance optimizations:
 // kernels predicted to be short are not atomized at all, and operators whose
-// measured atomization overhead is excessive get their atom_duration scaled
+// measured atomization overhead is excessive get their atom duration scaled
 // up (fewer atoms next time).
 #ifndef LITHOS_CORE_KERNEL_ATOMIZER_H_
 #define LITHOS_CORE_KERNEL_ATOMIZER_H_
@@ -43,6 +43,14 @@ struct AtomPlan {
 
 class KernelAtomizer {
  public:
+  // Hard cap on atoms per kernel (the paper's example splits a 64-block grid
+  // into at most 64 atoms; large grids would otherwise explode).
+  static constexpr int kMaxAtomsPerKernel = 32;
+  // Cost model of the Prelude kernel: fixed launch overhead per atom plus an
+  // early-exit tax per skipped thread block.
+  static constexpr DurationNs kPreludeLaunchOverhead = FromMicros(3.0);
+  static constexpr double kEarlyExitNsPerBlock = 12.0;
+
   explicit KernelAtomizer(const LithosConfig& config) : config_(config) {}
 
   // Builds the atom plan for `kernel` given its predicted whole-kernel
@@ -68,7 +76,8 @@ class KernelAtomizer {
 
  private:
   LithosConfig config_;
-  // Per-kernel-signature multiplier on atom_duration (adaptive aggressiveness).
+  // Per-kernel-signature multiplier on the atom duration (adaptive
+  // aggressiveness).
   std::unordered_map<uint64_t, double> duration_scale_;
 };
 

@@ -8,6 +8,8 @@
 namespace lithos {
 
 namespace {
+// EWMA smoothing for repeated observations under identical conditions.
+constexpr double kEwmaAlpha = 0.3;
 // TPC allocations are bucketed to integers for the per-allocation EWMA table.
 int TpcBucket(double tpcs) { return std::max(1, static_cast<int>(std::lround(tpcs))); }
 }  // namespace
@@ -25,10 +27,10 @@ DurationNs LatencyPredictor::Predict(const OperatorKey& key, const ExecCondition
 
   auto it = ops_.find(key);
   if (it == ops_.end()) {
-    // Unseen operator: queue-wide mean, else the configured default. The
+    // Unseen operator: queue-wide mean, else the fixed default. The
     // prior is deliberately rough; it only has to be good enough to decide
     // whether a first execution is worth atomizing.
-    double base = static_cast<double>(config_.predictor_default_latency);
+    double base = static_cast<double>(kDefaultLatency);
     auto qit = queue_mean_.find(key.queue_id);
     if (qit != queue_mean_.end()) {
       base = qit->second;
@@ -79,8 +81,7 @@ void LatencyPredictor::Record(const OperatorKey& key, const ExecConditions& cond
       if (denom > 1e-9) {
         const double s = std::clamp(k_obs / denom, 0.0, 1.0);
         m.freq_sensitivity = m.sensitivity_known
-                                 ? (1.0 - config_.predictor_ewma_alpha) * m.freq_sensitivity +
-                                       config_.predictor_ewma_alpha * s
+                                 ? (1.0 - kEwmaAlpha) * m.freq_sensitivity + kEwmaAlpha * s
                                  : s;
         m.sensitivity_known = true;
       }
@@ -93,13 +94,11 @@ void LatencyPredictor::Record(const OperatorKey& key, const ExecConditions& cond
 
   auto [bit, inserted] = m.by_tpcs.emplace(bucket, canonical);
   if (!inserted) {
-    bit->second =
-        (1.0 - config_.predictor_ewma_alpha) * bit->second + config_.predictor_ewma_alpha * canonical;
+    bit->second = (1.0 - kEwmaAlpha) * bit->second + kEwmaAlpha * canonical;
   }
   m.canonical_ewma = m.canonical_ewma == 0
                          ? canonical
-                         : (1.0 - config_.predictor_ewma_alpha) * m.canonical_ewma +
-                               config_.predictor_ewma_alpha * canonical;
+                         : (1.0 - kEwmaAlpha) * m.canonical_ewma + kEwmaAlpha * canonical;
   m.last_tpcs = cond.tpcs;
   ++m.observations;
 

@@ -24,7 +24,6 @@
 
 #include "src/common/stats.h"
 #include "src/common/time.h"
-#include "src/core/config.h"
 #include "src/gpu/gpu_spec.h"
 
 namespace lithos {
@@ -69,11 +68,13 @@ struct PredictionStats {
 
 class LatencyPredictor {
  public:
-  LatencyPredictor(const GpuSpec& spec, const LithosConfig& config)
-      : spec_(spec), config_(config) {}
+  // Prior for never-seen operators.
+  static constexpr DurationNs kDefaultLatency = FromMicros(100);
+
+  explicit LatencyPredictor(const GpuSpec& spec) : spec_(spec) {}
 
   // Predicts operator latency under `cond`. Falls back to the queue-wide
-  // running mean, then the configured default, when the operator is unseen.
+  // running mean, then kDefaultLatency, when the operator is unseen.
   DurationNs Predict(const OperatorKey& key, const ExecConditions& cond) const;
 
   // True if at least one observation exists for this operator.
@@ -124,7 +125,6 @@ class LatencyPredictor {
   double FreqFactor(int freq_mhz, double sensitivity) const;
 
   GpuSpec spec_;
-  LithosConfig config_;
   std::unordered_map<OperatorKey, OperatorModel, OperatorKeyHash> ops_;
   // Per-queue running mean used as a prior for unseen operators.
   std::unordered_map<int, double> queue_mean_;

@@ -5,6 +5,14 @@
 #include "src/common/check.h"
 
 namespace lithos {
+namespace {
+
+// Exploration: shrink factor applied while probing down the scaling curve.
+constexpr double kProbeFactor = 0.5;
+// Observations of an operator required before the fitted curve is trusted.
+constexpr int kMinObservations = 2;
+
+}  // namespace
 
 int RightSizer::ChooseTpcs(const OperatorKey& key, const KernelDesc& kernel,
                            int available_tpcs) const {
@@ -24,7 +32,7 @@ int RightSizer::ChooseTpcs(const OperatorKey& key, const KernelDesc& kernel,
   // Step 2: model-based minimisation once the scaling curve is known.
   ScalingFit fit;
   if (predictor_->GetScalingFit(key, &fit) &&
-      predictor_->DistinctTpcPoints(key) >= config_.rightsizing_min_observations) {
+      predictor_->DistinctTpcPoints(key) >= kMinObservations) {
     const double l_full = fit.Latency(static_cast<double>(bound));
     const double budget = config_.rightsizing_slip * l_full;
     // l(t) = m/t + b <= budget  =>  t >= m / (budget - b).
@@ -41,7 +49,7 @@ int RightSizer::ChooseTpcs(const OperatorKey& key, const KernelDesc& kernel,
   if (predictor_->DistinctTpcPoints(key) == 1) {
     const int probe = std::max(
         1, static_cast<int>(std::lround(static_cast<double>(bound) *
-                                        config_.rightsizing_probe_factor)));
+                                        kProbeFactor)));
     return std::min(probe, bound);
   }
 

@@ -12,7 +12,7 @@
 //   * Two-point model: the curve is fitted from observed latencies at
 //     distinct allocations (kept by the latency predictor). Until two points
 //     exist, the right-sizer probes: it grants a reduced allocation
-//     (probe_factor of full) once to obtain the second point, bounded below
+//     (kProbeFactor of full) once to obtain the second point, bounded below
 //     so the worst-case slip during probing matches the model's own bound.
 #ifndef LITHOS_CORE_RIGHT_SIZER_H_
 #define LITHOS_CORE_RIGHT_SIZER_H_

@@ -86,15 +86,15 @@ TpcMask TpcScheduler::Acquire(int client_id, int desired, TimeNs now, DurationNs
       take(t, false);
     }
   }
-  // Pass 3: TPC Stealing — idle foreign home TPCs, subject to policy, the
-  // busy-until margin, and each active owner's headroom: an owner mid-job
-  // keeps enough free home TPCs for its next kernel (its recent demand), so
-  // stealing never shrinks the owner's very next allocation.
+  // Pass 3: TPC Stealing — idle foreign home TPCs (busy-until timer already
+  // expired), subject to policy and each active owner's headroom: an owner
+  // mid-job keeps enough free home TPCs for its next kernel (its recent
+  // demand), so stealing never shrinks the owner's very next allocation.
   if (config_.enable_stealing) {
     std::unordered_map<int, int> spare;  // owner -> stealable TPC budget
     for (int t = 0; t < total_tpcs_ && remaining > 0; ++t) {
       if (occupant_[t] != -1 || home_owner_[t] == -1 || home_owner_[t] == client_id ||
-          busy_until_[t] > now + config_.steal_idle_margin || !StealAllowed(client_id, t)) {
+          busy_until_[t] > now || !StealAllowed(client_id, t)) {
         continue;
       }
       const int owner = home_owner_[t];

@@ -103,7 +103,7 @@ ServingApp MakeServingApp(Driver* driver, Client* client, const AppSpec& app, co
     const std::string model = app.model;
     auto factory = [&spec, model](int batch) { return MakeInferenceByName(model, spec, batch); };
     serving.batching = std::make_unique<BatchingInferenceServer>(
-        driver, client, factory, app.max_batch, app.batch_delay, serving.recorder.get());
+        driver, client, factory, app.max_batch, AppSpec::kBatchDelay, serving.recorder.get());
     BatchingInferenceServer* server = serving.batching.get();
     serving.arrivals = std::make_unique<PoissonArrivals>(driver->sim(), app.load_rps, seed,
                                                          [server] { server->Submit(); });

@@ -53,12 +53,14 @@ enum class AppRole {
 };
 
 struct AppSpec {
+  // How long a dynamic batch waits to fill before it launches.
+  static constexpr DurationNs kBatchDelay = FromMillis(2);
+
   AppRole role = AppRole::kHpLatency;
   std::string model;           // zoo name
   double load_rps = 0;         // open-loop roles only
   DurationNs slo = 0;          // latency constraint (0 = none)
   int max_batch = 8;           // dynamic batching cap (ignored for LLMs)
-  DurationNs batch_delay = FromMillis(2);
   int batch_size = 8;          // closed-loop inference batch
   int quota_tpcs = 0;          // guaranteed TPCs (LithOS) / partition (MIG, Limits)
 

@@ -44,15 +44,19 @@ const char* FaultKindName(FaultKind kind) {
 
 namespace {
 
-// One repair delay. kFixed consumes no Rng draws (legacy schedules stay
-// byte-identical); the heavy-tailed distributions consume exactly one
-// logical draw each (LogNormal uses the Rng's Box-Muller pair internally,
-// Weibull inverts the CDF from a single uniform).
+// Repair samples are clamped below to this floor (a repair takes nonzero
+// time).
+constexpr DurationNs kMinRepair = FromMillis(1);
+
+// One repair delay. kFixed consumes no Rng draws; the heavy-tailed
+// distributions consume exactly one logical draw each (LogNormal uses the
+// Rng's Box-Muller pair internally, Weibull inverts the CDF from a single
+// uniform).
 DurationNs SampleRepair(const RepairModel& model, Rng& rng) {
   double seconds = 0;
   switch (model.dist) {
     case RepairModel::Dist::kFixed:
-      return std::max<DurationNs>(model.fixed, model.min_repair);
+      return std::max<DurationNs>(model.fixed, kMinRepair);
     case RepairModel::Dist::kLogNormal:
       seconds = rng.LogNormal(model.lognormal_mu, model.lognormal_sigma);
       break;
@@ -63,7 +67,7 @@ DurationNs SampleRepair(const RepairModel& model, Rng& rng) {
       break;
     }
   }
-  return std::max<DurationNs>(FromSeconds(seconds), model.min_repair);
+  return std::max<DurationNs>(FromSeconds(seconds), kMinRepair);
 }
 
 }  // namespace

@@ -71,15 +71,14 @@ struct RackCrashSpec {
   DurationNs duration = FromSeconds(2);
 };
 
-// Repair-time distribution for the random crash processes. The default
-// converts implicitly from a DurationNs, so legacy configs that assign
-// `crash_repair = FromMillis(1500)` keep compiling — and keep drawing
-// *nothing* from the schedule Rng, so their pre-generated schedules stay
-// byte-identical. The heavy-tailed alternatives (lognormal / Weibull with
-// shape < 1) model real fleet repairs: most reboots are quick, a few need a
-// technician. Samples are drawn during schedule pre-generation from a
-// repair-only Rng stream (one draw per crash event), so the same seed
-// replays the same crash instants and victims under any repair model.
+// Repair-time distribution for the random crash processes. A fixed delay
+// converts implicitly from a DurationNs (`crash_repair = FromMillis(1500)`)
+// and draws *nothing* from the schedule Rng. The heavy-tailed alternatives
+// (lognormal / Weibull with shape < 1) model real fleet repairs: most
+// reboots are quick, a few need a technician. Samples are drawn during
+// schedule pre-generation from a repair-only Rng stream (one draw per crash
+// event), so the same seed replays the same crash instants and victims under
+// any repair model.
 struct RepairModel {
   enum class Dist { kFixed, kLogNormal, kWeibull };
   Dist dist = Dist::kFixed;
@@ -88,11 +87,10 @@ struct RepairModel {
   double lognormal_sigma = 1.0;
   double weibull_shape = 0.7;    // < 1 = heavy-tailed
   double weibull_scale_s = 2.0;  // seconds
-  // Samples are clamped below to this floor (a repair takes nonzero time).
-  DurationNs min_repair = FromMillis(1);
 
   RepairModel() = default;
-  RepairModel(DurationNs fixed_delay) : fixed(fixed_delay) {}  // NOLINT: compat
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  RepairModel(DurationNs fixed_delay) : fixed(fixed_delay) {}
   static RepairModel LogNormal(double mu_ln_seconds, double sigma) {
     RepairModel m;
     m.dist = Dist::kLogNormal;

@@ -8,6 +8,28 @@
 namespace lithos {
 namespace {
 
+// Smoothing of the per-model latency and per-zone completion baselines.
+constexpr double kEwmaAlpha = 0.3;
+// Straggler: deliveries a node needs in a window to be judged.
+constexpr uint64_t kMinNodeCompletions = 4;
+// Peer comparison needs peers: no straggler verdicts in windows where
+// fewer than this many nodes had enough samples to judge.
+constexpr size_t kMinJudgedNodes = 8;
+// Partition: a zone at zero completions whose baseline (EWMA of per-window
+// completions) is at least this, with > half its nodes not known-down.
+constexpr double kZoneMinBaseline = 20.0;
+// Windows after a partition episode clears during which the zone's nodes
+// are exempt from straggler verdicts: post-heal backlog drain inflates
+// every node in the zone, and that latency belongs to the partition.
+constexpr int kZoneCooldownWindows = 4;
+// Metastable: timeouts/attempts >= ratio with >= kMinNodeAttempts
+// attempts, for kMetastableWindows consecutive windows.
+constexpr double kMetastableTimeoutRatio = 0.5;
+constexpr uint64_t kMinNodeAttempts = 4;
+constexpr int kMetastableWindows = 3;
+// Windows a flagged node/zone must look healthy before re-arming.
+constexpr int kClearWindows = 2;
+
 uint64_t DiffAt(const std::vector<uint64_t>& now,
                 const std::vector<uint64_t>& prev, size_t i) {
   const uint64_t base = i < prev.size() ? prev[i] : 0;
@@ -36,8 +58,8 @@ GrayNodeDetector::GrayNodeDetector(const DetectorConfig& config, int num_nodes,
       node_zone_(std::move(node_zone)),
       registry_(registry) {
   LITHOS_CHECK(static_cast<int>(node_zone_.size()) == num_nodes_);
-  model_baseline_.assign(static_cast<size_t>(num_models_), Ewma(cfg_.ewma_alpha));
-  zone_baseline_.assign(static_cast<size_t>(num_zones_), Ewma(cfg_.ewma_alpha));
+  model_baseline_.assign(static_cast<size_t>(num_models_), Ewma(kEwmaAlpha));
+  zone_baseline_.assign(static_cast<size_t>(num_zones_), Ewma(kEwmaAlpha));
   node_flagged_.assign(static_cast<size_t>(num_nodes_), 0);
   node_healthy_streak_.assign(static_cast<size_t>(num_nodes_), 0);
   zone_flagged_.assign(static_cast<size_t>(num_zones_), 0);
@@ -79,7 +101,7 @@ void GrayNodeDetector::Tick(TimeNs now, const DetectorFeed& feed,
     // fleet mean, so no freeze is needed at this level.
     model_expect[static_cast<size_t>(m)] =
         base.warm(cfg_.warmup_windows) ? base.value() : 0;
-    if (mdc >= cfg_.min_node_completions) {
+    if (mdc >= kMinNodeCompletions) {
       base.Observe(static_cast<double>(mdlat) / static_cast<double>(mdc));
     }
   }
@@ -123,14 +145,14 @@ void GrayNodeDetector::Tick(TimeNs now, const DetectorFeed& feed,
         worst_model = m;
       }
     }
-    if (dc < cfg_.min_node_completions || expected <= 0) {
+    if (dc < kMinNodeCompletions || expected <= 0) {
       continue;  // too few samples to judge this window
     }
     node_ratio[ni] = static_cast<double>(dlat) / expected;
     node_worst_model[ni] = worst_model;
     judged.push_back(node_ratio[ni]);
   }
-  if (judged.size() >= cfg_.min_judged_nodes) {
+  if (judged.size() >= kMinJudgedNodes) {
     std::sort(judged.begin(), judged.end());
     const double median = judged[judged.size() / 2];
     if (median > 0) {
@@ -169,7 +191,7 @@ void GrayNodeDetector::Tick(TimeNs now, const DetectorFeed& feed,
         Emit(v);
       }
     } else if (node_flagged_[ni] != 0) {
-      if (++node_healthy_streak_[ni] >= cfg_.clear_windows) {
+      if (++node_healthy_streak_[ni] >= kClearWindows) {
         node_flagged_[ni] = 0;
         node_healthy_streak_[ni] = 0;
       }
@@ -205,7 +227,7 @@ void GrayNodeDetector::Tick(TimeNs now, const DetectorFeed& feed,
     Ewma& base = zone_baseline_[zi];
     const bool mostly_up = 2 * zone_down[zi] < zone_nodes[zi];
     if (zone_completions[zi] == 0 && mostly_up &&
-        base.warm(cfg_.warmup_windows) && base.value() >= cfg_.zone_min_baseline) {
+        base.warm(cfg_.warmup_windows) && base.value() >= kZoneMinBaseline) {
       // Silent zone, healthy on paper: partition. Baseline frozen during the
       // silence so the episode does not erode its own evidence.
       if (zone_flagged_[zi] == 0) {
@@ -223,7 +245,7 @@ void GrayNodeDetector::Tick(TimeNs now, const DetectorFeed& feed,
         // Completions resumed: close the episode and exempt the zone's
         // nodes from straggler verdicts while the backlog drains.
         zone_flagged_[zi] = 0;
-        zone_cooldown_[zi] = cfg_.zone_cooldown_windows;
+        zone_cooldown_[zi] = kZoneCooldownWindows;
       }
     }
   }
@@ -235,10 +257,10 @@ void GrayNodeDetector::Tick(TimeNs now, const DetectorFeed& feed,
     const uint64_t dt = DiffAt(feed.node_timeouts, prev_.node_timeouts, ni);
     const bool down = known_down.size() > ni && known_down[ni] != 0;
     const double ratio = da > 0 ? static_cast<double>(dt) / static_cast<double>(da) : 0;
-    const bool thrashing = !down && da >= cfg_.min_node_attempts &&
-                           ratio >= cfg_.metastable_timeout_ratio;
+    const bool thrashing =
+        !down && da >= kMinNodeAttempts && ratio >= kMetastableTimeoutRatio;
     if (thrashing) {
-      if (++metastable_streak_[ni] >= cfg_.metastable_windows &&
+      if (++metastable_streak_[ni] >= kMetastableWindows &&
           metastable_flagged_[ni] == 0) {
         metastable_flagged_[ni] = 1;
         Verdict v;

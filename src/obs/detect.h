@@ -25,7 +25,7 @@
 //     not scored against ground truth (the injector has no such fault kind).
 //
 // One verdict per episode: a flagged node/zone stays flagged until it looks
-// healthy for `clear_windows` consecutive windows, so a 2-second straggler
+// healthy for kClearWindows (2) consecutive windows, so a 2-second straggler
 // yields one verdict, not eight.
 //
 // Determinism: ticks happen at fixed sim-time boundaries, all state derives
@@ -62,10 +62,9 @@ struct DetectorFeed {
 
 struct DetectorConfig {
   DurationNs window = 250 * kMillisecond;  // tick + rollup width
-  double ewma_alpha = 0.3;
   // Straggler: a node's mix-normalized latency ratio >= inflation * the
   // fleet median of that ratio in the same window, with at least
-  // min_node_completions deliveries. The ratio divides the node's windowed
+  // kMinNodeCompletions deliveries. The ratio divides the node's windowed
   // latency sum by the latency expected from fleet-wide per-model baselines
   // for the same request mix — per-(model,node) pairs are far too sparse to
   // baseline at fleet scale (a ~25 rps node splits a handful of completions
@@ -76,25 +75,7 @@ struct DetectorConfig {
   // the median together. The verdict's model field names the most-inflated
   // pair of the window.
   double straggler_inflation = 1.3;
-  uint64_t min_node_completions = 4;
-  // Peer comparison needs peers: no straggler verdicts in windows where
-  // fewer than this many nodes had enough samples to judge.
-  size_t min_judged_nodes = 8;
   uint64_t warmup_windows = 2;
-  // Partition: a zone at zero completions whose baseline (EWMA of per-window
-  // completions) is at least this, with > half its nodes not known-down.
-  double zone_min_baseline = 20.0;
-  // Windows after a partition episode clears during which the zone's nodes
-  // are exempt from straggler verdicts: post-heal backlog drain inflates
-  // every node in the zone, and that latency belongs to the partition.
-  int zone_cooldown_windows = 4;
-  // Metastable: timeouts/attempts >= ratio with >= min_node_attempts
-  // attempts, for metastable_windows consecutive windows.
-  double metastable_timeout_ratio = 0.5;
-  uint64_t min_node_attempts = 4;
-  int metastable_windows = 3;
-  // Windows a flagged node/zone must look healthy before re-arming.
-  int clear_windows = 2;
 };
 
 struct Verdict {

@@ -1,13 +1,10 @@
 // MetricsRegistry: named counters, gauges, and histograms with per-phase
 // snapshotting.
 //
-// The registry replaces the one-off accounting members that used to
-// accumulate inside Collect paths (`dispatched_`, `completed_`, raw
-// PercentileDigest fields, ...) with named instruments that any layer can
-// register once and bump through a cached pointer — the hot path is a plain
-// integer increment, no map lookup. Benches then emit `Rows()` into the
-// existing JsonEmitter so `bench/out/BENCH_*.json` carries the registry
-// verbatim.
+// Any layer registers a named instrument once and bumps it through a cached
+// pointer — the hot path is a plain integer increment, no map lookup.
+// Benches then emit `Rows()` into the existing JsonEmitter so
+// `bench/out/BENCH_*.json` carries the registry verbatim.
 //
 // Determinism contract: instruments are registered and iterated in
 // registration order, values derive only from simulation state, and nothing

@@ -42,10 +42,6 @@ const char* TraceKindName(TraceKind kind) {
     case TraceKind::kNodePartition: return "node_partition";
     case TraceKind::kNodeHeal: return "node_heal";
     case TraceKind::kDeferredOrphaned: return "deferred_orphaned";
-    case TraceKind::kRequestRetry: return "request_retry";
-    case TraceKind::kRequestHedge: return "request_hedge";
-    case TraceKind::kRequestShed: return "request_shed";
-    case TraceKind::kRequestTimeout: return "request_timeout";
     case TraceKind::kReqArrival: return "req_arrival";
     case TraceKind::kReqAttemptLaunch: return "req_attempt_launch";
     case TraceKind::kReqComplete: return "req_complete";

@@ -78,15 +78,12 @@ enum class TraceKind : uint8_t {
   // TraceLayer::kFault — arg = FaultKind enum value.
   kFaultApplied = 40,  // payload = factor in parts-per-million (when scalar)
 
-  // TraceLayer::kCluster, resilience decade — arg = model index unless
-  // noted. 52-53 are retired (kReqDeferredFinish / deferred kReqComplete).
+  // TraceLayer::kCluster, resilience decade. 52-53 and 55-58 are retired:
+  // the request-correlation kinds carry deferred finishes and deliveries,
+  // retries and hedges (kReqAttemptLaunch), sheds and timeouts.
   kNodePartition = 50,      // arg = -1; payload = outstanding GPU work (ns)
   kNodeHeal = 51,           // arg = -1; payload = partition duration (ns); spans
   kDeferredOrphaned = 54,   // arg = -1; deferred delivery to a settled request
-  kRequestRetry = 55,       // node = retry target, payload = attempt number
-  kRequestHedge = 56,       // node = hedge target
-  kRequestShed = 57,        // payload = outstanding watermark excess (ns)
-  kRequestTimeout = 58,     // node = timed-out target, payload = attempt number
 
   // TraceLayer::kCluster, request-correlation decade — payload = request id
   // for every kind, so SpanBuilder can stitch per-request span trees from a

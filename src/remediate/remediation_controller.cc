@@ -7,6 +7,34 @@
 #include "src/common/check.h"
 
 namespace lithos {
+namespace {
+
+// Detector ticks a node serves under probation after its quarantine lifts.
+// The decision is taken at the boundary, not on the first re-flag: the
+// detector needs two windows of health to re-arm, so a one-window
+// re-admission transient self-clears before judgment.
+constexpr int kProbationWindows = 4;
+// Verdict strikes on one node within strike_window that escalate the next
+// action to a forced restart.
+constexpr int kRestartStrikes = 3;
+constexpr DurationNs kRestartDuration = FromMillis(400);  // simulated power cycle
+// Deferred actions older than this are dropped (the episode they answered
+// is stale).
+constexpr DurationNs kDeferTtl = FromSeconds(6);
+// After the k-th rollback on a node, verdicts on it are ignored for
+// min(cap, base << (k-1)) — exponential re-arm backoff. The base spans
+// several detector windows so the re-admission burst a lifted quarantine
+// attracts (the placer floods the coldest node) cannot re-flag it.
+constexpr DurationNs kRearmBackoffBase = FromMillis(2000);
+constexpr DurationNs kRearmBackoffCap = FromSeconds(8);
+// An announced repair/heal opens a recovery window this many ticks long;
+// inside it, any tick whose in-rotation queue imbalance (max/mean,
+// ClusterDispatcher::HerdImbalance) is at or above the threshold forces a
+// controller rebalance pass (budget-capped, so placement cannot thrash).
+constexpr int kRecoveryWindowTicks = 12;
+constexpr double kHerdImbalanceThreshold = 1.5;
+
+}  // namespace
 
 const char* RemedyActionName(RemedyAction action) {
   switch (action) {
@@ -138,7 +166,7 @@ void RemediationController::HandleVerdict(TimeNs now,
       // Confirmed-enough verdicts additionally take a governed capacity
       // action; when the governor defers it, the quarantine covers the gap
       // and the deferral queue owns the escalation.
-      if (state.strikes >= cfg_.restart_strikes) {
+      if (state.strikes >= kRestartStrikes) {
         TryCapacityAction(now, v.node, RemedyAction::kRestart, pending.index,
                           pending.synthetic, v.kind, v.score,
                           /*enqueue_on_block=*/true);
@@ -196,14 +224,14 @@ bool RemediationController::TryCapacityAction(TimeNs now, int node,
   if (rung == RemedyAction::kRestart) {
     dispatcher_->FailNode(node);
     state.phase = Phase::kRestarting;
-    state.phase_until = now + cfg_.restart_duration;
+    state.phase_until = now + kRestartDuration;
     ++counts_.restarts;
     Record(now, RemedyAction::kRestart, node, zone, kind, synthetic, score);
     Trace(now, TraceKind::kRemedyDrainStart, node, zone, 1, 0);
   } else {
     controller_->RequestDrain(node);
     state.phase = Phase::kDraining;
-    state.phase_until = now + cfg_.drain_hold;
+    state.phase_until = now + kDrainHold;
     ++counts_.drains;
     Record(now, RemedyAction::kDrain, node, zone, kind, synthetic, score);
     Trace(now, TraceKind::kRemedyDrainStart, node, zone, 0, 0);
@@ -227,7 +255,7 @@ void RemediationController::AdvancePhases(TimeNs now) {
           // Quarantine lifted (the dispatcher's window expired on its own);
           // the node serves again while we watch for a re-flag.
           state.phase = Phase::kProbation;
-          state.probation_left = cfg_.probation_windows;
+          state.probation_left = kProbationWindows;
         }
         break;
       }
@@ -239,7 +267,7 @@ void RemediationController::AdvancePhases(TimeNs now) {
           // The detector never cleared the episode: the node came back into
           // rotation and still looks gray — confirmed, escalate. On a
           // governor defer the deferral queue owns the action.
-          const RemedyAction rung = state.strikes >= cfg_.restart_strikes
+          const RemedyAction rung = state.strikes >= kRestartStrikes
                                         ? RemedyAction::kRestart
                                         : RemedyAction::kDrain;
           if (!TryCapacityAction(now, node, rung, state.verdict,
@@ -301,7 +329,7 @@ void RemediationController::Rollback(TimeNs now, int node) {
   ++state.rollback_count;
   const int shift = std::min(state.rollback_count - 1, 20);
   const DurationNs backoff =
-      std::min(cfg_.rearm_backoff_cap, cfg_.rearm_backoff_base << shift);
+      std::min(kRearmBackoffCap, kRearmBackoffBase << shift);
   state.rearm_until = now + backoff;
   Record(now, RemedyAction::kRollback, node, dispatcher_->ZoneOfNode(node),
          Verdict::Kind::kStraggler, state.synthetic,
@@ -319,7 +347,7 @@ void RemediationController::RetryDeferred(TimeNs now) {
   while (!deferred_.empty()) {
     DeferredAction deferred = deferred_.front();
     deferred_.pop_front();
-    if (cfg_.defer_ttl > 0 && now - deferred.since > cfg_.defer_ttl) {
+    if (now - deferred.since > kDeferTtl) {
       continue;  // stale episode; drop
     }
     NodeRemedy& state = nodes_[static_cast<size_t>(deferred.node)];
@@ -346,14 +374,11 @@ void RemediationController::RetryDeferred(TimeNs now) {
 }
 
 void RemediationController::HerdRebalance(TimeNs now) {
-  if (!cfg_.herd_rebalance) {
-    return;
-  }
   const int failed = dispatcher_->failed_node_count();
   const int partitioned = dispatcher_->partitioned_node_count();
   // An announced repair or heal opens (or re-opens) the recovery window.
   if (failed < prev_failed_ || partitioned < prev_partitioned_) {
-    recovery_ticks_left_ = cfg_.recovery_window_ticks;
+    recovery_ticks_left_ = kRecoveryWindowTicks;
   }
   prev_failed_ = failed;
   prev_partitioned_ = partitioned;
@@ -362,7 +387,7 @@ void RemediationController::HerdRebalance(TimeNs now) {
   }
   --recovery_ticks_left_;
   const double imbalance = dispatcher_->HerdImbalance();
-  if (imbalance < cfg_.herd_imbalance_threshold) {
+  if (imbalance < kHerdImbalanceThreshold) {
     return;
   }
   controller_->RequestRebalance();

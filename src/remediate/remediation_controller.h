@@ -62,23 +62,16 @@ namespace lithos {
 struct RemediationConfig {
   // --- Action ladder --------------------------------------------------------
   // Rung-1 quarantine length. When it lifts, the node serves again under
-  // probation for `probation_windows` detector ticks; at the boundary a
-  // still-flagged node escalates, a clean one rolls the action back as a
-  // false positive. (The decision is taken at the boundary, not on the
-  // first re-flag: the detector needs clear_windows of health to re-arm, so
-  // a one-window re-admission transient self-clears before judgment.)
+  // probation for a fixed number of detector ticks (kProbationWindows in
+  // remediation_controller.cc); at the boundary a still-flagged node
+  // escalates, a clean one rolls the action back as a false positive.
   DurationNs quarantine_window = FromMillis(1000);
-  int probation_windows = 4;
   // Straggler verdicts at/above this score are confirmed enough to skip the
   // quarantine rung and drain immediately.
   double drain_score = 2.5;
-  // Verdict strikes on one node within `strike_window` that escalate the
-  // next action to a forced restart.
-  int restart_strikes = 3;
+  // Window in which kRestartStrikes (3) verdict strikes on one node escalate
+  // the next action to a forced restart.
   DurationNs strike_window = FromSeconds(6);
-  DurationNs restart_duration = FromMillis(400);  // simulated power cycle
-  // How long a drained node is held out before re-admission.
-  DurationNs drain_hold = FromSeconds(2);
 
   // --- Blast-radius governor ------------------------------------------------
   // Concurrent capacity-removing actions (drains + restarts) allowed per
@@ -89,26 +82,6 @@ struct RemediationConfig {
   // quarantines as removed too) must stay at or above this multiple of the
   // current offered load, else the action defers.
   double min_capacity_factor = 1.1;
-  // Deferred actions older than this are dropped (the episode they answered
-  // is stale); 0 keeps them forever.
-  DurationNs defer_ttl = FromSeconds(6);
-
-  // --- Flap damping ---------------------------------------------------------
-  // After the k-th rollback on a node, verdicts on it are ignored for
-  // min(cap, base << (k-1)) — exponential re-arm backoff. The base spans
-  // several detector windows so the re-admission burst a lifted quarantine
-  // attracts (the placer floods the coldest node) cannot re-flag it.
-  DurationNs rearm_backoff_base = FromMillis(2000);
-  DurationNs rearm_backoff_cap = FromSeconds(8);
-
-  // --- Load-aware post-recovery rebalancing ---------------------------------
-  bool herd_rebalance = true;
-  // An announced repair/heal opens a recovery window this many ticks long;
-  // inside it, any tick whose in-rotation queue imbalance (max/mean,
-  // ClusterDispatcher::HerdImbalance) is at or above the threshold forces a
-  // controller rebalance pass (budget-capped, so placement cannot thrash).
-  int recovery_window_ticks = 12;
-  double herd_imbalance_threshold = 1.5;
 
   // --- False-positive injection (rollback demonstration) --------------------
   // Synthetic straggler verdicts delivered at the first tick at or after
@@ -175,6 +148,9 @@ struct RemedyCounts {
 
 class RemediationController : public VerdictSink {
  public:
+  // How long a drained node is held out before re-admission.
+  static constexpr DurationNs kDrainHold = FromSeconds(2);
+
   // Registers itself as `detector`'s verdict sink. All four collaborators
   // must outlive the controller and share one simulator clock.
   RemediationController(Simulator* sim, ClusterDispatcher* dispatcher,
@@ -211,8 +187,8 @@ class RemediationController : public VerdictSink {
     kIdle = 0,
     kQuarantined,  // rung 1 active; lifts into probation
     kProbation,    // serving again; re-flag escalates, clean run rolls back
-    kDraining,     // held out by RequestDrain until drain_hold elapses
-    kRestarting,   // failed for restart_duration, then revived
+    kDraining,     // held out by RequestDrain until kDrainHold elapses
+    kRestarting,   // failed for kRestartDuration, then revived
   };
   struct NodeRemedy {
     Phase phase = Phase::kIdle;

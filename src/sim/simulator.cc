@@ -24,7 +24,7 @@ EventId Simulator::ScheduleAt(TimeNs at, EventCallback fn) {
   heap_.push_back(slot);
   s.heap_index = static_cast<int32_t>(heap_.size() - 1);
   SiftUp(heap_.size() - 1);
-  ++events_scheduled_;
+  ++counters_.scheduled;
   if (trace_ != nullptr) {
     trace_->Append(now_, TraceLayer::kSim, TraceKind::kEventSchedule, -1, -1,
                    static_cast<int32_t>(slot), at);
@@ -49,7 +49,7 @@ void Simulator::Cancel(EventId id) {
   if (s == nullptr) {
     return;  // Already fired, cancelled, or never existed.
   }
-  ++events_canceled_;
+  ++counters_.canceled;
   if (trace_ != nullptr) {
     trace_->Append(now_, TraceLayer::kSim, TraceKind::kEventCancel, -1, -1,
                    static_cast<int32_t>(SlotOf(id)), s->at);
@@ -75,7 +75,7 @@ bool Simulator::Reschedule(EventId id, TimeNs at) {
   if (!SiftUp(pos)) {
     SiftDown(pos);
   }
-  ++events_rescheduled_;
+  ++counters_.rescheduled;
   if (trace_ != nullptr) {
     trace_->Append(now_, TraceLayer::kSim, TraceKind::kEventReschedule, -1, -1,
                    static_cast<int32_t>(SlotOf(id)), at);
@@ -165,7 +165,7 @@ void Simulator::FireTop() {
   EventCallback fn = std::move(s.fn);
   RemoveFromHeap(0);
   FreeSlot(slot);
-  ++events_fired_;
+  ++counters_.fired;
   if (trace_ != nullptr) {
     trace_->Append(now_, TraceLayer::kSim, TraceKind::kEventFire, -1, -1,
                    static_cast<int32_t>(slot), static_cast<int64_t>(seq));

@@ -191,26 +191,16 @@ class Simulator {
 
   size_t pending_events() const { return heap_.size(); }
 
-  // Events executed since construction. Region-scale runs report this as
+  // Operations since construction. Region-scale runs report `fired` as
   // their work measure (events/sec of wall time), and the determinism
-  // contract extends to it: two runs of the same configuration fire the
-  // same events in the same order, so the count — like every other
-  // simulation output — is byte-identical across runs and `--jobs` values.
-  // This holds per zone too: a multi-zone fleet shares this one clock and
-  // one totally ordered (at, seq) queue, so per-zone event interleavings
-  // are a deterministic function of the configuration, not of which worker
-  // thread ran the sweep point.
-  uint64_t events_fired() const { return events_fired_; }
-
-  // Companion operation counters (see events_fired() for the determinism
-  // contract, which extends to all of these).
-  uint64_t events_scheduled() const { return events_scheduled_; }
-  uint64_t events_canceled() const { return events_canceled_; }
-  uint64_t events_rescheduled() const { return events_rescheduled_; }
-  SimCounters counters() const {
-    return {events_scheduled_, events_fired_, events_canceled_,
-            events_rescheduled_};
-  }
+  // contract extends to every count: two runs of the same configuration
+  // fire the same events in the same order, so the counts — like every
+  // other simulation output — are byte-identical across runs and `--jobs`
+  // values. This holds per zone too: a multi-zone fleet shares this one
+  // clock and one totally ordered (at, seq) queue, so per-zone event
+  // interleavings are a deterministic function of the configuration, not of
+  // which worker thread ran the sweep point.
+  const SimCounters& counters() const { return counters_; }
 
   // Attaches a binary trace recorder (nullptr detaches): every schedule /
   // fire / cancel / reschedule appends a TraceLayer::kSim record. Disabled
@@ -263,10 +253,7 @@ class Simulator {
 
   TimeNs now_ = 0;
   uint64_t next_seq_ = 0;
-  uint64_t events_fired_ = 0;
-  uint64_t events_scheduled_ = 0;
-  uint64_t events_canceled_ = 0;
-  uint64_t events_rescheduled_ = 0;
+  SimCounters counters_;
   TraceRecorder* trace_ = nullptr;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;

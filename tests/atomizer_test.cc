@@ -1,6 +1,6 @@
 // Tests for the Kernel Atomizer (paper §4.4): the block-range partition
 // invariant of Algorithm 1, the short-kernel and wave-floor guards, the
-// prelude cost model, and the adaptive atom_duration control.
+// prelude cost model, and the adaptive atom-duration control.
 #include <gtest/gtest.h>
 
 #include "src/core/kernel_atomizer.h"
@@ -51,7 +51,7 @@ TEST_F(AtomizerTest, LongKernelSplitsByAtomDuration) {
 TEST_F(AtomizerTest, AtomCountCapped) {
   const KernelDesc k = Kernel(1000000);
   const AtomPlan plan = atomizer_.Plan(k, FromSeconds(10), 1, spec_);
-  EXPECT_LE(static_cast<int>(plan.NumAtoms()), config_.max_atoms_per_kernel);
+  EXPECT_LE(static_cast<int>(plan.NumAtoms()), KernelAtomizer::kMaxAtomsPerKernel);
 }
 
 TEST_F(AtomizerTest, WaveFloorLimitsSplit) {
@@ -80,8 +80,8 @@ TEST_F(AtomizerTest, OverheadModelChargesPreludeAndEarlyExit) {
   const DurationNs ovh = atomizer_.AtomOverheadNs(k, 1000);
   // prelude + 9000 skipped blocks * early-exit tax
   const DurationNs expected =
-      config_.prelude_launch_overhead +
-      static_cast<DurationNs>(config_.early_exit_ns_per_block * 9000);
+      KernelAtomizer::kPreludeLaunchOverhead +
+      static_cast<DurationNs>(KernelAtomizer::kEarlyExitNsPerBlock * 9000);
   EXPECT_EQ(ovh, expected);
 }
 

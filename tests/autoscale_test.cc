@@ -6,12 +6,16 @@
 // actually occurring mid-run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <set>
 
 #include "src/autoscale/fleet_controller.h"
 #include "src/autoscale/scaling_policy.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/placement.h"
+#include "src/obs/trace.h"
 
 namespace lithos {
 namespace {
@@ -252,6 +256,71 @@ TEST(FleetControllerTest, DrainedNodesArePowerGated) {
   }
   EXPECT_GT(off, 0);
   EXPECT_EQ(controller.powered_on_nodes(), config.cluster.num_nodes - off);
+}
+
+// Scale-down hysteresis, replayed from the kScaleTarget trace. With no
+// arrivals and a load-oblivious placer there is no backlog and no migration,
+// so the predictive policy's raw node count is a pure function of the
+// diurnal curve that the test recomputes. A tick that calls for fewer nodes
+// than are powered on holds the pool until kScaleDownPatience consecutive
+// ticks have asked; a tick that calls for more powers nodes on at once.
+TEST(FleetControllerTest, ScaleDownWaitsForConsecutiveLowTicksScaleUpIsImmediate) {
+  AutoscaleConfig config = SmallConfig(ScalingPolicyKind::kPredictive);
+  config.cluster.policy = PlacementPolicy::kLeastLoaded;
+  config.min_nodes = 1;
+  Simulator sim;
+  ClusterDispatcher dispatcher(&sim, config.cluster);
+  FleetController controller(&sim, &dispatcher, config);
+  TraceRecorder trace;
+  controller.SetTrace(&trace);
+  const TimeNs horizon = config.cluster.warmup + config.cluster.duration;
+  controller.Start(horizon);
+  sim.RunUntil(horizon);
+
+  std::map<TimeNs, int> power_ons, drains;
+  for (const TraceRecord& r : trace.Records()) {
+    if (r.kind == static_cast<uint8_t>(TraceKind::kPowerOn)) {
+      ++power_ons[r.time_ns];
+    } else if (r.kind == static_cast<uint8_t>(TraceKind::kDrainBegin)) {
+      ++drains[r.time_ns];
+    }
+  }
+  const double capacity = config.target_util * 1000.0;
+  int below_streak = 0, held = 0, shrinks = 0, grows = 0;
+  for (const TraceRecord& r : trace.Records()) {
+    if (r.kind != static_cast<uint8_t>(TraceKind::kScaleTarget)) {
+      continue;
+    }
+    const TimeNs t = r.time_ns;
+    const int desired = r.arg;
+    const int provisioned = static_cast<int>(r.payload);
+    const double demand = std::max(dispatcher.OfferedLoadAt(t + config.control_period),
+                                   dispatcher.OfferedLoadAt(t));
+    const int raw = std::clamp(static_cast<int>(std::ceil(demand / capacity - 1e-9)),
+                               config.min_nodes, config.cluster.num_nodes);
+    if (raw < provisioned) {
+      ++below_streak;
+      if (below_streak < FleetController::kScaleDownPatience) {
+        EXPECT_EQ(desired, provisioned) << "t=" << t;
+        EXPECT_EQ(drains.count(t), 0u) << "t=" << t;
+        ++held;
+      } else {
+        EXPECT_EQ(desired, raw) << "t=" << t;
+        EXPECT_EQ(drains[t], provisioned - raw) << "t=" << t;
+        ++shrinks;
+      }
+    } else {
+      below_streak = 0;
+      EXPECT_EQ(desired, raw) << "t=" << t;
+      if (raw > provisioned) {
+        EXPECT_GE(power_ons[t], raw - provisioned) << "t=" << t;
+        ++grows;
+      }
+    }
+  }
+  EXPECT_GT(held, 0);
+  EXPECT_GT(shrinks, 0);
+  EXPECT_GT(grows, 0);
 }
 
 // The acceptance headline: predictive scaling beats static-peak provisioning

@@ -144,7 +144,7 @@ TEST_F(BaselinesTest, PartitionlessClientNeverRuns) {
 }
 
 TEST_F(BaselinesTest, TimesliceRotatesExclusiveOwnership) {
-  TimesliceBackend backend(&sim_, &engine_, FromMillis(2));
+  TimesliceBackend backend(&sim_, &engine_);
   driver_.SetBackend(&backend);
   Client* a = MakeHp("a");
   Client* b = MakeBe("b");
@@ -169,7 +169,7 @@ TEST_F(BaselinesTest, TimesliceRotatesExclusiveOwnership) {
 }
 
 TEST_F(BaselinesTest, TimesliceSoleTenantKeepsDevice) {
-  TimesliceBackend backend(&sim_, &engine_, FromMillis(2));
+  TimesliceBackend backend(&sim_, &engine_);
   driver_.SetBackend(&backend);
   Client* a = MakeHp("a");
   Stream* sa = driver_.CuStreamCreate(a);

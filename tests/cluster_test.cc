@@ -8,6 +8,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/placement.h"
+#include "src/obs/trace.h"
 #include "src/workloads/fleet.h"
 
 namespace lithos {
@@ -203,8 +204,97 @@ TEST(ClusterTest, RequestLaunchShapeFollowsPolicy) {
     sim.RunToCompletion();
     EXPECT_EQ(dispatcher.completed(), 1u);
     EXPECT_EQ(dispatcher.outstanding_ms()[0], 0.0);
-    EXPECT_EQ(sim.events_canceled(), timeout ? 1u : 0u);  // the disarmed attempt timer
+    EXPECT_EQ(sim.counters().canceled, timeout ? 1u : 0u);  // the disarmed attempt timer
   }
+}
+
+// The per-model retry budget caps a retry storm. With every attempt timing
+// out and attempts effectively unlimited, the timeout that ends an attempt
+// admits a retry only while the model's launched retries are below
+// kRetryBudgetFraction x its dispatches + kRetryBudgetFloor; otherwise the
+// request fails on the spot. A retry counts against the budget when it
+// launches, after its backoff, so the lifetime total can pass the budget by
+// the retries still in backoff at the model's last admission, and by no more.
+TEST(ClusterTest, RetryBudgetCapsRetriesPerModel) {
+  Simulator sim;
+  ClusterConfig config = SmallConfig(PlacementPolicy::kLeastLoaded);
+  ResilienceConfig& rc = config.resilience;
+  rc.enabled = true;
+  rc.max_attempts = 1000;
+  rc.attempt_timeout = FromMicros(50);  // far below any request's cost
+  rc.backoff_base = FromMicros(100);
+  rc.backoff_cap = FromMicros(100);
+  rc.quarantine = 0;
+  ClusterDispatcher dispatcher(&sim, config);
+  TraceRecorder trace;
+  dispatcher.SetTrace(&trace);
+  const TimeNs horizon = config.warmup + config.duration;
+  dispatcher.StartArrivals(horizon);
+  sim.RunUntil(horizon);
+
+  struct ModelBudget {
+    uint64_t dispatched = 0;
+    uint64_t retries = 0;          // launched
+    uint64_t in_backoff = 0;       // admitted, not yet launched
+    uint64_t last_in_backoff = 0;  // in_backoff just after the last admission
+    double Budget() const {
+      return ClusterDispatcher::kRetryBudgetFraction * static_cast<double>(dispatched) +
+             static_cast<double>(ClusterDispatcher::kRetryBudgetFloor);
+    }
+  };
+  std::vector<ModelBudget> models(dispatcher.models().size());
+  std::vector<size_t> model_of;  // request id -> model
+  std::set<uint64_t> admitted;   // requests with a retry in backoff
+  uint64_t timeouts = 0, denied = 0, fails = 0;
+  for (const TraceRecord& r : trace.Records()) {
+    const uint64_t rid = static_cast<uint64_t>(r.payload);
+    switch (static_cast<TraceKind>(r.kind)) {
+      case TraceKind::kReqArrival:
+        ASSERT_EQ(rid, model_of.size());
+        model_of.push_back(static_cast<size_t>(r.arg));
+        ++models[model_of.back()].dispatched;
+        break;
+      case TraceKind::kReqAttemptTimeout: {
+        ++timeouts;
+        ModelBudget& m = models[model_of[rid]];
+        if (static_cast<double>(m.retries) < m.Budget()) {
+          admitted.insert(rid);
+          m.last_in_backoff = ++m.in_backoff;
+        } else {
+          ++denied;
+        }
+        break;
+      }
+      case TraceKind::kReqAttemptLaunch:
+        if (ReqArgAttempt(r.arg) > 0) {
+          ASSERT_EQ(admitted.erase(rid), 1u) << "retry of request " << rid
+                                              << " launched without budget";
+          ModelBudget& m = models[model_of[rid]];
+          --m.in_backoff;
+          ++m.retries;
+        }
+        break;
+      case TraceKind::kReqFail:
+        EXPECT_EQ(admitted.count(rid), 0u);
+        ++fails;
+        break;
+      default:
+        break;
+    }
+  }
+  uint64_t total_retries = 0;
+  for (size_t i = 0; i < models.size(); ++i) {
+    const ModelBudget& m = models[i];
+    EXPECT_LT(static_cast<double>(m.retries),
+              m.Budget() + static_cast<double>(m.last_in_backoff))
+        << "model " << i;
+    total_retries += m.retries;
+  }
+  // Every denied timeout failed its request; unbudgeted, each would have
+  // retried instead.
+  EXPECT_GT(denied, 0u);
+  EXPECT_EQ(fails, denied);
+  EXPECT_EQ(total_retries + denied + admitted.size(), timeouts);
 }
 
 TEST(ClusterTest, DiurnalArrivalsTrackNormalizedRps) {

@@ -92,7 +92,7 @@ TEST_F(DvfsTest, PeriodicEvaluationDrivesEngineFrequency) {
   EndLearning(1);
   // After one evaluation period plus the hardware switch latency, the device
   // clock must have dropped to the floor.
-  sim_.RunUntil(config_.dvfs_period + engine_.spec().freq_switch_latency + FromMillis(5));
+  sim_.RunUntil(DvfsManager::kPeriod + engine_.spec().freq_switch_latency + FromMillis(5));
   EXPECT_EQ(engine_.CurrentFrequencyMhz(), engine_.spec().min_mhz);
 }
 

@@ -145,12 +145,11 @@ TEST(SimTraceTest, CoreEventsAreRecordedAndCounted) {
   sim.RunToCompletion();
 
   EXPECT_EQ(fired, 2);
-  EXPECT_EQ(sim.events_scheduled(), 3u);
-  EXPECT_EQ(sim.events_canceled(), 1u);
-  EXPECT_EQ(sim.events_rescheduled(), 1u);
-  const SimCounters counters = sim.counters();
+  const SimCounters& counters = sim.counters();
   EXPECT_EQ(counters.scheduled, 3u);
   EXPECT_EQ(counters.fired, 2u);
+  EXPECT_EQ(counters.canceled, 1u);
+  EXPECT_EQ(counters.rescheduled, 1u);
 
   int schedules = 0, fires = 0, cancels = 0, reschedules = 0;
   for (const TraceRecord& r : trace.Records()) {

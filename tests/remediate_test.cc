@@ -94,8 +94,8 @@ TEST(RemediateGovernorTest, DeferralsRetryInFifoOrder) {
   EXPECT_EQ(drains[1].node, 4);
   EXPECT_EQ(drains[2].node, 7);
   EXPECT_EQ(drains[0].at, FromSeconds(1));
-  EXPECT_EQ(drains[1].at, FromSeconds(1) + config.remediation.drain_hold);
-  EXPECT_EQ(drains[2].at, FromSeconds(1) + 2 * config.remediation.drain_hold);
+  EXPECT_EQ(drains[1].at, FromSeconds(1) + RemediationController::kDrainHold);
+  EXPECT_EQ(drains[2].at, FromSeconds(1) + 2 * RemediationController::kDrainHold);
 }
 
 // With the min-healthy-capacity floor set above what the remaining nodes
@@ -131,8 +131,6 @@ TEST(RemediateGovernorTest, CapacityFloorBlocksDrainInSmallFleet) {
 TEST(RemediateFlapTest, RollbackBacksOffRearm) {
   FleetFaultConfig config = QuietScenario(4, 3);
   config.remediation.quarantine_window = FromMillis(1000);
-  config.remediation.probation_windows = 4;
-  config.remediation.rearm_backoff_base = FromMillis(2000);
   config.remediation.strike_window = FromMillis(1);  // isolate damping
   // Timeline: quarantine [1s, 2s), probation [2s, 3s), rollback at 3s,
   // re-armed at 5s. The 3.5s verdict is damped; the 5.5s verdict acts and

@@ -12,7 +12,7 @@ class RightSizerTest : public ::testing::Test {
  protected:
   RightSizerTest() : spec_(GpuSpec::A100()) {
     config_.enable_rightsizing = true;
-    predictor_ = std::make_unique<LatencyPredictor>(spec_, config_);
+    predictor_ = std::make_unique<LatencyPredictor>(spec_);
     sizer_ = std::make_unique<RightSizer>(spec_, config_, predictor_.get());
   }
 
@@ -59,7 +59,7 @@ TEST_F(RightSizerTest, SingleObservationTriggersProbe) {
   const OperatorKey key{1, 0, 3};
   Teach(key, 54, 1, {54});
   const int probe = sizer_->ChooseTpcs(key, k, 54);
-  EXPECT_EQ(probe, 27);  // probe_factor = 0.5
+  EXPECT_EQ(probe, 27);  // probe factor 0.5
 }
 
 TEST_F(RightSizerTest, ModelPicksMinimalTpcsWithinSlip) {
@@ -114,7 +114,7 @@ TEST_P(SlipBoundTest, ChosenLatencyWithinSlip) {
   LithosConfig cfg;
   cfg.enable_rightsizing = true;
   cfg.rightsizing_slip = c.slip;
-  LatencyPredictor predictor(spec, cfg);
+  LatencyPredictor predictor(spec);
   RightSizer sizer(spec, cfg, &predictor);
 
   const OperatorKey key{1, 0, 99};

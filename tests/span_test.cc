@@ -154,7 +154,6 @@ TEST(SpanBuilderTest, IgnoresNonClusterLayersAndNonRequestKinds) {
   sim_layer.layer = static_cast<uint8_t>(TraceLayer::kSim);
   b.Observe(sim_layer);
   b.Observe(Req(0, TraceKind::kNodeCrash, 2, 0));      // kind 23: not request-scoped
-  b.Observe(Req(0, TraceKind::kRequestRetry, 3, 0));   // kind 55: pre-correlation
   EXPECT_EQ(b.observed(), 0u);
   EXPECT_EQ(b.num_requests(), 0u);
 }
@@ -329,7 +328,7 @@ TEST(DetectorTest, StragglerFlaggedOncePerEpisodeAndRearms) {
   sim.Step(c, straggling);
   sim.Step(c, straggling);
   EXPECT_EQ(sim.detector.verdicts().size(), 1u);
-  // Healthy for clear_windows, then a relapse: a new episode, new verdict.
+  // Healthy for kClearWindows, then a relapse: a new episode, new verdict.
   sim.Step(c, healthy);
   sim.Step(c, healthy);
   sim.Step(c, straggling);
@@ -356,7 +355,7 @@ TEST(DetectorTest, SparseNodesAreNeverJudged) {
   std::vector<int64_t> healthy(16, 1000000);
   sim.Step(c, healthy);
   sim.Step(c, healthy);
-  // Node 5 slows 10x but lands only 2 completions (< min_node_completions).
+  // Node 5 slows 10x but lands only 2 completions (< kMinNodeCompletions).
   std::vector<uint64_t> sparse = c;
   sparse[5] = 2;
   std::vector<int64_t> slow = healthy;
