@@ -125,11 +125,15 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < grid.size(); ++i) {
     const FleetFaultResult& r = results[i];
     const std::string policy = PlacementPolicyName(grid[i].policy);
-    for (const FaultPhaseStats& phase : r.phases) {
-      table.AddRow({policy, grid[i].scenario, phase.name, Table::Num(phase.p99_ms, 2),
-                    Table::Num(phase.mean_ms, 2), Table::Num(phase.throughput_rps, 0),
-                    Table::Num(phase.goodput_ms_per_s, 0), std::to_string(phase.failed),
-                    std::to_string(phase.recoveries), std::to_string(phase.migrations)});
+    for (const MetricsRegistry::PhaseSnapshot& phase : r.phases) {
+      table.AddRow({policy, grid[i].scenario, phase.name,
+                    Table::Num(phase.ValueOf("fleet/latency_ms/p99"), 2),
+                    Table::Num(phase.ValueOf("fleet/latency_ms/mean"), 2),
+                    Table::Num(r.Rate(phase, "fleet/latency_ms/count"), 0),
+                    Table::Num(r.Rate(phase, "fleet/completed_request_ms"), 0),
+                    std::to_string(phase.Count("fleet/failed")),
+                    std::to_string(phase.Count("fleet/recoveries")),
+                    std::to_string(phase.Count("fleet/migrations"))});
     }
     const std::string prefix = policy + "_" + grid[i].scenario + "_";
     EmitPhaseMetrics(json, prefix, r);
@@ -143,10 +147,8 @@ int main(int argc, char** argv) {
       continue;
     }
     const FleetFaultResult& r = results[i];
-    const double ratio =
-        r.phases[0].goodput_ms_per_s > 0
-            ? r.phases[2].goodput_ms_per_s / r.phases[0].goodput_ms_per_s
-            : 0.0;
+    const double pre = bench::PhaseGoodput(r, "pre");
+    const double ratio = pre > 0 ? bench::PhaseGoodput(r, "post") / pre : 0.0;
     std::printf("  %-14s recovery=%.3f  (lost %llu requests, %llu replica recoveries)\n",
                 PlacementPolicyName(grid[i].policy).c_str(), ratio,
                 static_cast<unsigned long long>(r.totals.Count("fleet/failed")),
@@ -165,7 +167,7 @@ int main(int argc, char** argv) {
         grid[i].scenario != "zone-outage") {
       continue;
     }
-    for (const MetricsRegistry::PhaseSnapshot& snap : results[i].metric_phases) {
+    for (const MetricsRegistry::PhaseSnapshot& snap : results[i].phases) {
       for (const auto& [metric, value] : snap.values) {
         std::string key = "affinity_zone_outage_" + snap.name + "_" + metric;
         for (char& c : key) {

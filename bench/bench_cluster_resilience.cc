@@ -180,11 +180,13 @@ int main(int argc, char** argv) {
     const auto total = [&r](const char* counter) {
       return std::to_string(r.totals.Count(counter));
     };
-    for (const FaultPhaseStats& phase : r.phases) {
+    for (const MetricsRegistry::PhaseSnapshot& phase : r.phases) {
       const bool post = phase.name == "post";
       table.AddRow({grid[i].scenario, PolicyName(grid[i].policy), phase.name,
-                    Table::Num(phase.p99_ms, 2), Table::Num(phase.throughput_rps, 0),
-                    Table::Num(phase.goodput_ms_per_s, 0), std::to_string(phase.failed),
+                    Table::Num(phase.ValueOf("fleet/latency_ms/p99"), 2),
+                    Table::Num(r.Rate(phase, "fleet/latency_ms/count"), 0),
+                    Table::Num(r.Rate(phase, "fleet/completed_request_ms"), 0),
+                    std::to_string(phase.Count("fleet/failed")),
                     post ? total("fleet/retries") : "-", post ? total("fleet/hedges") : "-",
                     post ? total("fleet/shed") : "-", post ? total("fleet/timeouts") : "-"});
     }
@@ -210,10 +212,8 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i + 2 < grid.size(); i += 3) {
     const FleetFaultResult& writeoff = results[i];
     const FleetFaultResult& full = results[i + 2];
-    const double recovery =
-        full.phases[0].goodput_ms_per_s > 0
-            ? full.phases[2].goodput_ms_per_s / full.phases[0].goodput_ms_per_s
-            : 0.0;
+    const double pre = bench::PhaseGoodput(full, "pre");
+    const double recovery = pre > 0 ? bench::PhaseGoodput(full, "post") / pre : 0.0;
     const uint64_t failed_writeoff = writeoff.totals.Count("fleet/failed");
     const uint64_t failed_full = full.totals.Count("fleet/failed");
     const double reduction =

@@ -205,10 +205,10 @@ int main(int argc, char** argv) {
                "actions", "defer", "rollback"});
   for (size_t i = 0; i < grid.size(); ++i) {
     const FleetFaultResult& r = results[i];
-    table.AddRow({grid[i].name, Table::Num(r.Phase("during").goodput_ms_per_s, 0),
-                  Table::Num(r.Phase("during").p99_ms, 1),
-                  Table::Num(r.Phase("post").goodput_ms_per_s, 0),
-                  Table::Num(r.Phase("post").p99_ms, 1),
+    table.AddRow({grid[i].name, Table::Num(bench::PhaseGoodput(r, "during"), 0),
+                  Table::Num(r.Phase("during").ValueOf("fleet/latency_ms/p99"), 1),
+                  Table::Num(bench::PhaseGoodput(r, "post"), 0),
+                  Table::Num(r.Phase("post").ValueOf("fleet/latency_ms/p99"), 1),
                   std::to_string(r.remedy.actions()),
                   std::to_string(r.remedy.deferrals),
                   std::to_string(r.remedy.rollbacks)});
@@ -272,14 +272,14 @@ int main(int argc, char** argv) {
       continue;  // filtered out via --scenario
     }
     for (const std::string& phase : {std::string("during"), std::string("post")}) {
-      const double b = results[base].Phase(phase).goodput_ms_per_s;
-      const double m = results[remedy].Phase(phase).goodput_ms_per_s;
+      const double b = bench::PhaseGoodput(results[base], phase);
+      const double m = bench::PhaseGoodput(results[remedy], phase);
       const double ratio = b > 0 ? m / b : 0;
       // >= 1.0 with float-dust tolerance: a dead tie must not flake the gate.
       const bool pass = ratio >= 0.9995;
       ok = ok && pass;
-      const double bp = results[base].Phase(phase).p99_ms;
-      const double mp = results[remedy].Phase(phase).p99_ms;
+      const double bp = results[base].Phase(phase).ValueOf("fleet/latency_ms/p99");
+      const double mp = results[remedy].Phase(phase).ValueOf("fleet/latency_ms/p99");
       std::printf("  %-10s %-6s goodput remedy/base = %.4f  p99 %.1f -> %.1f ms  [%s]\n",
                   scenario.c_str(), phase.c_str(), ratio, bp, mp,
                   pass ? "ok" : "FAIL");
@@ -339,10 +339,10 @@ int main(int argc, char** argv) {
       json.Metric(point.name + "_unjustified_actions",
                   static_cast<double>(r.remedy_unjustified_actions));
     }
-    json.Metric(point.name + "_during_goodput", r.Phase("during").goodput_ms_per_s);
-    json.Metric(point.name + "_post_goodput", r.Phase("post").goodput_ms_per_s);
-    json.Metric(point.name + "_during_p99", r.Phase("during").p99_ms);
-    json.Metric(point.name + "_post_p99", r.Phase("post").p99_ms);
+    json.Metric(point.name + "_during_goodput", bench::PhaseGoodput(r, "during"));
+    json.Metric(point.name + "_post_goodput", bench::PhaseGoodput(r, "post"));
+    json.Metric(point.name + "_during_p99", r.Phase("during").ValueOf("fleet/latency_ms/p99"));
+    json.Metric(point.name + "_post_p99", r.Phase("post").ValueOf("fleet/latency_ms/p99"));
   }
   std::printf("  all gates: [%s]\n", ok ? "ok" : "FAIL");
   json.Metric("all_gates_pass", ok ? 1.0 : 0.0);

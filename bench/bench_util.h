@@ -368,16 +368,21 @@ class JsonEmitter {
   std::vector<std::pair<std::string, double>> wall_metrics_;
 };
 
+// Goodput of one fault-scenario phase: request GPU-ms served per second.
+inline double PhaseGoodput(const FleetFaultResult& r, const std::string& phase) {
+  return r.Rate(r.Phase(phase), "fleet/completed_request_ms");
+}
+
 // The per-phase block of one fault-scenario grid point: p99 before, during
 // and after the fault, goodput before and after it, and the run's failed
 // requests, each keyed `<prefix><name>`.
 inline void EmitPhaseMetrics(JsonEmitter& json, const std::string& prefix,
                              const FleetFaultResult& r) {
-  json.Metric(prefix + "pre_p99_ms", r.phases[0].p99_ms);
-  json.Metric(prefix + "during_p99_ms", r.phases[1].p99_ms);
-  json.Metric(prefix + "post_p99_ms", r.phases[2].p99_ms);
-  json.Metric(prefix + "pre_goodput_ms_per_s", r.phases[0].goodput_ms_per_s);
-  json.Metric(prefix + "post_goodput_ms_per_s", r.phases[2].goodput_ms_per_s);
+  for (const char* phase : {"pre", "during", "post"}) {
+    json.Metric(prefix + phase + "_p99_ms", r.Phase(phase).ValueOf("fleet/latency_ms/p99"));
+  }
+  json.Metric(prefix + "pre_goodput_ms_per_s", PhaseGoodput(r, "pre"));
+  json.Metric(prefix + "post_goodput_ms_per_s", PhaseGoodput(r, "post"));
   json.Metric(prefix + "failed_requests", r.totals.ValueOf("fleet/failed"));
 }
 

@@ -341,9 +341,6 @@ AutoscaleResult RunClusterAutoscale(const AutoscaleConfig& config) {
   dispatcher.StartArrivals(horizon);
   controller.Start(horizon);
   sim.ScheduleAt(config.cluster.warmup, [&dispatcher, &controller] {
-    for (const std::unique_ptr<GpuNode>& node : dispatcher.nodes()) {
-      node->engine()->ResetStats();
-    }
     dispatcher.BeginMeasurement();
     controller.ResetAccounting();
   });

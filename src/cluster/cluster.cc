@@ -224,7 +224,8 @@ void ClusterDispatcher::StartArrivals(TimeNs until) {
 void ClusterDispatcher::BeginMeasurement() {
   // The window opens now for every reported statistic: in-flight requests
   // that arrived earlier stay excluded (their completion callbacks compare
-  // against warmup_end_), and everything already accumulated is discarded.
+  // against warmup_end_), and everything already accumulated — the engines'
+  // busy/energy/elapsed integrals included — is discarded.
   warmup_end_ = sim_->Now();
   hist_latency_ms_->Clear();
   g_completed_request_ms_->Reset();
@@ -241,6 +242,7 @@ void ClusterDispatcher::BeginMeasurement() {
     state.migrations_out = 0;
     state.models_seen.clear();
     state.launches_at_window_start = nodes_[n]->driver()->launches_issued();
+    nodes_[n]->engine()->ResetStats();
   }
 }
 
@@ -629,12 +631,7 @@ ClusterResult RunClusterServing(const ClusterConfig& config) {
   const TimeNs horizon = config.warmup + config.duration;
   dispatcher.SetWarmupEnd(config.warmup);
   dispatcher.StartArrivals(horizon);
-  sim.ScheduleAt(config.warmup, [&dispatcher] {
-    for (const std::unique_ptr<GpuNode>& node : dispatcher.nodes()) {
-      node->engine()->ResetStats();
-    }
-    dispatcher.BeginMeasurement();
-  });
+  sim.ScheduleAt(config.warmup, [&dispatcher] { dispatcher.BeginMeasurement(); });
   sim.RunUntil(horizon);
   return dispatcher.Collect(config.duration);
 }

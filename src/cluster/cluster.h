@@ -260,9 +260,9 @@ class ClusterDispatcher {
 
   // Opens the measurement window at the current simulated time: discards
   // every accumulated statistic (latency digest, fleet and per-node
-  // counters), clears the per-node model sets, and snapshots the driver
-  // launch counters — so every ClusterNodeStats counter covers one window.
-  // Call at warm-up end, alongside the engines' ResetStats().
+  // counters, every node engine's stats), clears the per-node model sets,
+  // and snapshots the driver launch counters — so every ClusterNodeStats
+  // field covers one window. Call at warm-up end.
   void BeginMeasurement();
 
   // Snapshots fleet metrics; `measured` is the post-warm-up window length.

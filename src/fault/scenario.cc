@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "src/common/check.h"
-#include "src/gpu/execution_engine.h"
 
 namespace lithos {
 
@@ -61,12 +60,19 @@ bool ActionJustified(const RemedyEvent& event,
 
 }  // namespace
 
-const FaultPhaseStats& FleetFaultResult::Phase(const std::string& name) const {
-  const auto it = std::find_if(phases.begin(), phases.end(), [&name](const FaultPhaseStats& s) {
-    return s.name == name;
-  });
+const MetricsRegistry::PhaseSnapshot& FleetFaultResult::Phase(const std::string& name) const {
+  const auto it = std::find_if(phases.begin(), phases.end(),
+                               [&name](const auto& s) { return s.name == name; });
   LITHOS_CHECK(it != phases.end());
   return *it;
+}
+
+double FleetFaultResult::Rate(const MetricsRegistry::PhaseSnapshot& phase,
+                              const std::string& metric) const {
+  const auto it = std::find_if(windows.begin(), windows.end(),
+                               [&phase](const FaultPhase& w) { return w.name == phase.name; });
+  LITHOS_CHECK(it != windows.end());
+  return phase.ValueOf(metric) / ToSeconds(it->end - it->begin);
 }
 
 FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config) {
@@ -103,9 +109,6 @@ FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config) {
   injector.SetTrace(config.trace);
   injector.Arm();
 
-  FleetFaultResult result;
-  result.phases.resize(config.phases.size());
-
   // Online gray-failure detection: first tick one window in, last at or
   // before the horizon. The detector only sees the dispatcher's telemetry
   // feed plus announced crash state — never the injector.
@@ -137,40 +140,18 @@ FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config) {
     ticker.remedy = remedy.get();
   }
 
-  // Phase boundaries: close the window (Collect) before the next one opens.
+  // Phase boundaries: close the window (EndPhase) before the next one opens.
   // Loop order matters — at a shared boundary instant the close callback is
   // inserted before the next open callback, and equal-time events fire in
   // insertion order.
-  for (size_t i = 0; i < config.phases.size(); ++i) {
-    const FaultPhase& phase = config.phases[i];
-    sim.ScheduleAt(phase.begin, [&fleet, &config, i] {
-      for (const std::unique_ptr<GpuNode>& node : fleet.nodes()) {
-        node->engine()->ResetStats();
-      }
+  for (const FaultPhase& phase : config.phases) {
+    sim.ScheduleAt(phase.begin, [&fleet, &phase] {
       fleet.BeginMeasurement();
       // After BeginMeasurement so counter baselines see the post-reset
       // values: the snapshot delta is exactly the window's activity.
-      fleet.metrics().BeginPhase(config.phases[i].name);
+      fleet.metrics().BeginPhase(phase.name);
     });
-    sim.ScheduleAt(phase.end, [&fleet, &result, &config, i] {
-      const FaultPhase& phase = config.phases[i];
-      const DurationNs window = phase.end - phase.begin;
-      fleet.metrics().EndPhase();
-      const ClusterResult cluster = fleet.Collect(window);
-      FaultPhaseStats& stats = result.phases[i];
-      stats.name = phase.name;
-      stats.seconds = ToSeconds(window);
-      stats.dispatched = cluster.dispatched;
-      stats.completed = cluster.completed;
-      stats.failed = cluster.failed;
-      stats.mean_ms = cluster.mean_ms;
-      stats.p99_ms = cluster.p99_ms;
-      stats.throughput_rps = cluster.throughput_rps;
-      stats.goodput_ms_per_s =
-          stats.seconds > 0 ? cluster.completed_request_gpu_ms / stats.seconds : 0.0;
-      stats.migrations = cluster.migrations;
-      stats.recoveries = cluster.recoveries;
-    });
+    sim.ScheduleAt(phase.end, [&fleet] { fleet.metrics().EndPhase(); });
   }
 
   fleet.SetWarmupEnd(config.phases.front().begin);
@@ -178,6 +159,9 @@ FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config) {
   controller.Start(horizon);
   sim.RunUntil(horizon);
 
+  FleetFaultResult result;
+  result.phases = fleet.metrics().phases();
+  result.windows = config.phases;
   result.schedule = injector.ScheduleLines();
   result.fault_trace = injector.trace();
   result.recovery_log = fleet.recovery_log();
@@ -187,7 +171,6 @@ FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config) {
   result.rack_crashes = injector.rack_crashes();
   result.partitions = injector.partitions();
   result.sim = sim.counters();
-  result.metric_phases = fleet.metrics().phases();
   result.totals = fleet.metrics().Snapshot("totals");
   if (detector) {
     result.verdicts = detector->verdicts();

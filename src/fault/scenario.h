@@ -6,9 +6,10 @@
 // bench_cluster_faults sweeps through SweepRunner, so every (policy x
 // scenario) grid point is byte-identical at any `--jobs` value. The result
 // also carries the injector's applied-fault trace and the dispatcher's
-// recovery log for the deterministic-replay tests. Counters the metrics
-// registry or the remediation controller already keep are returned as their
-// snapshot, not copied field by field.
+// recovery log for the deterministic-replay tests. Per-phase metrics are the
+// metrics registry's phase snapshots, and counters the registry or the
+// remediation controller already keep are returned as their snapshot, not
+// copied field by field.
 #ifndef LITHOS_FAULT_SCENARIO_H_
 #define LITHOS_FAULT_SCENARIO_H_
 
@@ -81,25 +82,19 @@ struct FleetFaultConfig {
   SpanBuilder* spans = nullptr;
 };
 
-// Per-phase fleet metrics (the dispatcher's Collect over that window).
-struct FaultPhaseStats {
-  std::string name;
-  double seconds = 0;
-  uint64_t dispatched = 0;
-  uint64_t completed = 0;
-  uint64_t failed = 0;           // requests lost to crashes
-  double mean_ms = 0;
-  double p99_ms = 0;
-  double throughput_rps = 0;
-  // Goodput: request GPU-ms completed per wall-second of the window —
-  // the capacity actually served, excluding switch/migration overhead.
-  double goodput_ms_per_s = 0;
-  uint64_t migrations = 0;
-  uint64_t recoveries = 0;
-};
-
 struct FleetFaultResult {
-  std::vector<FaultPhaseStats> phases;
+  // Registry snapshots, one per configured phase in order (see
+  // MetricsRegistry phases). Each phase opens with BeginMeasurement, so:
+  //   fleet/latency_ms/{count,mean,p50,p99}  requests that arrived inside the
+  //       window and completed by its end (count = completions, the same
+  //       arrival gate as ClusterResult::completed);
+  //   fleet/completed_request_ms  their request GPU-ms (goodput numerator);
+  //   fleet/failed, fleet/dispatched, ...  counter deltas over the window —
+  //       every request that failed (admission failures with no reachable
+  //       node included) or arrived (shed ones included) while it was open;
+  //   fleet/migrations, fleet/recoveries  moves inside the window.
+  std::vector<MetricsRegistry::PhaseSnapshot> phases;
+  std::vector<FaultPhase> windows;        // config.phases, for Rate()
   std::vector<std::string> schedule;      // pre-generated fault schedule
   std::vector<std::string> fault_trace;   // faults actually applied
   std::vector<std::string> recovery_log;  // dispatcher recovery actions, lifetime
@@ -109,9 +104,6 @@ struct FleetFaultResult {
   uint64_t rack_crashes = 0;     // rack-correlated crash groups applied
   uint64_t partitions = 0;       // zone partitions applied
   SimCounters sim;               // full event-core counters for the run
-  // Registry snapshots, one per phase in order: every fleet/* counter as
-  // its window delta, gauges at window end (see MetricsRegistry phases).
-  std::vector<MetricsRegistry::PhaseSnapshot> metric_phases;
   // Registry snapshot when the run ends: counters at their value then
   // (fleet/failed, fleet/retries, fleet/hedges, ... over the whole run;
   // counters BeginMeasurement resets, such as fleet/recoveries, count
@@ -139,11 +131,15 @@ struct FleetFaultResult {
   uint64_t remedy_injected_actions = 0;  // actions from synthetic verdicts
 
   // The phase named `name`; a name not in the config is a checked error.
-  const FaultPhaseStats& Phase(const std::string& name) const;
+  const MetricsRegistry::PhaseSnapshot& Phase(const std::string& name) const;
+  // `metric` of `phase` per second of that phase's window: goodput (request
+  // GPU-ms served per second) is Rate(phase, "fleet/completed_request_ms"),
+  // throughput Rate(phase, "fleet/latency_ms/count").
+  double Rate(const MetricsRegistry::PhaseSnapshot& phase, const std::string& metric) const;
 };
 
 // Builds simulator + FleetDispatcher + FleetController + FaultInjector,
-// runs to the last phase's end, and collects per-phase metrics.
+// runs to the last phase's end, and snapshots the registry per phase.
 // Deterministic for a given config.
 FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config);
 

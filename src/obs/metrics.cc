@@ -5,6 +5,24 @@
 
 namespace lithos {
 
+namespace {
+
+// <name>/count, /mean, /p50, /p99 — the one histogram expansion for Rows()
+// and snapshots. The mean is summed before Finalize(), in insertion order,
+// as ClusterDispatcher::Collect takes it, so a snapshot's mean is
+// bit-identical to Collect's over the same samples.
+void AppendHistogram(const std::string& name, Histogram& h,
+                     std::vector<std::pair<std::string, double>>* rows) {
+  const double mean = h.Mean();
+  h.Finalize();
+  rows->emplace_back(name + "/count", static_cast<double>(h.count()));
+  rows->emplace_back(name + "/mean", mean);
+  rows->emplace_back(name + "/p50", h.Percentile(50));
+  rows->emplace_back(name + "/p99", h.Percentile(99));
+}
+
+}  // namespace
+
 double MetricsRegistry::PhaseSnapshot::ValueOf(const std::string& metric) const {
   const auto it = std::find_if(values.begin(), values.end(),
                                [&metric](const auto& entry) { return entry.first == metric; });
@@ -83,11 +101,11 @@ void MetricsRegistry::BeginPhase(const std::string& name) {
 }
 
 MetricsRegistry::PhaseSnapshot MetricsRegistry::Capture(
-    const std::string& name, const std::map<size_t, uint64_t>& counter_base) const {
+    const std::string& name, const std::map<size_t, uint64_t>& counter_base) {
   PhaseSnapshot snap;
   snap.name = name;
   for (size_t i = 0; i < entries_.size(); ++i) {
-    const Entry& e = entries_[i];
+    Entry& e = entries_[i];
     if (e.type == Type::kCounter) {
       const uint64_t value = e.counter->value();
       auto it = counter_base.find(i);
@@ -97,13 +115,15 @@ MetricsRegistry::PhaseSnapshot MetricsRegistry::Capture(
       snap.values.emplace_back(e.name, static_cast<double>(delta));
     } else if (e.type == Type::kGauge) {
       snap.values.emplace_back(e.name, e.gauge->value());
+    } else if (e.type == Type::kHistogram) {
+      AppendHistogram(e.name, *e.histogram, &snap.values);
     }
-    // Histograms are not windowed; read them directly.
+    // Time series are already windowed by sim-time; read them directly.
   }
   return snap;
 }
 
-MetricsRegistry::PhaseSnapshot MetricsRegistry::Snapshot(const std::string& name) const {
+MetricsRegistry::PhaseSnapshot MetricsRegistry::Snapshot(const std::string& name) {
   return Capture(name, {});
 }
 
@@ -124,15 +144,9 @@ std::vector<std::pair<std::string, double>> MetricsRegistry::Rows() {
       case Type::kGauge:
         rows.emplace_back(e.name, e.gauge->value());
         break;
-      case Type::kHistogram: {
-        Histogram& h = *e.histogram;
-        h.Finalize();
-        rows.emplace_back(e.name + "/count", static_cast<double>(h.count()));
-        rows.emplace_back(e.name + "/mean", h.Mean());
-        rows.emplace_back(e.name + "/p50", h.Percentile(50));
-        rows.emplace_back(e.name + "/p99", h.Percentile(99));
+      case Type::kHistogram:
+        AppendHistogram(e.name, *e.histogram, &rows);
         break;
-      }
       case Type::kTimeSeries: {
         const TimeSeries& ts = *e.timeseries;
         rows.emplace_back(e.name + "/windows",

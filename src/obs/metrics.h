@@ -13,12 +13,14 @@
 //
 // Phases: BeginPhase()/EndPhase() bracket a measurement window (e.g. the
 // pre/during/post windows of a fault scenario). EndPhase() snapshots every
-// counter as its delta over the window and every gauge at its current value,
+// counter as its delta over the window, every gauge at its current value and
+// every histogram over the samples it holds (expanded as in Rows()),
 // appending a copyable PhaseSnapshot to phases(); Snapshot() takes the same
 // kind of snapshot with counters at their absolute value (e.g. run totals).
-// Histograms and time series are excluded from snapshots (histogram samples
-// are not windowed; time series are already windowed by sim-time); read them
-// directly.
+// A histogram is not windowed by the registry: its owner clears it when a
+// window opens (ClusterDispatcher::BeginMeasurement does so for
+// fleet/latency_ms). Time series are excluded from snapshots — they are
+// already windowed by sim-time; read them directly.
 #ifndef LITHOS_OBS_METRICS_H_
 #define LITHOS_OBS_METRICS_H_
 
@@ -103,9 +105,9 @@ class Ewma {
 
 // Windowed time-series rollup: observations land in fixed-width sim-time
 // windows (window index = t / width), each keeping count/sum/min/max. Windows
-// are created on first observation, so sparse series stay sparse. Like
-// histograms, time series are excluded from phase snapshots — their samples
-// are already windowed by sim-time; read windows() directly.
+// are created on first observation, so sparse series stay sparse. Time
+// series are excluded from phase snapshots — their samples are already
+// windowed by sim-time; read windows() directly.
 class TimeSeries {
  public:
   struct Window {
@@ -151,8 +153,9 @@ class MetricsRegistry {
   struct PhaseSnapshot {
     std::string name;
     // (instrument name, value): counters as window deltas (absolute values
-    // for Snapshot()), gauges at their end-of-window value, in registration
-    // order.
+    // for Snapshot()), gauges at their end-of-window value, histograms as
+    // <name>/count, /mean, /p50, /p99 over their current samples, in
+    // registration order.
     std::vector<std::pair<std::string, double>> values;
 
     // Looks up `metric`; a name the snapshot does not hold is a checked error.
@@ -179,12 +182,13 @@ class MetricsRegistry {
 
   // Opens a measurement window. A still-open window is closed first.
   void BeginPhase(const std::string& name);
-  // Closes the window opened by BeginPhase() and appends its snapshot.
+  // Closes the window opened by BeginPhase() and appends its snapshot
+  // (finalizing every histogram).
   void EndPhase();
   const std::vector<PhaseSnapshot>& phases() const { return phases_; }
-  // Every counter and gauge at its current value, labelled `name`. Leaves
-  // any open phase untouched.
-  PhaseSnapshot Snapshot(const std::string& name) const;
+  // Every counter, gauge and histogram at its current value, labelled
+  // `name`. Leaves any open phase untouched (but finalizes histograms).
+  PhaseSnapshot Snapshot(const std::string& name);
 
   // Flat (name, value) rows in registration order: counters and gauges as
   // their current value; histograms expanded to <name>/count, <name>/mean,
@@ -210,9 +214,10 @@ class MetricsRegistry {
 
   Entry& FindOrCreate(const std::string& name, Type type);
   // Counters as their delta from `counter_base` (indexed by entry position;
-  // a missing entry baselines at zero), gauges at their current value.
+  // a missing entry baselines at zero), gauges at their current value,
+  // histograms expanded by AppendHistogram.
   PhaseSnapshot Capture(const std::string& name,
-                        const std::map<size_t, uint64_t>& counter_base) const;
+                        const std::map<size_t, uint64_t>& counter_base);
 
   std::vector<Entry> entries_;  // registration order
   std::map<std::string, size_t> index_;

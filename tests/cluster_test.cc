@@ -186,6 +186,9 @@ TEST(ClusterTest, MeasurementWindowCoversAllNodeCounters) {
   EXPECT_EQ(ns.driver_launches,
             dispatcher.nodes()[0]->driver()->launches_issued() - launches_at_window);
   EXPECT_GE(ns.driver_launches, 2u);  // model-1 request kernel + marker at least
+  // The node engine's integrals restart with the window too.
+  EXPECT_NEAR(dispatcher.nodes()[0]->engine()->Stats().elapsed_seconds,
+              ToSeconds(sim.Now() - FromMillis(100)), 1e-9);
 }
 
 TEST(ClusterTest, RequestLaunchShapeFollowsPolicy) {

@@ -4,10 +4,12 @@
 // schedule and recovery trace across runs and SweepRunner --jobs values.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/autoscale/fleet_controller.h"
 #include "src/cluster/fleet_dispatcher.h"
 #include "src/cluster/placement.h"
@@ -43,6 +45,21 @@ FleetFaultConfig OutageScenario(int num_zones, int nodes_per_zone) {
                    {"during", FromSeconds(2), FromSeconds(3)},
                    {"post", FromMillis(3500), FromMillis(5500)}};
   return config;
+}
+
+// Every value of every phase snapshot, bit-exact, one phase per line.
+std::string PhaseLines(const FleetFaultResult& r) {
+  std::string out;
+  char buf[32];
+  for (const MetricsRegistry::PhaseSnapshot& phase : r.phases) {
+    out += phase.name;
+    for (const auto& [metric, value] : phase.values) {
+      std::snprintf(buf, sizeof(buf), " %a", value);
+      out += buf;
+    }
+    out += "\n";
+  }
+  return out;
 }
 
 // --- Zone topology and hierarchical placement --------------------------------
@@ -199,9 +216,9 @@ TEST(FaultTest, ControllerReplacesDeadReplicasOntoSurvivors) {
   // which opens at the same instant the zone drops — carries them.
   ASSERT_EQ(result.phases.size(), 3u);
   EXPECT_GT(result.totals.Count("fleet/failed"), 0u);
-  EXPECT_GT(result.phases[1].failed, 0u);
-  EXPECT_GT(result.phases[0].goodput_ms_per_s, 0.0);
-  EXPECT_GE(result.phases[2].goodput_ms_per_s, 0.85 * result.phases[0].goodput_ms_per_s);
+  EXPECT_GT(result.Phase("during").Count("fleet/failed"), 0u);
+  EXPECT_GT(bench::PhaseGoodput(result, "pre"), 0.0);
+  EXPECT_GE(bench::PhaseGoodput(result, "post"), 0.85 * bench::PhaseGoodput(result, "pre"));
 }
 
 // --- Deterministic replay ----------------------------------------------------
@@ -243,13 +260,8 @@ TEST(FaultReplayTest, TraceAndRecoveryAreByteIdenticalAcrossRuns) {
   EXPECT_EQ(a.recovery_log, b.recovery_log);
   EXPECT_EQ(a.totals.values, b.totals.values);
   EXPECT_EQ(a.sim.fired, b.sim.fired);
-  ASSERT_EQ(a.phases.size(), b.phases.size());
-  for (size_t i = 0; i < a.phases.size(); ++i) {
-    EXPECT_EQ(a.phases[i].p99_ms, b.phases[i].p99_ms);
-    EXPECT_EQ(a.phases[i].goodput_ms_per_s, b.phases[i].goodput_ms_per_s);
-    EXPECT_EQ(a.phases[i].failed, b.phases[i].failed);
-    EXPECT_EQ(a.phases[i].recoveries, b.phases[i].recoveries);
-  }
+  ASSERT_EQ(a.phases.size(), 3u);
+  EXPECT_EQ(PhaseLines(a), PhaseLines(b));
 }
 
 TEST(FaultReplayTest, SweepGridIsByteIdenticalAcrossJobs) {
@@ -278,11 +290,7 @@ TEST(FaultReplayTest, SweepGridIsByteIdenticalAcrossJobs) {
                           for (const std::string& line : r.recovery_log) {
                             blob += line + "\n";
                           }
-                          for (const FaultPhaseStats& p : r.phases) {
-                            blob += p.name + " " + std::to_string(p.completed) + " " +
-                                    std::to_string(p.failed) + " " + std::to_string(p.p99_ms) +
-                                    " " + std::to_string(p.goodput_ms_per_s) + "\n";
-                          }
+                          blob += PhaseLines(r);
                           return blob;
                         }});
     }
@@ -518,9 +526,7 @@ TEST(ResilienceTest, RetryRecoversWorkWrittenOffByLegacyPath) {
   EXPECT_LT(resilient.totals.Count("fleet/failed"), writeoff.totals.Count("fleet/failed"));
   EXPECT_GT(resilient.totals.Count("fleet/retries"), 0u);
   // Recovery: the resilient post phase serves goodput comparable to pre.
-  ASSERT_EQ(resilient.phases.size(), 3u);
-  EXPECT_GE(resilient.phases[2].goodput_ms_per_s,
-            0.9 * resilient.phases[0].goodput_ms_per_s);
+  EXPECT_GE(bench::PhaseGoodput(resilient, "post"), 0.9 * bench::PhaseGoodput(resilient, "pre"));
 }
 
 TEST(ResilienceTest, HedgeFirstCompletionWinsWithoutDoubleCounting) {
@@ -534,8 +540,9 @@ TEST(ResilienceTest, HedgeFirstCompletionWinsWithoutDoubleCounting) {
   // First completion wins exactly once: no phase completes meaningfully more
   // requests than were dispatched into it (small carryover crosses phase
   // boundaries; duplicated completions would roughly double the count).
-  for (const FaultPhaseStats& phase : r.phases) {
-    EXPECT_LE(phase.completed, phase.dispatched + 25) << phase.name;
+  for (const MetricsRegistry::PhaseSnapshot& phase : r.phases) {
+    EXPECT_LE(phase.Count("fleet/latency_ms/count"), phase.Count("fleet/dispatched") + 25)
+        << phase.name;
   }
 }
 
@@ -642,11 +649,7 @@ TEST(FaultReplayTest, ResilienceGridIsByteIdenticalAcrossJobs) {
                             blob += std::to_string(r.totals.Count(counter)) + " ";
                           }
                           blob += "\n";
-                          for (const FaultPhaseStats& p : r.phases) {
-                            blob += p.name + " " + std::to_string(p.completed) + " " +
-                                    std::to_string(p.failed) + " " + std::to_string(p.p99_ms) +
-                                    " " + std::to_string(p.goodput_ms_per_s) + "\n";
-                          }
+                          blob += PhaseLines(r);
                           return blob + CheckRequestConservation(resilient);
                         }});
     }

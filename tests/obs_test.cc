@@ -238,6 +238,7 @@ TEST(MetricsRegistryTest, PhasesSnapshotCounterDeltasAndGaugeValues) {
   registry.BeginPhase("during");
   c.Inc(9);
   g.Set(2.0);
+  registry.histogram("latency").Add(8.0);
   registry.EndPhase();
 
   ASSERT_EQ(registry.phases().size(), 2u);
@@ -245,18 +246,38 @@ TEST(MetricsRegistryTest, PhasesSnapshotCounterDeltasAndGaugeValues) {
   EXPECT_EQ(pre.name, "pre");
   EXPECT_DOUBLE_EQ(pre.ValueOf("done"), 3.0) << "delta, not absolute";
   EXPECT_DOUBLE_EQ(pre.ValueOf("level"), 1.0);
-  EXPECT_DOUBLE_EQ(registry.phases()[1].ValueOf("done"), 9.0);
-  EXPECT_DOUBLE_EQ(registry.phases()[1].ValueOf("level"), 2.0);
+  EXPECT_DOUBLE_EQ(pre.ValueOf("latency/count"), 1.0);
+  EXPECT_DOUBLE_EQ(pre.ValueOf("latency/mean"), 4.0);
+  const MetricsRegistry::PhaseSnapshot& during = registry.phases()[1];
+  EXPECT_DOUBLE_EQ(during.ValueOf("done"), 9.0);
+  EXPECT_DOUBLE_EQ(during.ValueOf("level"), 2.0);
+  // A histogram is captured from the samples it holds, like a gauge: the
+  // registry does not window it (its owner clears it when a window opens).
+  EXPECT_DOUBLE_EQ(during.ValueOf("latency/count"), 2.0);
+  EXPECT_DOUBLE_EQ(during.ValueOf("latency/mean"), 6.0);
+  EXPECT_DOUBLE_EQ(during.ValueOf("latency/p50"), 6.0);
+  EXPECT_DOUBLE_EQ(during.ValueOf("latency/p99"), 7.96);
 
-  // Snapshot: counters absolute, gauges current, histograms and time series
-  // left out, registration order.
+  // Snapshot: counters absolute, gauges current, histograms expanded to the
+  // same four keys as Rows(), time series left out, registration order.
   EXPECT_EQ(mid.name, "mid");
-  ASSERT_EQ(mid.values.size(), 2u);
+  ASSERT_EQ(mid.values.size(), 6u);
   EXPECT_EQ(mid.values[0].first, "done");
   EXPECT_EQ(mid.Count("done"), 13u);
-  EXPECT_EQ(mid.values[1].first, "level");
+  EXPECT_EQ(mid.values[1].first, "latency/count");
+  EXPECT_EQ(mid.values[2].first, "latency/mean");
+  EXPECT_EQ(mid.values[3].first, "latency/p50");
+  EXPECT_EQ(mid.values[4].first, "latency/p99");
+  EXPECT_DOUBLE_EQ(mid.ValueOf("latency/p99"), 4.0);
+  EXPECT_EQ(mid.values[5].first, "level");
   EXPECT_DOUBLE_EQ(mid.ValueOf("level"), 1.0);
-  EXPECT_EQ(registry.Snapshot("end").Count("done"), 22u);
+  const MetricsRegistry::PhaseSnapshot end = registry.Snapshot("end");
+  EXPECT_EQ(end.Count("done"), 22u);
+  EXPECT_EQ(end.Count("latency/count"), 2u);
+  ASSERT_EQ(pre.values.size(), end.values.size());
+  for (size_t i = 0; i < end.values.size(); ++i) {
+    EXPECT_EQ(pre.values[i].first, end.values[i].first) << "phases and snapshots share keys";
+  }
 
   // A name the snapshot does not hold is an error, not a silent zero.
   EXPECT_DEATH(pre.ValueOf("dnoe"), "no metric 'dnoe' in snapshot 'pre'");
@@ -328,42 +349,67 @@ TEST(TraceDeterminismTest, FaultScenarioResultsUnchangedByTracing) {
   const FleetFaultResult untraced = RunFleetFaultScenario(SmallOutageConfig(nullptr));
   TraceRecorder trace(0);
   const FleetFaultResult traced = RunFleetFaultScenario(SmallOutageConfig(&trace));
+  ASSERT_EQ(untraced.phases.size(), 3u);
   ASSERT_EQ(untraced.phases.size(), traced.phases.size());
   for (size_t i = 0; i < untraced.phases.size(); ++i) {
-    EXPECT_EQ(untraced.phases[i].completed, traced.phases[i].completed);
-    EXPECT_EQ(untraced.phases[i].p99_ms, traced.phases[i].p99_ms);
-    EXPECT_EQ(untraced.phases[i].goodput_ms_per_s, traced.phases[i].goodput_ms_per_s);
+    EXPECT_EQ(untraced.phases[i].values, traced.phases[i].values);
   }
   EXPECT_EQ(untraced.sim.fired, traced.sim.fired);
   EXPECT_EQ(untraced.totals.values, traced.totals.values);
-}
 
-TEST(TraceDeterminismTest, FaultScenarioPhaseSnapshotsBracketCollect) {
-  const FleetFaultResult r = RunFleetFaultScenario(SmallOutageConfig(nullptr));
-  ASSERT_EQ(r.metric_phases.size(), r.phases.size());
-  uint64_t phase_failed = 0;
-  for (size_t i = 0; i < r.phases.size(); ++i) {
-    phase_failed += r.phases[i].failed;
-    EXPECT_EQ(r.metric_phases[i].name, r.phases[i].name);
-    // The counter delta counts every completion *event* inside the window;
-    // Collect gates on arrival time, so in-flight carryover from before the
-    // window makes the delta a superset of the Collect count.
-    EXPECT_GE(r.metric_phases[i].ValueOf("fleet/completed"),
-              static_cast<double>(r.phases[i].completed));
-    // Recoveries and migrations reset at BeginMeasurement and only count
-    // inside the window — delta and Collect agree exactly.
-    EXPECT_DOUBLE_EQ(r.metric_phases[i].ValueOf("fleet/recoveries"),
-                     static_cast<double>(r.phases[i].recoveries));
-    EXPECT_DOUBLE_EQ(r.metric_phases[i].ValueOf("fleet/migrations"),
-                     static_cast<double>(r.phases[i].migrations));
-  }
   // fleet/failed never resets, so the run total covers every phase's losses
   // (and any lost in the gaps between phases).
-  EXPECT_EQ(r.totals.name, "totals");
+  uint64_t phase_failed = 0;
+  for (const MetricsRegistry::PhaseSnapshot& phase : untraced.phases) {
+    phase_failed += phase.Count("fleet/failed");
+  }
+  EXPECT_EQ(untraced.totals.name, "totals");
   EXPECT_GT(phase_failed, 0u);
-  EXPECT_GE(r.totals.Count("fleet/failed"), phase_failed);
-  EXPECT_GT(r.sim.scheduled, 0u);
-  EXPECT_GE(r.sim.scheduled, r.sim.fired);
+  EXPECT_GE(untraced.totals.Count("fleet/failed"), phase_failed);
+  EXPECT_GE(untraced.sim.scheduled, untraced.sim.fired);
+}
+
+// The fleet scenario reads each phase from its registry snapshot; this pins
+// that snapshot to what ClusterDispatcher::Collect reports over the same
+// window. Both finalize the latency digest, so each reads its own run of the
+// same deterministic window — a zone fails mid-window so losses show too.
+TEST(TraceDeterminismTest, PhaseSnapshotMatchesCollectBitForBit) {
+  const FleetFaultConfig config = SmallOutageConfig(nullptr);
+  const FaultPhase& window = config.phases[1];
+  MetricsRegistry::PhaseSnapshot snap;
+  ClusterResult collected;
+  for (const bool collect : {false, true}) {
+    Simulator sim;
+    FleetDispatcher fleet(&sim, config.cluster);
+    sim.ScheduleAt(window.begin, [&fleet, &window] {
+      fleet.BeginMeasurement();
+      fleet.metrics().BeginPhase(window.name);
+    });
+    sim.ScheduleAt(window.begin + FromMillis(100), [&fleet] { fleet.FailZone(1); });
+    sim.ScheduleAt(window.end, [&] {
+      if (collect) {
+        collected = fleet.Collect(window.end - window.begin);
+      } else {
+        fleet.metrics().EndPhase();
+        snap = fleet.metrics().phases().back();
+      }
+    });
+    fleet.SetWarmupEnd(window.begin);
+    fleet.StartArrivals(window.end);
+    sim.RunUntil(window.end);
+  }
+  EXPECT_EQ(snap.name, "during");
+  ASSERT_GT(collected.completed, 0u);
+  ASSERT_GT(collected.failed, 0u);
+  EXPECT_EQ(snap.Count("fleet/latency_ms/count"), collected.completed);
+  EXPECT_EQ(snap.ValueOf("fleet/latency_ms/mean"), collected.mean_ms);
+  EXPECT_EQ(snap.ValueOf("fleet/latency_ms/p50"), collected.p50_ms);
+  EXPECT_EQ(snap.ValueOf("fleet/latency_ms/p99"), collected.p99_ms);
+  EXPECT_EQ(snap.ValueOf("fleet/completed_request_ms"), collected.completed_request_gpu_ms);
+  EXPECT_EQ(snap.Count("fleet/failed"), collected.failed);
+  EXPECT_EQ(snap.Count("fleet/dispatched"), collected.dispatched);
+  EXPECT_EQ(snap.Count("fleet/recoveries"), collected.recoveries);
+  EXPECT_EQ(snap.Count("fleet/migrations"), collected.migrations);
 }
 
 StackingConfig SmallStackingConfig(TraceRecorder* trace) {

@@ -263,11 +263,7 @@ TEST(RemediateDeterminismTest, ActionLogIsByteIdenticalAcrossRuns) {
   EXPECT_EQ(a.remedy_lines, b.remedy_lines);
   EXPECT_EQ(a.remedy.actions(), b.remedy.actions());
   EXPECT_EQ(a.remedy.deferrals, b.remedy.deferrals);
-  ASSERT_EQ(a.phases.size(), b.phases.size());
-  for (size_t i = 0; i < a.phases.size(); ++i) {
-    EXPECT_EQ(a.phases[i].completed, b.phases[i].completed);
-    EXPECT_EQ(a.phases[i].p99_ms, b.phases[i].p99_ms);
-  }
+  EXPECT_EQ(a.Phase("run").values, b.Phase("run").values);
 }
 
 }  // namespace
