@@ -34,8 +34,9 @@ void BM_AtomizerPlan(benchmark::State& state) {
   KernelAtomizer atomizer(cfg);
   KernelDesc k = MakeKernel("k", static_cast<uint32_t>(state.range(0)), FromMillis(20), 0.95,
                             0.8, spec, 64);
+  const uint64_t signature = k.LaunchSignature();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(atomizer.Plan(k, FromMillis(20), 11, spec));
+    benchmark::DoNotOptimize(atomizer.Plan(k, signature, FromMillis(20), 11, spec));
   }
 }
 BENCHMARK(BM_AtomizerPlan)->Arg(1000)->Arg(100000);

@@ -1,7 +1,8 @@
 // Event-core throughput: micro benchmarks of the discrete-event simulator
 // (events/sec, new slab/d-ary-heap core vs the pre-PR priority_queue +
 // unordered_map core), a whole-GPU MPS churn micro of the execution engine's
-// hot path, plus end-to-end wall-clock of the two scenario
+// hot path, a LithOS dispatch micro of the per-GPU OS hot path, plus
+// end-to-end wall-clock of the two scenario
 // families every figure rides on — single-GPU inference stacking and the
 // fleet-autoscale day. Emits BENCH_sim_core.json so CI can gate event-core
 // regressions (scripts/check_bench_regression.py against
@@ -20,6 +21,8 @@
 #include "bench/bench_util.h"
 #include "src/autoscale/fleet_controller.h"
 #include "src/common/table.h"
+#include "src/core/lithos_backend.h"
+#include "src/driver/driver.h"
 #include "src/experiments/harness.h"
 #include "src/gpu/execution_engine.h"
 #include "src/obs/metrics.h"
@@ -270,6 +273,74 @@ class MpsChurn {
   int64_t completed_ = 0;
 };
 
+// --- Micro 4: LithOS dispatch ----------------------------------------------
+// One A100 under LithosBackend with the stacking mix's shape: two HP clients
+// at 75/25 quotas and a quota-less BE client, each a closed loop that
+// launches its next kernel a think time after the previous one completes
+// (none for BE). The kernels are long enough to atomize, and the BE loop
+// steals the HP regions while the HP loops think, so atoms go through the
+// TPC Scheduler grant with stealing and reclaim, the atom plan, the
+// right-size choice and the predictor update.
+class LithosDispatch {
+ public:
+  explicit LithosDispatch(TimeNs horizon)
+      : engine_(&sim_, spec_), driver_(&sim_, &engine_), backend_(&sim_, &engine_), horizon_(horizon) {
+    driver_.SetBackend(&backend_);
+    const int total = spec_.TotalTpcs();
+    const int hp_a_quota = total * 3 / 4;
+    AddLoop(PriorityClass::kHighPriority, hp_a_quota, FromMillis(3),
+            MakeKernel("hp_a", 4000, FromMicros(2500), 0.95, 0.7, spec_, 64));
+    AddLoop(PriorityClass::kHighPriority, total - hp_a_quota, FromMillis(5),
+            MakeKernel("hp_b", 6000, FromMillis(4), 0.9, 0.5, spec_, 64));
+    AddLoop(PriorityClass::kBestEffort, 0, 0,
+            MakeKernel("be", 8000, FromMillis(8), 0.98, 0.8, spec_, 64));
+  }
+
+  // Atoms dispatched per wall second over the simulated horizon.
+  double AtomsPerSec() {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (Loop& loop : loops_) {
+      Launch(&loop);
+    }
+    sim_.RunUntil(horizon_);
+    return static_cast<double>(backend_.atoms_dispatched()) / SecondsSince(t0);
+  }
+
+  uint64_t atoms() const { return backend_.atoms_dispatched(); }
+  uint64_t tpcs_stolen() const { return backend_.tpc_scheduler().stats().tpcs_stolen; }
+
+ private:
+  struct Loop {
+    Stream* stream = nullptr;
+    DurationNs think = 0;
+    KernelDesc kernel;
+  };
+
+  void AddLoop(PriorityClass priority, int quota, DurationNs think, KernelDesc kernel) {
+    Client* client = driver_.CuCtxCreate(kernel.name, priority, quota);
+    loops_.push_back({driver_.CuStreamCreate(client), think, std::move(kernel)});
+  }
+
+  // One kernel then a marker, so each kernel is one operator the predictor
+  // learns; the marker schedules the next kernel.
+  void Launch(Loop* loop) {
+    driver_.CuLaunchKernel(loop->stream, &loop->kernel);
+    driver_.CuStreamAddCallback(loop->stream, [this, loop] {
+      if (sim_.Now() < horizon_) {
+        sim_.ScheduleAfter(loop->think, [this, loop] { Launch(loop); });
+      }
+    });
+  }
+
+  Simulator sim_;
+  const GpuSpec spec_ = GpuSpec::A100();
+  ExecutionEngine engine_;
+  Driver driver_;
+  LithosBackend backend_;
+  const TimeNs horizon_;
+  std::vector<Loop> loops_;
+};
+
 // --- End-to-end scenarios ----------------------------------------------------
 
 FleetStackingResult RunStackingScenario() {
@@ -343,6 +414,7 @@ int main(int argc, char** argv) {
   constexpr int kChurnPending = 512;
   constexpr int64_t kMpsChurnGrants = 400'000;
   constexpr int kMpsChurnConcurrency = 8;
+  constexpr TimeNs kLithosDispatchHorizon = FromSeconds(300);
 
   // Warm both allocators once, then measure.
   RingEventsPerSec<Simulator>(kRingTotal / 10, kRingSize);
@@ -360,6 +432,9 @@ int main(int argc, char** argv) {
       ChurnCancelReinsertPerSec<legacy::Simulator>(kChurnOps, kChurnPending);
   MpsChurn(kMpsChurnGrants / 10, kMpsChurnConcurrency).GrantsPerSec();  // warm-up
   const double mps_churn = MpsChurn(kMpsChurnGrants, kMpsChurnConcurrency).GrantsPerSec();
+  LithosDispatch(kLithosDispatchHorizon / 10).AtomsPerSec();  // warm-up
+  LithosDispatch lithos_dispatch(kLithosDispatchHorizon);
+  const double lithos_atoms = lithos_dispatch.AtomsPerSec();
 
   Table micro({"micro", "legacy Mev/s", "new Mev/s", "speedup"});
   const double ring_speedup = ring_new / ring_legacy;
@@ -379,6 +454,10 @@ int main(int argc, char** argv) {
               TraceRecorder::kSegmentRecords, ring_traced / 1e6, 100 * ring_traced_fraction);
   std::printf("Whole-GPU MPS churn (%d concurrent grants on all TPCs): %.3f M grants/s\n",
               kMpsChurnConcurrency, mps_churn / 1e6);
+  std::printf("LithOS dispatch (2 HP at 75/25 quotas + 1 BE; %llu atoms, %llu TPCs stolen): "
+              "%.3f M atoms/s\n",
+              static_cast<unsigned long long>(lithos_dispatch.atoms()),
+              static_cast<unsigned long long>(lithos_dispatch.tpcs_stolen()), lithos_atoms / 1e6);
 
   // Throughput numbers depend on the machine's wall clock, so they go in the
   // jobs-gated wall_metrics section (this bench is always a jobs=1 run).
@@ -393,6 +472,7 @@ int main(int argc, char** argv) {
   json.WallMetric("churn_speedup", churn_speedup);
   json.WallMetric("churn_cancel_speedup", churn_new_cancel / churn_legacy);
   json.WallMetric("mps_churn_grants_per_sec", mps_churn);
+  json.WallMetric("lithos_dispatch_atoms_per_sec", lithos_atoms);
 
   // --- End-to-end ------------------------------------------------------------
   std::printf("\nEnd-to-end scenario wall-clock (same seed run twice; metrics must be identical)\n");

@@ -36,13 +36,14 @@ DurationNs KernelAtomizer::EffectiveAtomDuration(uint64_t kernel_signature) cons
   return static_cast<DurationNs>(static_cast<double>(kAtomDuration) * scale);
 }
 
-AtomPlan KernelAtomizer::Plan(const KernelDesc& kernel, DurationNs predicted_duration,
-                              int granted_tpcs, const GpuSpec& spec) const {
+AtomPlan KernelAtomizer::Plan(const KernelDesc& kernel, uint64_t kernel_signature,
+                              DurationNs predicted_duration, int granted_tpcs,
+                              const GpuSpec& spec) const {
   AtomPlan plan;
   const uint32_t blocks = kernel.NumBlocks();
   LITHOS_CHECK_GT(blocks, 0u);
 
-  const DurationNs atom_duration = EffectiveAtomDuration(kernel.LaunchSignature());
+  const DurationNs atom_duration = EffectiveAtomDuration(kernel_signature);
 
   if (!config_.enable_atomization || blocks < 2 ||
       predicted_duration < kMinAtomizeDuration) {

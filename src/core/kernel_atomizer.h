@@ -53,14 +53,16 @@ class KernelAtomizer {
 
   explicit KernelAtomizer(const LithosConfig& config) : config_(config) {}
 
-  // Builds the atom plan for `kernel` given its predicted whole-kernel
-  // duration under the allocation it is about to receive. `granted_tpcs`
+  // Builds the atom plan for `kernel` (whose LaunchSignature() is
+  // `kernel_signature`, computed once per head by the caller) given its
+  // predicted whole-kernel duration under the allocation it is about to
+  // receive. `granted_tpcs`
   // bounds the split: each atom must carry at least one full wave of thread
   // blocks across the granted TPCs (blocks >= tpcs * blocks_per_tpc), or the
   // atoms could no longer occupy the allocation and atomization would
   // *reduce* parallelism instead of merely bounding HoL blocking.
-  AtomPlan Plan(const KernelDesc& kernel, DurationNs predicted_duration, int granted_tpcs,
-                const GpuSpec& spec) const;
+  AtomPlan Plan(const KernelDesc& kernel, uint64_t kernel_signature, DurationNs predicted_duration,
+                int granted_tpcs, const GpuSpec& spec) const;
 
   // Feedback from observed executions: `work_ns` is the useful execution time
   // of the operator's atoms, `overhead_ns` the prelude cost they paid. If the

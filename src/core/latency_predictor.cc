@@ -31,9 +31,9 @@ DurationNs LatencyPredictor::Predict(const OperatorKey& key, const ExecCondition
     // prior is deliberately rough; it only has to be good enough to decide
     // whether a first execution is worth atomizing.
     double base = static_cast<double>(kDefaultLatency);
-    auto qit = queue_mean_.find(key.queue_id);
-    if (qit != queue_mean_.end()) {
-      base = qit->second;
+    const size_t q = static_cast<size_t>(key.queue_id);
+    if (q < queue_count_.size() && queue_count_[q] > 0) {
+      base = queue_mean_[q];
     }
     return static_cast<DurationNs>(base * frac * FreqFactor(cond.freq_mhz, 1.0));
   }
@@ -42,15 +42,8 @@ DurationNs LatencyPredictor::Predict(const OperatorKey& key, const ExecCondition
   const double ff = FreqFactor(cond.freq_mhz, m.freq_sensitivity);
 
   if (m.by_tpcs.size() >= 2) {
-    // Enough distinct allocations: fit l = m/t + b over canonical points.
-    std::vector<double> ts, ls;
-    ts.reserve(m.by_tpcs.size());
-    for (const auto& [t, l] : m.by_tpcs) {
-      ts.push_back(static_cast<double>(t));
-      ls.push_back(l);
-    }
-    const ScalingFit fit = FitInverseScaling(ts, ls);
-    const double lat = fit.Latency(std::max(cond.tpcs, 1e-6));
+    // Enough distinct allocations: the fitted l = m/t + b.
+    const double lat = m.fit.Latency(std::max(cond.tpcs, 1e-6));
     return static_cast<DurationNs>(std::max(1.0, lat * frac * ff));
   }
 
@@ -101,10 +94,27 @@ void LatencyPredictor::Record(const OperatorKey& key, const ExecConditions& cond
                          : (1.0 - kEwmaAlpha) * m.canonical_ewma + kEwmaAlpha * canonical;
   m.last_tpcs = cond.tpcs;
   ++m.observations;
+  if (m.by_tpcs.size() >= 2) {
+    // Refit l = m/t + b over the canonical points, in allocation order.
+    std::vector<double> ts, ls;
+    ts.reserve(m.by_tpcs.size());
+    ls.reserve(m.by_tpcs.size());
+    for (const auto& [t, l] : m.by_tpcs) {
+      ts.push_back(static_cast<double>(t));
+      ls.push_back(l);
+    }
+    m.fit = FitInverseScaling(ts, ls);
+  }
 
   // Queue-wide running mean prior.
-  uint64_t& qc = queue_count_[key.queue_id];
-  double& qm = queue_mean_[key.queue_id];
+  LITHOS_CHECK_GE(key.queue_id, 0);
+  const size_t q = static_cast<size_t>(key.queue_id);
+  if (q >= queue_count_.size()) {
+    queue_count_.resize(q + 1, 0);
+    queue_mean_.resize(q + 1, 0.0);
+  }
+  uint64_t& qc = queue_count_[q];
+  double& qm = queue_mean_[q];
   ++qc;
   qm += (canonical - qm) / static_cast<double>(qc);
 
@@ -124,12 +134,7 @@ bool LatencyPredictor::GetScalingFit(const OperatorKey& key, ScalingFit* fit) co
   if (it == ops_.end() || it->second.by_tpcs.size() < 2) {
     return false;
   }
-  std::vector<double> ts, ls;
-  for (const auto& [t, l] : it->second.by_tpcs) {
-    ts.push_back(static_cast<double>(t));
-    ls.push_back(l);
-  }
-  *fit = FitInverseScaling(ts, ls);
+  *fit = it->second.fit;
   return true;
 }
 

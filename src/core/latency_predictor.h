@@ -13,7 +13,9 @@
 // reference frequency) assuming optimal linear scaling, the paper's stated
 // conservative assumption when metadata for the exact conditions is missing.
 // Once two or more distinct TPC allocations have been observed, the predictor
-// fits the scaling law l = m/t + b and uses it instead.
+// fits the scaling law l = m/t + b and uses it instead. The fit is cached per
+// operator and refitted in Record, the only place its points change, so
+// Predict and GetScalingFit read it without refitting.
 #ifndef LITHOS_CORE_LATENCY_PREDICTOR_H_
 #define LITHOS_CORE_LATENCY_PREDICTOR_H_
 
@@ -113,6 +115,7 @@ class LatencyPredictor {
     // EWMA latency per distinct TPC allocation, normalised to full grid
     // fraction and max frequency with the operator's estimated sensitivity.
     std::map<int, double> by_tpcs;  // rounded tpcs -> canonical ns
+    ScalingFit fit;                 // fit over by_tpcs; valid once size() >= 2
     double canonical_ewma = 0;      // overall canonical EWMA (any allocation)
     double last_tpcs = 0;           // allocation of most recent observation
     // Frequency sensitivity estimate (s in [0,1]); starts at the conservative
@@ -126,9 +129,10 @@ class LatencyPredictor {
 
   GpuSpec spec_;
   std::unordered_map<OperatorKey, OperatorModel, OperatorKeyHash> ops_;
-  // Per-queue running mean used as a prior for unseen operators.
-  std::unordered_map<int, double> queue_mean_;
-  std::unordered_map<int, uint64_t> queue_count_;
+  // Per-queue running mean used as a prior for unseen operators, indexed by
+  // queue (stream) id; a queue with count 0 has no prior yet.
+  std::vector<double> queue_mean_;
+  std::vector<uint64_t> queue_count_;
   PredictionStats stats_;
 };
 

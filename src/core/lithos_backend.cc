@@ -1,6 +1,7 @@
 #include "src/core/lithos_backend.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/check.h"
 
@@ -25,13 +26,28 @@ LithosBackend::LithosBackend(Simulator* sim, ExecutionEngine* engine, LithosConf
 }
 
 void LithosBackend::OnClientRegistered(const Client& client) {
-  clients_[client.id] = client;
+  LITHOS_CHECK_GE(client.id, 0);
+  if (client.id >= static_cast<int>(clients_.size())) {
+    clients_.resize(client.id + 1);
+  }
+  ClientState& state = clients_[client.id];
+  state.priority = client.priority;
+  state.tpc_quota = client.tpc_quota;
   tpc_scheduler_.RegisterClient(client.id, client.priority, client.tpc_quota);
 }
 
+const LithosBackend::ClientState& LithosBackend::State(int client_id) const {
+  // Streams belong to clients the driver registered before creating them.
+  LITHOS_CHECK(client_id >= 0 && client_id < static_cast<int>(clients_.size()));
+  return clients_[client_id];
+}
+
+LithosBackend::ClientState& LithosBackend::State(int client_id) {
+  return const_cast<ClientState&>(std::as_const(*this).State(client_id));
+}
+
 bool LithosBackend::IsHighPriority(int client_id) const {
-  auto it = clients_.find(client_id);
-  return it != clients_.end() && it->second.priority == PriorityClass::kHighPriority;
+  return State(client_id).priority == PriorityClass::kHighPriority;
 }
 
 int LithosBackend::OutstandingLimit(int client_id) const {
@@ -39,8 +55,7 @@ int LithosBackend::OutstandingLimit(int client_id) const {
 }
 
 int LithosBackend::BaseAllocation(int client_id, const KernelDesc& kernel) const {
-  auto it = clients_.find(client_id);
-  const int quota = it == clients_.end() ? 0 : it->second.tpc_quota;
+  const int quota = State(client_id).tpc_quota;
   const int useful = std::max(1, kernel.MaxUsefulTpcs(engine_->spec()));
   if (config_.allocate_full_quota && quota > 0) {
     // Dedicated-deployment behaviour: the kernel occupies the whole quota,
@@ -57,30 +72,44 @@ void LithosBackend::OnStreamReady(Stream* stream) {
   if (waiting_set_.count(stream) > 0 || inflight_.count(stream) > 0) {
     return;
   }
-  waiting_set_.insert(stream);
-  if (IsHighPriority(stream->client_id())) {
-    waiting_hp_.push_back(stream);
-  } else {
-    waiting_be_.push_back(stream);
-  }
+  Park(stream, /*mid_kernel=*/false);
   Pump();
+}
+
+void LithosBackend::Park(Stream* stream, bool mid_kernel) {
+  if (!waiting_set_.insert(stream).second) {
+    return;
+  }
+  const int client = stream->client_id();
+  ++State(client).parked;
+  if (!IsHighPriority(client)) {
+    waiting_be_.push_back(stream);
+  } else if (mid_kernel) {
+    waiting_hp_.push_front(stream);  // Mid-kernel heads resume first.
+  } else {
+    waiting_hp_.push_back(stream);
+  }
 }
 
 void LithosBackend::UpdateWaitingFlags() {
   // Tell the TPC scheduler which clients currently have parked work; steal
-  // eligibility depends on it.
-  std::unordered_map<int, bool> waiting;
-  for (const auto& [id, c] : clients_) {
-    waiting[id] = false;
+  // eligibility depends on it. Flags are published only here (pass start and
+  // after each dispatch), never when a stream parks, so a re-entrant
+  // OnStreamReady during a pump does not change steal eligibility early.
+#ifndef NDEBUG
+  std::vector<int> parked(clients_.size(), 0);
+  for (const auto* queue : {&waiting_hp_, &waiting_be_}) {
+    for (const Stream* s : *queue) {
+      ++parked[s->client_id()];
+    }
   }
-  for (Stream* s : waiting_hp_) {
-    waiting[s->client_id()] = true;
+  for (size_t id = 0; id < clients_.size(); ++id) {
+    LITHOS_CHECK_EQ(parked[id], clients_[id].parked);
   }
-  for (Stream* s : waiting_be_) {
-    waiting[s->client_id()] = true;
-  }
-  for (const auto& [id, w] : waiting) {
-    tpc_scheduler_.SetClientWaiting(id, w);
+  tpc_scheduler_.CheckInvariants();
+#endif
+  for (int id = 0; id < static_cast<int>(clients_.size()); ++id) {
+    tpc_scheduler_.SetClientWaiting(id, clients_[id].parked > 0);
   }
 }
 
@@ -100,6 +129,7 @@ void LithosBackend::Pump() {
         if (TryDispatch(s)) {
           queue->erase(queue->begin() + static_cast<long>(i));
           waiting_set_.erase(s);
+          --State(s->client_id()).parked;
           progress = true;
           UpdateWaitingFlags();
         } else {
@@ -123,7 +153,7 @@ bool LithosBackend::TryDispatch(Stream* stream) {
     return true;
   }
   const int client = stream->client_id();
-  if (outstanding_[client] >= OutstandingLimit(client)) {
+  if (State(client).outstanding >= OutstandingLimit(client)) {
     return false;  // Sync-queue throttle: backlog above threshold.
   }
 
@@ -137,11 +167,14 @@ bool LithosBackend::TryDispatch(Stream* stream) {
 
   // Batch-boundary detection for the DVFS learning period: ordinal reset
   // means a synchronization event passed.
-  auto lo = last_ordinal_.find(stream->id());
-  if (lo != last_ordinal_.end() && rec.batch_ordinal <= lo->second) {
+  const size_t sid = static_cast<size_t>(stream->id());
+  if (sid >= last_ordinal_.size()) {
+    last_ordinal_.resize(sid + 1, -1);
+  }
+  if (static_cast<int64_t>(rec.batch_ordinal) <= last_ordinal_[sid]) {
     dvfs_.OnBatchBoundary(stream->id());
   }
-  last_ordinal_[stream->id()] = rec.batch_ordinal;
+  last_ordinal_[sid] = rec.batch_ordinal;
 
   // Desired allocation: without right-sizing, a kernel occupies the client's
   // full guaranteed region (quota), like a dedicated deployment — the waste
@@ -175,7 +208,8 @@ bool LithosBackend::TryDispatch(Stream* stream) {
   exec.kernel = &kernel;
   exec.key = key;
   exec.plan =
-      atomizer_.Plan(kernel, predicted, static_cast<int>(mask.count()), engine_->spec());
+      atomizer_.Plan(kernel, key.signature, predicted, static_cast<int>(mask.count()),
+                     engine_->spec());
 
   stream->BeginHead();
   auto [it, inserted] = inflight_.emplace(stream, std::move(exec));
@@ -230,7 +264,7 @@ bool LithosBackend::LaunchNextAtom(HeadExec* exec) {
   item.on_complete = [this, s](const GrantInfo& info) { OnAtomComplete(s, info); };
 
   engine_->Launch(std::move(item), mask);
-  ++outstanding_[client];
+  ++State(client).outstanding;
   tpc_scheduler_.SetClientActive(client, true);
   ++atoms_dispatched_;
   ++exec->next_atom;
@@ -243,8 +277,7 @@ void LithosBackend::OnAtomComplete(Stream* stream, const GrantInfo& info) {
   HeadExec& exec = it->second;
   const int client = stream->client_id();
 
-  --outstanding_[client];
-  if (outstanding_[client] == 0) {
+  if (--State(client).outstanding == 0) {
     tpc_scheduler_.SetClientActive(client, false);
   }
   tpc_scheduler_.Release(exec.mask, sim_->Now());
@@ -267,13 +300,7 @@ void LithosBackend::OnAtomComplete(Stream* stream, const GrantInfo& info) {
       // No TPCs right now: park the head mid-kernel; the pump loop resumes
       // it (via the inflight_ lookup in TryDispatch) when capacity frees.
       exec.mask.reset();
-      if (waiting_set_.insert(stream).second) {
-        if (IsHighPriority(client)) {
-          waiting_hp_.push_front(stream);  // Mid-kernel heads resume first.
-        } else {
-          waiting_be_.push_back(stream);
-        }
-      }
+      Park(stream, /*mid_kernel=*/true);
     }
     Pump();
     return;
@@ -282,7 +309,7 @@ void LithosBackend::OnAtomComplete(Stream* stream, const GrantInfo& info) {
   // Head complete.
   dvfs_.RecordKernel(stream->id(), exec.work_ns + exec.overhead_ns,
                      predictor_.FreqSensitivity(exec.key));
-  atomizer_.RecordOverhead(exec.kernel->LaunchSignature(), exec.work_ns, exec.overhead_ns);
+  atomizer_.RecordOverhead(exec.key.signature, exec.work_ns, exec.overhead_ns);
   inflight_.erase(it);
   stream->CompleteHead();  // May synchronously re-notify OnStreamReady.
   Pump();

@@ -25,6 +25,7 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "src/core/config.h"
 #include "src/core/dvfs_manager.h"
@@ -71,6 +72,18 @@ class LithosBackend : public Backend {
     DurationNs overhead_ns = 0;   // accumulated prelude overhead
   };
 
+  // Dispatcher state of one client, indexed by client id (dense from 1).
+  // Slots of ids that never registered keep the defaults: best-effort, no
+  // quota.
+  struct ClientState {
+    PriorityClass priority = PriorityClass::kBestEffort;
+    int tpc_quota = 0;
+    int outstanding = 0;  // atoms in flight
+    int parked = 0;       // streams queued in waiting_hp_/waiting_be_
+  };
+
+  ClientState& State(int client_id);
+  const ClientState& State(int client_id) const;
   bool IsHighPriority(int client_id) const;
   int OutstandingLimit(int client_id) const;
   // Allocation a kernel requests before right-sizing: the client's quota
@@ -85,6 +98,9 @@ class LithosBackend : public Backend {
   // Launches the next atom of an in-flight head, re-acquiring TPCs.
   bool LaunchNextAtom(HeadExec* exec);
   void OnAtomComplete(Stream* stream, const GrantInfo& info);
+  // Queues a stream on the HP or BE waiting queue and counts it as parked.
+  void Park(Stream* stream, bool mid_kernel);
+  // Publishes each client's "has a parked stream" flag to the TPC scheduler.
   void UpdateWaitingFlags();
 
   LithosConfig config_;
@@ -94,13 +110,14 @@ class LithosBackend : public Backend {
   RightSizer right_sizer_;
   DvfsManager dvfs_;
 
-  std::unordered_map<int, Client> clients_;
+  std::vector<ClientState> clients_;  // indexed by client id
   std::deque<Stream*> waiting_hp_;
   std::deque<Stream*> waiting_be_;
   std::unordered_set<Stream*> waiting_set_;
   std::unordered_map<Stream*, HeadExec> inflight_;
-  std::unordered_map<int, int> outstanding_;  // client -> atoms in flight
-  std::unordered_map<int, uint32_t> last_ordinal_;  // stream -> last ordinal (batch detection)
+  // Stream id -> ordinal of its last dispatched head, -1 before the first
+  // (batch-boundary detection).
+  std::vector<int64_t> last_ordinal_;
   uint64_t atoms_dispatched_ = 0;
   bool pumping_ = false;
 };

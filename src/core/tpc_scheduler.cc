@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/common/check.h"
 
@@ -13,56 +14,54 @@ TpcScheduler::TpcScheduler(const GpuSpec& spec, const LithosConfig& config)
   occupant_.fill(-1);
   busy_until_.fill(0);
   reclaim_.fill(false);
+  free_ = TpcRange(0, total_tpcs_);
+  unowned_ = free_;
+}
+
+const TpcScheduler::ClientState* TpcScheduler::Find(int client_id) const {
+  const bool known = client_id >= 0 && client_id < static_cast<int>(clients_.size()) &&
+                     clients_[client_id].registered;
+  return known ? &clients_[client_id] : nullptr;
+}
+
+TpcScheduler::ClientState* TpcScheduler::Find(int client_id) {
+  return const_cast<ClientState*>(std::as_const(*this).Find(client_id));
 }
 
 void TpcScheduler::RegisterClient(int client_id, PriorityClass priority, int quota) {
-  LITHOS_CHECK(clients_.count(client_id) == 0);
-  ClientState state;
+  LITHOS_CHECK_GE(client_id, 0);
+  LITHOS_CHECK(Find(client_id) == nullptr);
+  if (client_id >= static_cast<int>(clients_.size())) {
+    clients_.resize(client_id + 1);
+  }
+  ClientState& state = clients_[client_id];
+  state.registered = true;
   state.priority = priority;
   const int granted = std::clamp(quota, 0, total_tpcs_ - next_home_tpc_);
   for (int i = 0; i < granted; ++i) {
     const int t = next_home_tpc_ + i;
     home_owner_[t] = client_id;
     state.home.set(t);
+    unowned_.reset(t);
   }
   next_home_tpc_ += granted;
-  clients_.emplace(client_id, std::move(state));
-}
-
-bool TpcScheduler::StealAllowed(int thief, int tpc) const {
-  const int owner = home_owner_[tpc];
-  if (owner == thief || owner == -1) {
-    return true;  // Not a steal.
-  }
-  if (reclaim_[tpc]) {
-    return false;  // Owner asked for it back.
-  }
-  auto oit = clients_.find(owner);
-  if (oit != clients_.end() && oit->second.waiting) {
-    return false;  // Owner has work parked right now.
-  }
-  auto tit = clients_.find(thief);
-  const bool thief_is_be =
-      tit == clients_.end() || tit->second.priority == PriorityClass::kBestEffort;
-  if (thief_is_be && AnyHighPriorityWaiting()) {
-    return false;  // Never let BE work delay a waiting HP client.
-  }
-  return true;
 }
 
 TpcMask TpcScheduler::Acquire(int client_id, int desired, TimeNs now, DurationNs predicted) {
   LITHOS_CHECK_GT(desired, 0);
+  ClientState* client = Find(client_id);
   // Track the client's per-kernel demand: fast rise, slow decay.
-  auto cit = clients_.find(client_id);
-  if (cit != clients_.end()) {
-    cit->second.demand = std::max<double>(desired, cit->second.demand * 0.98);
+  if (client != nullptr) {
+    client->demand = std::max<double>(desired, client->demand * 0.98);
   }
+  const TpcMask home = client == nullptr ? TpcMask{} : client->home;
   TpcMask granted;
   int remaining = desired;
   uint64_t stolen = 0;
 
   auto take = [&](int t, bool is_steal) {
     granted.set(t);
+    free_.reset(t);
     occupant_[t] = client_id;
     busy_until_[t] = now + predicted;
     if (home_owner_[t] == client_id) {
@@ -73,45 +72,49 @@ TpcMask TpcScheduler::Acquire(int client_id, int desired, TimeNs now, DurationNs
     }
     --remaining;
   };
+  // Visits the TPCs of `mask` in ascending order until the request is met.
+  auto walk = [&](const TpcMask& mask, auto&& visit) {
+    for (int w = 0; w < kTpcWords && remaining > 0; ++w) {
+      for (uint64_t bits = TpcWord(mask, w); bits != 0 && remaining > 0; bits &= bits - 1) {
+        visit(w * kTpcWordBits + __builtin_ctzll(bits));
+      }
+    }
+  };
 
   // Pass 1: own home region.
-  for (int t = 0; t < total_tpcs_ && remaining > 0; ++t) {
-    if (home_owner_[t] == client_id && occupant_[t] == -1) {
-      take(t, false);
-    }
-  }
+  walk(home & free_, [&](int t) { take(t, false); });
   // Pass 2: free pool (unowned TPCs).
-  for (int t = 0; t < total_tpcs_ && remaining > 0; ++t) {
-    if (home_owner_[t] == -1 && occupant_[t] == -1) {
-      take(t, false);
-    }
-  }
+  walk(unowned_ & free_, [&](int t) { take(t, false); });
   // Pass 3: TPC Stealing — idle foreign home TPCs (busy-until timer already
   // expired), subject to policy and each active owner's headroom: an owner
   // mid-job keeps enough free home TPCs for its next kernel (its recent
   // demand), so stealing never shrinks the owner's very next allocation.
-  if (config_.enable_stealing) {
-    std::unordered_map<int, int> spare;  // owner -> stealable TPC budget
-    for (int t = 0; t < total_tpcs_ && remaining > 0; ++t) {
-      if (occupant_[t] != -1 || home_owner_[t] == -1 || home_owner_[t] == client_id ||
-          busy_until_[t] > now || !StealAllowed(client_id, t)) {
-        continue;
+  // Best-effort work never steals while a high-priority client waits, which
+  // would invert priorities.
+  const bool thief_is_be = client == nullptr || client->priority == PriorityClass::kBestEffort;
+  if (config_.enable_stealing && !(thief_is_be && hp_waiting_ > 0)) {
+    ++acquire_epoch_;
+    walk(free_ & ~unowned_ & ~home, [&](int t) {
+      ClientState& owner = clients_[home_owner_[t]];
+      // Skip TPCs that look busy, that the owner asked back, or whose owner
+      // has work parked right now.
+      if (busy_until_[t] > now || reclaim_[t] || owner.waiting) {
+        return;
       }
-      const int owner = home_owner_[t];
-      auto oit = clients_.find(owner);
-      if (oit != clients_.end() && oit->second.active) {
-        auto [sit, inserted] = spare.try_emplace(owner, 0);
-        if (inserted) {
+      if (owner.active) {
+        if (owner.spare_epoch != acquire_epoch_) {
           // Free home TPCs beyond the owner's recent per-kernel demand.
-          sit->second = FreeHomeTpcs(owner) - static_cast<int>(std::ceil(oit->second.demand));
+          owner.spare_epoch = acquire_epoch_;
+          owner.spare = static_cast<int>((owner.home & free_).count()) -
+                        static_cast<int>(std::ceil(owner.demand));
         }
-        if (sit->second <= 0) {
-          continue;
+        if (owner.spare <= 0) {
+          return;
         }
-        --sit->second;
+        --owner.spare;
       }
       take(t, true);
-    }
+    });
   }
 
   ++stats_.acquisitions;
@@ -129,71 +132,77 @@ void TpcScheduler::Release(const TpcMask& mask, TimeNs now) {
     occupant_[t] = -1;
     busy_until_[t] = now;
   });
+  free_ |= mask;
 }
 
 void TpcScheduler::RequestReclaim(int client_id) {
-  auto it = clients_.find(client_id);
-  if (it == clients_.end()) {
+  const ClientState* c = Find(client_id);
+  if (c == nullptr) {
     return;
   }
   ++stats_.reclaim_requests;
-  ForEachTpc(it->second.home, [&](int t) {
-    if (occupant_[t] != -1 && occupant_[t] != client_id) {
+  ForEachTpc(c->home & ~free_, [&](int t) {
+    if (occupant_[t] != client_id) {
       reclaim_[t] = true;
     }
   });
 }
 
 void TpcScheduler::SetClientWaiting(int client_id, bool waiting) {
-  auto it = clients_.find(client_id);
-  if (it != clients_.end()) {
-    it->second.waiting = waiting;
+  ClientState* c = Find(client_id);
+  if (c == nullptr || c->waiting == waiting) {
+    return;
+  }
+  c->waiting = waiting;
+  if (c->priority == PriorityClass::kHighPriority) {
+    hp_waiting_ += waiting ? 1 : -1;
   }
 }
 
 void TpcScheduler::SetClientActive(int client_id, bool active) {
-  auto it = clients_.find(client_id);
-  if (it != clients_.end()) {
-    it->second.active = active;
+  if (ClientState* c = Find(client_id)) {
+    c->active = active;
   }
 }
 
 double TpcScheduler::ClientDemand(int client_id) const {
-  auto it = clients_.find(client_id);
-  return it == clients_.end() ? 0.0 : it->second.demand;
+  const ClientState* c = Find(client_id);
+  return c == nullptr ? 0.0 : c->demand;
 }
 
-bool TpcScheduler::AnyHighPriorityWaiting() const {
-  for (const auto& [id, c] : clients_) {
-    if (c.waiting && c.priority == PriorityClass::kHighPriority) {
-      return true;
-    }
-  }
-  return false;
-}
+bool TpcScheduler::AnyHighPriorityWaiting() const { return hp_waiting_ > 0; }
 
 int TpcScheduler::HomeQuota(int client_id) const {
-  auto it = clients_.find(client_id);
-  return it == clients_.end() ? 0 : static_cast<int>(it->second.home.count());
+  return static_cast<int>(HomeMask(client_id).count());
 }
 
 TpcMask TpcScheduler::HomeMask(int client_id) const {
-  auto it = clients_.find(client_id);
-  return it == clients_.end() ? TpcMask{} : it->second.home;
+  const ClientState* c = Find(client_id);
+  return c == nullptr ? TpcMask{} : c->home;
 }
 
-int TpcScheduler::FreeTpcs() const {
-  return static_cast<int>(std::count(occupant_.begin(), occupant_.begin() + total_tpcs_, -1));
-}
+int TpcScheduler::FreeTpcs() const { return static_cast<int>(free_.count()); }
 
 int TpcScheduler::FreeHomeTpcs(int client_id) const {
-  auto it = clients_.find(client_id);
-  if (it == clients_.end()) {
-    return 0;
+  return static_cast<int>((HomeMask(client_id) & free_).count());
+}
+
+bool TpcScheduler::IsClientWaiting(int client_id) const {
+  const ClientState* c = Find(client_id);
+  return c != nullptr && c->waiting;
+}
+
+void TpcScheduler::CheckInvariants() const {
+  int hp_waiting = 0;
+  for (const ClientState& c : clients_) {
+    hp_waiting += c.waiting && c.priority == PriorityClass::kHighPriority ? 1 : 0;
   }
-  int n = 0;
-  ForEachTpc(it->second.home, [&](int t) { n += occupant_[t] == -1 ? 1 : 0; });
-  return n;
+  LITHOS_CHECK_EQ(hp_waiting, hp_waiting_);
+  for (int t = 0; t < kMaxTpcs; ++t) {
+    const bool on_device = t < total_tpcs_;
+    LITHOS_CHECK_EQ(free_.test(t), on_device && occupant_[t] == -1);
+    LITHOS_CHECK_EQ(unowned_.test(t), on_device && home_owner_[t] == -1);
+  }
 }
 
 }  // namespace lithos

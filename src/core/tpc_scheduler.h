@@ -15,13 +15,22 @@
 //   * best-effort clients may steal only when no high-priority client is
 //     waiting, preventing priority inversion.
 //
+// Allocation state is kept as TPC masks: `free_` (no occupant) and
+// `unowned_` (free pool, no home owner) beside each client's home mask, so an
+// Acquire walks `home & free`, then `unowned & free`, then the remaining free
+// foreign home TPCs, word by word. Every pass grants in ascending TPC order,
+// so a grant is the same set of TPCs a per-TPC scan would pick. Per-client
+// state lives in a vector indexed by client id (the driver hands out dense
+// ids from 1); ids that were never registered are ignored. The count of
+// waiting high-priority clients is kept as flags flip, so refusing a BE
+// steal is one check per Acquire.
+//
 // This class is pure allocation bookkeeping (no simulation callbacks), which
 // keeps it independently unit-testable; LithosBackend drives it.
 #ifndef LITHOS_CORE_TPC_SCHEDULER_H_
 #define LITHOS_CORE_TPC_SCHEDULER_H_
 
 #include <array>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/time.h"
@@ -43,14 +52,15 @@ class TpcScheduler {
  public:
   TpcScheduler(const GpuSpec& spec, const LithosConfig& config);
 
-  // Registers a client and carves its home region (next-fit from TPC 0).
-  // Quotas beyond the remaining capacity are truncated.
+  // Registers a client (id >= 0) and carves its home region (next-fit from
+  // TPC 0). Quotas beyond the remaining capacity are truncated.
   void RegisterClient(int client_id, PriorityClass priority, int quota);
 
   // Grants up to `desired` TPCs to `client_id`, preferring its home region,
-  // then the free pool, then stealing. Sets busy-until timers to
-  // now + predicted for every granted TPC. May return fewer than desired,
-  // including an empty mask when nothing is available.
+  // then the free pool, then stealing; each pass grants in ascending TPC
+  // order. Sets busy-until timers to now + predicted for every granted TPC.
+  // May return fewer than desired, including an empty mask when nothing is
+  // available.
   TpcMask Acquire(int client_id, int desired, TimeNs now, DurationNs predicted);
 
   // Returns TPCs to the idle state.
@@ -82,21 +92,31 @@ class TpcScheduler {
   TpcMask HomeMask(int client_id) const;
   int FreeTpcs() const;                      // TPCs with no occupant
   int FreeHomeTpcs(int client_id) const;     // idle TPCs in own home region
+  bool IsClientWaiting(int client_id) const;  // last SetClientWaiting value
   int OccupantOf(int tpc) const { return occupant_[tpc]; }
   TimeNs BusyUntil(int tpc) const { return busy_until_[tpc]; }
   bool IsReclaimFlagged(int tpc) const { return reclaim_[tpc]; }
   const TpcSchedulerStats& stats() const { return stats_; }
 
+  // Aborts unless the free/unowned masks and the waiting-HP count agree with
+  // the per-TPC arrays and client flags they summarise (debug cross-check).
+  void CheckInvariants() const;
+
  private:
   struct ClientState {
+    bool registered = false;
     PriorityClass priority = PriorityClass::kBestEffort;
     TpcMask home;
     bool waiting = false;
     bool active = false;   // has in-flight work on the device
     double demand = 0;     // recent max of desired TPCs per kernel
+    // Acquire scratch: stealable budget, valid while spare_epoch matches.
+    int spare = 0;
+    uint64_t spare_epoch = 0;
   };
 
-  bool StealAllowed(int thief, int tpc) const;
+  ClientState* Find(int client_id);
+  const ClientState* Find(int client_id) const;
 
   LithosConfig config_;
   int total_tpcs_;
@@ -104,7 +124,11 @@ class TpcScheduler {
   std::array<int, kMaxTpcs> occupant_;     // -1 = idle
   std::array<TimeNs, kMaxTpcs> busy_until_;
   std::array<bool, kMaxTpcs> reclaim_;
-  std::unordered_map<int, ClientState> clients_;
+  TpcMask free_;      // occupant_ == -1
+  TpcMask unowned_;   // home_owner_ == -1
+  std::vector<ClientState> clients_;  // indexed by client id
+  int hp_waiting_ = 0;                // registered HP clients with waiting set
+  uint64_t acquire_epoch_ = 0;
   int next_home_tpc_ = 0;
   TpcSchedulerStats stats_;
 };

@@ -27,7 +27,7 @@ class AtomizerTest : public ::testing::Test {
 
 TEST_F(AtomizerTest, ShortKernelNotAtomized) {
   const KernelDesc k = Kernel(5000);
-  const AtomPlan plan = atomizer_.Plan(k, FromMicros(500), 54, spec_);
+  const AtomPlan plan = atomizer_.Plan(k, k.LaunchSignature(), FromMicros(500), 54, spec_);
   EXPECT_FALSE(plan.atomized);
   ASSERT_EQ(plan.NumAtoms(), 1u);
   EXPECT_EQ(plan.atoms[0].block_lo, 0u);
@@ -36,21 +36,21 @@ TEST_F(AtomizerTest, ShortKernelNotAtomized) {
 
 TEST_F(AtomizerTest, SingleBlockKernelNeverAtomized) {
   const KernelDesc k = Kernel(1);
-  const AtomPlan plan = atomizer_.Plan(k, FromMillis(30), 54, spec_);
+  const AtomPlan plan = atomizer_.Plan(k, k.LaunchSignature(), FromMillis(30), 54, spec_);
   EXPECT_FALSE(plan.atomized);
 }
 
 TEST_F(AtomizerTest, LongKernelSplitsByAtomDuration) {
   const KernelDesc k = Kernel(100000);
   // 8ms predicted with 1ms atoms on a small allocation: 8 atoms.
-  const AtomPlan plan = atomizer_.Plan(k, FromMillis(8), 4, spec_);
+  const AtomPlan plan = atomizer_.Plan(k, k.LaunchSignature(), FromMillis(8), 4, spec_);
   EXPECT_TRUE(plan.atomized);
   EXPECT_EQ(plan.NumAtoms(), 8u);
 }
 
 TEST_F(AtomizerTest, AtomCountCapped) {
   const KernelDesc k = Kernel(1000000);
-  const AtomPlan plan = atomizer_.Plan(k, FromSeconds(10), 1, spec_);
+  const AtomPlan plan = atomizer_.Plan(k, k.LaunchSignature(), FromSeconds(10), 1, spec_);
   EXPECT_LE(static_cast<int>(plan.NumAtoms()), KernelAtomizer::kMaxAtomsPerKernel);
 }
 
@@ -58,11 +58,11 @@ TEST_F(AtomizerTest, WaveFloorLimitsSplit) {
   // 320 blocks at 16 blocks/TPC on 54 granted TPCs: one wave is 864 blocks,
   // so the kernel cannot be split at all without starving the allocation.
   const KernelDesc k = Kernel(320);
-  const AtomPlan plan = atomizer_.Plan(k, FromMillis(10), 54, spec_);
+  const AtomPlan plan = atomizer_.Plan(k, k.LaunchSignature(), FromMillis(10), 54, spec_);
   EXPECT_FALSE(plan.atomized);
 
   // The same kernel on 2 TPCs (wave = 32 blocks) splits fine.
-  const AtomPlan small = atomizer_.Plan(k, FromMillis(10), 2, spec_);
+  const AtomPlan small = atomizer_.Plan(k, k.LaunchSignature(), FromMillis(10), 2, spec_);
   EXPECT_TRUE(small.atomized);
   EXPECT_LE(small.NumAtoms(), 10u);  // 320/32 = 10 wave-sized atoms max
 }
@@ -71,7 +71,8 @@ TEST_F(AtomizerTest, DisabledByConfig) {
   LithosConfig cfg;
   cfg.enable_atomization = false;
   KernelAtomizer atomizer(cfg);
-  const AtomPlan plan = atomizer.Plan(Kernel(100000), FromMillis(50), 4, spec_);
+  const KernelDesc k = Kernel(100000);
+  const AtomPlan plan = atomizer.Plan(k, k.LaunchSignature(), FromMillis(50), 4, spec_);
   EXPECT_FALSE(plan.atomized);
 }
 
@@ -128,7 +129,7 @@ TEST_P(AtomPartitionTest, RangesPartitionGrid) {
   LithosConfig cfg;
   KernelAtomizer atomizer(cfg);
   const KernelDesc k = Kernel(c.blocks);
-  const AtomPlan plan = atomizer.Plan(k, FromMillis(c.predicted_ms), c.granted, spec);
+  const AtomPlan plan = atomizer.Plan(k, k.LaunchSignature(), FromMillis(c.predicted_ms), c.granted, spec);
 
   ASSERT_GE(plan.NumAtoms(), 1u);
   uint32_t expect_lo = 0;

@@ -3,6 +3,10 @@
 // outstanding-work throttle, and predictor integration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/core/lithos_backend.h"
 #include "src/driver/driver.h"
 #include "src/workloads/model.h"
@@ -146,6 +150,79 @@ TEST_F(LithosBackendTest, BestEffortStealsIdleCapacityAndYields) {
   ASSERT_GT(hp_end, 0);
   // Ideal 2ms; reclaim costs at most a few atom durations.
   EXPECT_LT(hp_end - hp_start, FromMillis(15));
+}
+
+// After every event, the TPC scheduler's per-client waiting flag says whether
+// the client has a parked stream: one queued on arrival (OnStreamReady) or one
+// parked between two atoms of a kernel. While a high-priority client is
+// parked, a best-effort client can steal nothing.
+TEST_F(LithosBackendTest, WaitingFlagsTrackParkedStreams) {
+  LithosBackend* backend = Install();
+  Client* hp_a = driver_.CuCtxCreate("hp-a", PriorityClass::kHighPriority, 40);
+  Client* hp_b = driver_.CuCtxCreate("hp-b", PriorityClass::kHighPriority, 14);
+  Client* be = driver_.CuCtxCreate("be", PriorityClass::kBestEffort, 0);
+  // One stream per client, so "client has a running atom" is "its stream has".
+  const std::vector<Stream*> streams = {driver_.CuStreamCreate(hp_a),
+                                        driver_.CuStreamCreate(hp_b),
+                                        driver_.CuStreamCreate(be)};
+  const KernelDesc k = MakeKernel("k", 8000, FromMillis(8), 1.0, 0.5, engine_.spec(), 64);
+  // A marker after each kernel keeps it one operator, so the predictor
+  // learns it and later launches atomize.
+  auto launch = [this, &k](Stream* s) {
+    driver_.CuLaunchKernel(s, &k);
+    driver_.CuStreamAddCallback(s, [] {});
+  };
+  // BE work is always queued and steals the idle HP regions; sparse HP
+  // arrivals then find their homes stolen, park, and make the BE head park
+  // between atoms until the reclaim completes.
+  for (int i = 0; i < 40; ++i) {
+    launch(streams[2]);
+  }
+  Rng rng(17);
+  for (int i = 0; i < 40; ++i) {
+    Stream* s = streams[static_cast<size_t>(i % 2)];
+    sim_.ScheduleAt(static_cast<TimeNs>(rng.UniformInt(0, FromMillis(300))),
+                    [s, &launch] { launch(s); });
+  }
+
+  int hp_parked_on_arrival = 0;
+  int parked_mid_kernel = 0;
+  int hp_parked_states = 0;
+  while (sim_.Now() < FromMillis(400) && sim_.Step()) {
+    const std::vector<int>& running = engine_.ActiveClients();
+    bool any_hp_parked = false;
+    for (const Stream* s : streams) {
+      const int id = s->client_id();
+      const bool has_running_atom = std::find(running.begin(), running.end(), id) != running.end();
+      const bool mid_kernel = s->HeadInFlight() && !has_running_atom;
+      const bool parked = s->HasDispatchableKernel() || mid_kernel;
+      ASSERT_EQ(backend->tpc_scheduler().IsClientWaiting(id), parked)
+          << "client " << id << " at " << sim_.Now();
+      parked_mid_kernel += mid_kernel ? 1 : 0;
+      if (parked && id != be->id) {
+        any_hp_parked = true;
+        hp_parked_on_arrival += s->HasDispatchableKernel() ? 1 : 0;
+      }
+    }
+    if (any_hp_parked) {
+      ++hp_parked_states;
+      // Probe a copy with every TPC released: the two quotas cover the
+      // device, so a BE grant could only come from stealing, and stealing
+      // must be refused.
+      TpcScheduler probe = backend->tpc_scheduler();
+      ASSERT_TRUE(probe.AnyHighPriorityWaiting());
+      TpcMask occupied;
+      for (int t = 0; t < engine_.spec().TotalTpcs(); ++t) {
+        occupied.set(static_cast<size_t>(t), probe.OccupantOf(t) != -1);
+      }
+      probe.Release(occupied, sim_.Now());
+      ASSERT_TRUE(probe.Acquire(be->id, engine_.spec().TotalTpcs(), sim_.Now(), 1).none());
+    }
+  }
+  EXPECT_GT(hp_parked_on_arrival, 0);
+  EXPECT_GT(parked_mid_kernel, 0);
+  EXPECT_GT(hp_parked_states, 0);
+  EXPECT_GT(backend->tpc_scheduler().stats().tpcs_stolen, 0u);
 }
 
 TEST_F(LithosBackendTest, OutstandingThrottleLimitsConcurrentAtoms) {

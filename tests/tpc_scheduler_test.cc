@@ -1,8 +1,15 @@
 // Tests for the TPC Scheduler allocation state (paper §4.3): quota carving,
 // acquire/release bookkeeping, TPC Stealing policy (idle owners, headroom,
-// priority-inversion protection), reclaim flags, and busy-until timers.
+// priority-inversion protection), reclaim flags, and busy-until timers; and a
+// differential test of the mask-based Acquire against a per-TPC scan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <unordered_map>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/core/tpc_scheduler.h"
 
 namespace lithos {
@@ -210,6 +217,313 @@ TEST_P(NoDoubleGrantTest, GrantsAreDisjoint) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ClientCounts, NoDoubleGrantTest, ::testing::Values(1, 2, 3, 4, 6, 9));
+
+// Reference oracle: the TPC Scheduler as a per-TPC scan. Each Acquire pass
+// walks every TPC in ascending order and the steal pass keeps a per-call map
+// of owner budgets. The mask-based TpcScheduler must grant exactly the same
+// TPCs and leave exactly the same state.
+class ReferenceScheduler {
+ public:
+  ReferenceScheduler(const GpuSpec& spec, const LithosConfig& config)
+      : config_(config), total_tpcs_(spec.TotalTpcs()) {
+    home_owner_.fill(-1);
+    occupant_.fill(-1);
+    busy_until_.fill(0);
+    reclaim_.fill(false);
+  }
+
+  void RegisterClient(int client_id, PriorityClass priority, int quota) {
+    ClientState state;
+    state.priority = priority;
+    const int granted = std::clamp(quota, 0, total_tpcs_ - next_home_tpc_);
+    for (int i = 0; i < granted; ++i) {
+      home_owner_[next_home_tpc_ + i] = client_id;
+      state.home.set(next_home_tpc_ + i);
+    }
+    next_home_tpc_ += granted;
+    clients_.emplace(client_id, state);
+  }
+
+  TpcMask Acquire(int client_id, int desired, TimeNs now, DurationNs predicted) {
+    auto cit = clients_.find(client_id);
+    if (cit != clients_.end()) {
+      cit->second.demand = std::max<double>(desired, cit->second.demand * 0.98);
+    }
+    TpcMask granted;
+    int remaining = desired;
+    uint64_t stolen = 0;
+    auto take = [&](int t, bool is_steal) {
+      granted.set(t);
+      occupant_[t] = client_id;
+      busy_until_[t] = now + predicted;
+      if (home_owner_[t] == client_id) {
+        reclaim_[t] = false;
+      }
+      stolen += is_steal ? 1 : 0;
+      --remaining;
+    };
+    for (int t = 0; t < total_tpcs_ && remaining > 0; ++t) {
+      if (home_owner_[t] == client_id && occupant_[t] == -1) {
+        take(t, false);
+      }
+    }
+    for (int t = 0; t < total_tpcs_ && remaining > 0; ++t) {
+      if (home_owner_[t] == -1 && occupant_[t] == -1) {
+        take(t, false);
+      }
+    }
+    if (config_.enable_stealing) {
+      std::unordered_map<int, int> spare;
+      for (int t = 0; t < total_tpcs_ && remaining > 0; ++t) {
+        if (occupant_[t] != -1 || home_owner_[t] == -1 || home_owner_[t] == client_id ||
+            busy_until_[t] > now || !StealAllowed(client_id, t)) {
+          continue;
+        }
+        const int owner = home_owner_[t];
+        auto oit = clients_.find(owner);
+        if (oit != clients_.end() && oit->second.active) {
+          auto [sit, inserted] = spare.try_emplace(owner, 0);
+          if (inserted) {
+            sit->second = FreeHomeTpcs(owner) - static_cast<int>(std::ceil(oit->second.demand));
+          }
+          if (sit->second <= 0) {
+            continue;
+          }
+          --sit->second;
+        }
+        take(t, true);
+      }
+    }
+    ++stats_.acquisitions;
+    stats_.tpcs_granted += granted.count();
+    stats_.tpcs_stolen += stolen;
+    if (granted.none()) {
+      ++stats_.failed_acquisitions;
+    }
+    return granted;
+  }
+
+  void Release(const TpcMask& mask, TimeNs now) {
+    for (int t = 0; t < total_tpcs_; ++t) {
+      if (mask.test(t)) {
+        occupant_[t] = -1;
+        busy_until_[t] = now;
+      }
+    }
+  }
+
+  void RequestReclaim(int client_id) {
+    auto it = clients_.find(client_id);
+    if (it == clients_.end()) {
+      return;
+    }
+    ++stats_.reclaim_requests;
+    for (int t = 0; t < total_tpcs_; ++t) {
+      if (it->second.home.test(t) && occupant_[t] != -1 && occupant_[t] != client_id) {
+        reclaim_[t] = true;
+      }
+    }
+  }
+
+  void SetClientWaiting(int client_id, bool waiting) {
+    auto it = clients_.find(client_id);
+    if (it != clients_.end()) {
+      it->second.waiting = waiting;
+    }
+  }
+
+  void SetClientActive(int client_id, bool active) {
+    auto it = clients_.find(client_id);
+    if (it != clients_.end()) {
+      it->second.active = active;
+    }
+  }
+
+  bool AnyHighPriorityWaiting() const {
+    for (const auto& [id, c] : clients_) {
+      if (c.waiting && c.priority == PriorityClass::kHighPriority) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  double ClientDemand(int client_id) const {
+    auto it = clients_.find(client_id);
+    return it == clients_.end() ? 0.0 : it->second.demand;
+  }
+
+  int FreeTpcs() const {
+    return static_cast<int>(std::count(occupant_.begin(), occupant_.begin() + total_tpcs_, -1));
+  }
+
+  int FreeHomeTpcs(int client_id) const {
+    auto it = clients_.find(client_id);
+    if (it == clients_.end()) {
+      return 0;
+    }
+    int n = 0;
+    for (int t = 0; t < total_tpcs_; ++t) {
+      n += it->second.home.test(t) && occupant_[t] == -1 ? 1 : 0;
+    }
+    return n;
+  }
+
+  int OccupantOf(int tpc) const { return occupant_[tpc]; }
+  TimeNs BusyUntil(int tpc) const { return busy_until_[tpc]; }
+  bool IsReclaimFlagged(int tpc) const { return reclaim_[tpc]; }
+  const TpcSchedulerStats& stats() const { return stats_; }
+
+ private:
+  struct ClientState {
+    PriorityClass priority = PriorityClass::kBestEffort;
+    TpcMask home;
+    bool waiting = false;
+    bool active = false;
+    double demand = 0;
+  };
+
+  bool StealAllowed(int thief, int tpc) const {
+    const int owner = home_owner_[tpc];
+    if (reclaim_[tpc]) {
+      return false;
+    }
+    auto oit = clients_.find(owner);
+    if (oit != clients_.end() && oit->second.waiting) {
+      return false;
+    }
+    auto tit = clients_.find(thief);
+    const bool thief_is_be =
+        tit == clients_.end() || tit->second.priority == PriorityClass::kBestEffort;
+    return !(thief_is_be && AnyHighPriorityWaiting());
+  }
+
+  LithosConfig config_;
+  int total_tpcs_;
+  std::array<int, kMaxTpcs> home_owner_;
+  std::array<int, kMaxTpcs> occupant_;
+  std::array<TimeNs, kMaxTpcs> busy_until_;
+  std::array<bool, kMaxTpcs> reclaim_;
+  std::unordered_map<int, ClientState> clients_;
+  int next_home_tpc_ = 0;
+  TpcSchedulerStats stats_;
+};
+
+// Drives the mask-based scheduler and the oracle with one seeded random
+// sequence of calls and compares every observable after each step. Ids
+// 1..kClients register over the run (the last ones mid-sequence); id
+// kClients + 1 never registers and must be ignored alike by both.
+void ExpectMatchesReference(const GpuSpec& spec, uint64_t seed) {
+  constexpr int kClients = 5;
+  constexpr int kSteps = 3000;
+  LithosConfig cfg;
+  cfg.enable_stealing = true;
+  TpcScheduler sched(spec, cfg);
+  ReferenceScheduler ref(spec, cfg);
+  Rng rng(seed);
+  const int total = spec.TotalTpcs();
+
+  int registered = 0;
+  auto register_next = [&] {
+    ++registered;
+    const PriorityClass prio =
+        rng.UniformInt(0, 1) == 0 ? PriorityClass::kHighPriority : PriorityClass::kBestEffort;
+    const int quota = static_cast<int>(rng.UniformInt(0, total * 2 / 3));
+    sched.RegisterClient(registered, prio, quota);
+    ref.RegisterClient(registered, prio, quota);
+  };
+  register_next();
+  register_next();
+
+  std::vector<TpcMask> held;  // outstanding grants, released whole
+  TimeNs now = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed << " step " << step);
+    now += static_cast<TimeNs>(rng.UniformInt(0, FromMicros(200)));
+    const int client = static_cast<int>(rng.UniformInt(1, kClients + 1));
+    switch (rng.UniformInt(0, 9)) {
+      case 0:
+        if (registered < kClients) {
+          register_next();
+        }
+        break;
+      case 1:
+      case 2:
+      case 3: {
+        const int desired = static_cast<int>(rng.UniformInt(1, total));
+        const DurationNs predicted = static_cast<DurationNs>(rng.UniformInt(0, FromMillis(1)));
+        const TpcMask got = sched.Acquire(client, desired, now, predicted);
+        ASSERT_EQ(got, ref.Acquire(client, desired, now, predicted));
+        if (got.any()) {
+          held.push_back(got);
+        }
+        break;
+      }
+      case 4:
+      case 5:
+        if (!held.empty()) {
+          const size_t i = static_cast<size_t>(rng.UniformInt(0, held.size() - 1));
+          // Sometimes release "late" so busy-until timers lie in the future.
+          const TimeNs at = now + (rng.UniformInt(0, 3) == 0 ? FromMicros(300) : 0);
+          sched.Release(held[i], at);
+          ref.Release(held[i], at);
+          held.erase(held.begin() + static_cast<long>(i));
+        }
+        break;
+      case 6:
+      case 7: {
+        const bool waiting = rng.UniformInt(0, 1) == 1;
+        sched.SetClientWaiting(client, waiting);
+        ref.SetClientWaiting(client, waiting);
+        break;
+      }
+      case 8: {
+        const bool active = rng.UniformInt(0, 1) == 1;
+        sched.SetClientActive(client, active);
+        ref.SetClientActive(client, active);
+        break;
+      }
+      default:
+        sched.RequestReclaim(client);
+        ref.RequestReclaim(client);
+        break;
+    }
+    sched.CheckInvariants();
+
+    ASSERT_EQ(sched.stats().acquisitions, ref.stats().acquisitions);
+    ASSERT_EQ(sched.stats().tpcs_granted, ref.stats().tpcs_granted);
+    ASSERT_EQ(sched.stats().tpcs_stolen, ref.stats().tpcs_stolen);
+    ASSERT_EQ(sched.stats().reclaim_requests, ref.stats().reclaim_requests);
+    ASSERT_EQ(sched.stats().failed_acquisitions, ref.stats().failed_acquisitions);
+    ASSERT_EQ(sched.FreeTpcs(), ref.FreeTpcs());
+    ASSERT_EQ(sched.AnyHighPriorityWaiting(), ref.AnyHighPriorityWaiting());
+    for (int id = 0; id <= kClients + 1; ++id) {
+      ASSERT_EQ(sched.FreeHomeTpcs(id), ref.FreeHomeTpcs(id)) << "client " << id;
+      ASSERT_EQ(sched.ClientDemand(id), ref.ClientDemand(id)) << "client " << id;
+    }
+    for (int t = 0; t < total; ++t) {
+      ASSERT_EQ(sched.OccupantOf(t), ref.OccupantOf(t)) << "tpc " << t;
+      ASSERT_EQ(sched.BusyUntil(t), ref.BusyUntil(t)) << "tpc " << t;
+      ASSERT_EQ(sched.IsReclaimFlagged(t), ref.IsReclaimFlagged(t)) << "tpc " << t;
+    }
+  }
+  // The sequence reached the steal pass and the reclaim path.
+  EXPECT_GT(ref.stats().tpcs_stolen, 0u);
+  EXPECT_GT(ref.stats().reclaim_requests, 0u);
+}
+
+TEST(TpcSchedulerDifferentialTest, MatchesPerTpcScanOnA100) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    ExpectMatchesReference(GpuSpec::A100(), seed);
+  }
+}
+
+// 68 TPCs: grants and steals cross the 64-bit word boundary of TpcMask.
+TEST(TpcSchedulerDifferentialTest, MatchesPerTpcScanOnH100) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    ExpectMatchesReference(GpuSpec::H100(), seed);
+  }
+}
 
 }  // namespace
 }  // namespace lithos
