@@ -370,7 +370,6 @@ AutoscaleResult RunAutoscaleScenario() {
   config.cluster.seed = 2026;
   config.scaling = ScalingPolicyKind::kPredictive;
   config.control_period = FromMillis(250);
-  config.target_util = 0.5;
   config.min_nodes = 2;
   return RunClusterAutoscale(config);
 }

@@ -16,9 +16,10 @@
 //     first redirected request on the destination (PhoenixOS-style
 //     checkpoint/transfer/restore; see docs/autoscale.md).
 //
-// Each control period the configured ScalingPolicy converts demand telemetry
-// into a powered-on node target; the controller then drains or wakes nodes
-// so the active set is the first `target` *healthy* nodes in index order
+// Each control period DemandGpuMsPerSec, under the configured scaling
+// policy, turns demand telemetry into a powered-on node target; the
+// controller then drains or wakes nodes so the active set is the first
+// `target` *healthy* nodes in index order
 // (with no failures this is the pool prefix [0, target)), and — under the
 // model-affinity placement policy — re-packs the fleet's replica sets over
 // the active set (first-fit decreasing at the estimated demand; at region
@@ -40,7 +41,6 @@
 #ifndef LITHOS_AUTOSCALE_FLEET_CONTROLLER_H_
 #define LITHOS_AUTOSCALE_FLEET_CONTROLLER_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -64,18 +64,14 @@ struct AutoscaleConfig {
   // The underlying pool and traffic. `cluster.num_nodes` is the pool
   // ceiling; `cluster.policy` should be kModelAffinity for migrations to be
   // meaningful (the load-oblivious policies replicate every model
-  // everywhere, so only node lifecycle applies).
+  // everywhere, so only node lifecycle applies). The controller plans and
+  // re-packs to the dispatcher's `affinity_target_util`: a powered-on node
+  // is planned to carry affinity_target_util * 1000 GPU-ms of request work
+  // per second, the budget the placer packed to at construction.
   ClusterConfig cluster;
 
   ScalingPolicyKind scaling = ScalingPolicyKind::kPredictive;
   DurationNs control_period = FromMillis(250);
-
-  // Per-node GPU-time budget the scaler provisions to: a powered-on node is
-  // planned to carry target_util * 1000 GPU-ms of request work per second.
-  // The headroom absorbs burstiness within a control period plus the
-  // model-switch overhead consolidation induces; pushing this much past 0.5
-  // trades tail latency for GPU-hours.
-  double target_util = 0.5;
 
   int min_nodes = 1;
 
@@ -105,7 +101,6 @@ class FleetController {
   // the powered-on integral and cycle counters restart from now.
   void ResetAccounting();
 
-  const ScalingPolicy& policy() const { return *policy_; }
   NodePower node_power(int node) const { return states_[node]; }
   int powered_on_nodes() const;
 
@@ -160,7 +155,6 @@ class FleetController {
   Simulator* sim_;
   ClusterDispatcher* dispatcher_;
   AutoscaleConfig config_;
-  std::unique_ptr<ScalingPolicy> policy_;
 
   std::vector<NodePower> states_;
   std::vector<uint8_t> remediation_hold_;  // nodes held out by RequestDrain

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/check.h"
 #include "src/common/time.h"
 
 namespace lithos {
@@ -26,18 +25,6 @@ std::vector<ScalingPolicyKind> AllScalingPolicies() {
 
 namespace {
 
-// Provision every node in the pool, forever: the dispatcher's behavior
-// before the control plane existed. Demands the whole pool's capacity so the
-// controller never drains anything.
-class StaticPeakPolicy : public ScalingPolicy {
- public:
-  std::string Name() const override { return ScalingPolicyName(ScalingPolicyKind::kStaticPeak); }
-
-  double DemandGpuMsPerSec(const FleetSnapshot& snap) const override {
-    return static_cast<double>(snap.total_nodes) * snap.node_capacity_ms_per_s;
-  }
-};
-
 // Catch-up term shared by the closed-loop policies: backlog must be worked
 // off within the next control period on top of the arriving load, so a queue
 // left by an under-provisioned period forces extra capacity.
@@ -46,44 +33,31 @@ double BacklogPerSecond(const FleetSnapshot& snap) {
   return period_s > 0 ? snap.backlog_ms / period_s : 0.0;
 }
 
-// Follow what actually arrived last period. Purely trailing telemetry: on
-// the morning ramp the estimate is one period stale, so the pool scales up
-// only after queues have already built (the backlog term is its catch-up).
-class ReactivePolicy : public ScalingPolicy {
- public:
-  std::string Name() const override { return ScalingPolicyName(ScalingPolicyKind::kReactive); }
-
-  double DemandGpuMsPerSec(const FleetSnapshot& snap) const override {
-    return snap.measured_last_period_ms_per_s + BacklogPerSecond(snap);
-  }
-};
-
-// Feed the diurnal curve forward one control period: capacity for the ramp
-// is powered on before the ramp arrives, and the trough is shed on schedule.
-class PredictivePolicy : public ScalingPolicy {
- public:
-  std::string Name() const override { return ScalingPolicyName(ScalingPolicyKind::kPredictive); }
-
-  double DemandGpuMsPerSec(const FleetSnapshot& snap) const override {
-    // Never provision below what is already arriving: the forecast is for
-    // growth, the floor handles forecast error on the down-slope.
-    return std::max(snap.predicted_next_ms_per_s, snap.offered_now_ms_per_s) +
-           BacklogPerSecond(snap);
-  }
-};
-
 }  // namespace
 
-std::unique_ptr<ScalingPolicy> MakeScalingPolicy(ScalingPolicyKind kind) {
+double DemandGpuMsPerSec(ScalingPolicyKind kind, const FleetSnapshot& snap) {
   switch (kind) {
     case ScalingPolicyKind::kStaticPeak:
-      return std::make_unique<StaticPeakPolicy>();
+      // Provision every node in the pool, forever: the dispatcher's behavior
+      // before the control plane existed. Demands the whole pool's capacity
+      // so the controller never drains anything.
+      return static_cast<double>(snap.total_nodes) * snap.node_capacity_ms_per_s;
     case ScalingPolicyKind::kReactive:
-      return std::make_unique<ReactivePolicy>();
+      // Follow what actually arrived last period. Purely trailing telemetry:
+      // on the morning ramp the estimate is one period stale, so the pool
+      // scales up only after queues have already built (the backlog term is
+      // its catch-up).
+      return snap.measured_last_period_ms_per_s + BacklogPerSecond(snap);
     case ScalingPolicyKind::kPredictive:
-      return std::make_unique<PredictivePolicy>();
+      // Feed the diurnal curve forward one control period: capacity for the
+      // ramp is powered on before the ramp arrives, and the trough is shed
+      // on schedule. Never provision below what is already arriving: the
+      // forecast is for growth, the floor handles forecast error on the
+      // down-slope.
+      return std::max(snap.predicted_next_ms_per_s, snap.offered_now_ms_per_s) +
+             BacklogPerSecond(snap);
   }
-  return nullptr;
+  return 0.0;
 }
 
 }  // namespace lithos

@@ -17,6 +17,20 @@ namespace {
 // checkpoint/transfer/restore; see docs/autoscale.md).
 constexpr double kMigrationCostMsPerSize = 2.5;
 
+// The pool's failure-domain topology: equal-sized zones of equal-sized racks.
+ZoneTopology TopologyOf(const ClusterConfig& config) {
+  LITHOS_CHECK_GT(config.num_nodes, 0);
+  LITHOS_CHECK_GE(config.num_zones, 1);
+  LITHOS_CHECK_EQ(config.num_nodes % config.num_zones, 0);
+  LITHOS_CHECK_GE(config.racks_per_zone, 1);
+  ZoneTopology topo;
+  topo.num_zones = config.num_zones;
+  topo.zone_size = config.num_nodes / config.num_zones;
+  topo.racks_per_zone = config.racks_per_zone;
+  LITHOS_CHECK_EQ(topo.zone_size % topo.racks_per_zone, 0);
+  return topo;
+}
+
 }  // namespace
 
 // --- GpuNode -----------------------------------------------------------------
@@ -35,14 +49,12 @@ GpuNode::GpuNode(Simulator* sim, int id, const GpuSpec& spec, SystemKind system,
 // --- ClusterDispatcher -------------------------------------------------------
 
 ClusterDispatcher::ClusterDispatcher(Simulator* sim, const ClusterConfig& config)
-    : sim_(sim), config_(config), fleet_(config.seed) {
-  LITHOS_CHECK_GT(config_.num_nodes, 0);
+    : sim_(sim),
+      config_(config),
+      fleet_(config.seed),
+      placer_(config.policy, fleet_.models(), config.num_nodes, config.aggregate_rps,
+              config.affinity_target_util, TopologyOf(config)) {
   LITHOS_CHECK_GT(config_.aggregate_rps, 0.0);
-  LITHOS_CHECK_GE(config_.num_zones, 1);
-  LITHOS_CHECK_EQ(config_.num_nodes % config_.num_zones, 0);  // equal-sized zones
-  LITHOS_CHECK_GE(config_.racks_per_zone, 1);
-  // Equal-sized racks within each zone.
-  LITHOS_CHECK_EQ((config_.num_nodes / config_.num_zones) % config_.racks_per_zone, 0);
   if (!config_.resilience.enabled) {
     // Write-off: the one-attempt policy of the request lifecycle. No timer,
     // hedge, shed or breaker, so it schedules no events beyond each
@@ -59,25 +71,9 @@ ClusterDispatcher::ClusterDispatcher(Simulator* sim, const ClusterConfig& config
     nodes_.push_back(
         std::make_unique<GpuNode>(sim_, n, config_.spec, config_.system, config_.lithos));
   }
-
-  zone_topo_.num_zones = config_.num_zones;
-  zone_topo_.zone_size = config_.num_nodes / config_.num_zones;
-  zone_topo_.racks_per_zone = config_.racks_per_zone;
   zone_outstanding_ms_.assign(config_.num_zones, 0.0);
 
   const std::vector<FleetModel>& models = fleet_.models();
-  if (config_.num_zones > 1 && config_.policy == PlacementPolicy::kModelAffinity) {
-    // Region scale: hierarchical zone-first dispatch over a cross-zone
-    // anti-affine packing.
-    placer_ = MakeZonedAffinityPlacer(models, zone_topo_, config_.num_nodes,
-                                      config_.aggregate_rps, config_.affinity_target_util,
-                                      &zone_outstanding_ms_);
-  } else {
-    placer_ = MakePlacer(config_.policy, models, config_.num_nodes, config_.aggregate_rps,
-                         config_.affinity_target_util);
-    placer_->SetZoneTopology(zone_topo_);
-  }
-
   model_share_ = PopularityShares(models);
   for (size_t i = 0; i < models.size(); ++i) {
     const FleetModel& m = models[i];
@@ -247,13 +243,13 @@ void ClusterDispatcher::BeginMeasurement() {
 }
 
 void ClusterDispatcher::SetNodeActive(int node, bool active) {
-  if (placer_->NodeEnabled(node) != active) {
+  if (placer_.NodeEnabled(node) != active) {
     active_node_count_ += active ? 1 : -1;
   }
-  placer_->SetNodeEnabled(node, active);
+  placer_.SetNodeEnabled(node, active);
 }
 
-bool ClusterDispatcher::NodeActive(int node) const { return placer_->NodeEnabled(node); }
+bool ClusterDispatcher::NodeActive(int node) const { return placer_.NodeEnabled(node); }
 
 void ClusterDispatcher::PowerGateNode(int node, bool gated) {
   LITHOS_CHECK_GE(node, 0);
@@ -293,7 +289,7 @@ void ClusterDispatcher::ChargeMigrationKernel(int node, int model_index,
 bool ClusterDispatcher::MigrateModel(int model_index, int from, int to) {
   LITHOS_CHECK_GE(from, 0);
   LITHOS_CHECK_LT(from, config_.num_nodes);
-  if (from == to || !placer_->MoveReplica(model_index, from, to)) {
+  if (from == to || !placer_.MoveReplica(model_index, from, to)) {
     return false;
   }
   // Arrivals are redirected from this instant (the placer now routes the
@@ -307,7 +303,7 @@ bool ClusterDispatcher::MigrateModel(int model_index, int from, int to) {
   }
   if (trace_ != nullptr) {
     trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kMigration,
-                   to, zone_topo_.ZoneOf(to), model_index, from);
+                   to, ZoneOfNode(to), model_index, from);
   }
   ChargeMigrationKernel(from, model_index, &checkpoint_kernels_[model_index]);
   ChargeMigrationKernel(to, model_index, &restore_kernels_[model_index]);
@@ -315,7 +311,7 @@ bool ClusterDispatcher::MigrateModel(int model_index, int from, int to) {
 }
 
 bool ClusterDispatcher::AddModelReplica(int model_index, int node) {
-  if (!placer_->AddReplica(model_index, node)) {
+  if (!placer_.AddReplica(model_index, node)) {
     return false;
   }
   if (sim_->Now() >= warmup_end_) {
@@ -327,7 +323,7 @@ bool ClusterDispatcher::AddModelReplica(int model_index, int node) {
 
 bool ClusterDispatcher::RemoveModelReplica(int model_index, int node) {
   LITHOS_CHECK(!node_state_[node].failed);  // lost replicas go through DropLostReplica
-  if (!placer_->RemoveReplica(model_index, node)) {
+  if (!placer_.RemoveReplica(model_index, node)) {
     return false;
   }
   if (sim_->Now() >= warmup_end_) {
@@ -353,7 +349,7 @@ void ClusterDispatcher::FailNode(int node) {
   if (trace_ != nullptr) {
     // payload = queued GPU-time written off, in ns.
     trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kNodeCrash,
-                   node, zone_topo_.ZoneOf(node), -1,
+                   node, ZoneOfNode(node), -1,
                    static_cast<int64_t>(outstanding_ms_[node] * 1e6));
   }
   // Device memory dies with the host: a revived node cold-starts its first
@@ -375,7 +371,7 @@ void ClusterDispatcher::ReviveNode(int node) {
   if (trace_ != nullptr) {
     // payload = how long the node was down, closing the crash span.
     trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kNodeRevive,
-                   node, zone_topo_.ZoneOf(node), -1,
+                   node, ZoneOfNode(node), -1,
                    sim_->Now() - state.failed_at);
   }
   // Deliberately *not* re-activated here: the repaired host rejoins the
@@ -402,7 +398,7 @@ void ClusterDispatcher::PartitionNode(int node) {
   if (trace_ != nullptr) {
     // payload = GPU work the node keeps computing behind the partition, ns.
     trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kNodePartition,
-                   node, zone_topo_.ZoneOf(node), -1,
+                   node, ZoneOfNode(node), -1,
                    static_cast<int64_t>(outstanding_ms_[node] * 1e6));
   }
   // Unreachable nodes leave the rotation, but — unlike FailNode — keep their
@@ -423,7 +419,7 @@ void ClusterDispatcher::HealNode(int node) {
   if (trace_ != nullptr) {
     // payload = partition duration, closing the partitioned span.
     trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kNodeHeal,
-                   node, zone_topo_.ZoneOf(node), -1,
+                   node, ZoneOfNode(node), -1,
                    sim_->Now() - state.partitioned_at);
   }
   // Deliver the buffered completions in finish order. A crash behind the
@@ -447,7 +443,7 @@ void ClusterDispatcher::HealNode(int node) {
       if (trace_ != nullptr) {
         trace_->Append(sim_->Now(), TraceLayer::kCluster,
                        TraceKind::kDeferredOrphaned, node,
-                       zone_topo_.ZoneOf(node), -1, 0);
+                       ZoneOfNode(node), -1, 0);
       }
       continue;
     }
@@ -518,7 +514,7 @@ bool ClusterDispatcher::RecoverModelReplica(int model_index, int from, int to) {
   LITHOS_CHECK(node_state_[from].failed || node_state_[from].partitioned);
   // ...onto a live, reachable survivor.
   LITHOS_CHECK(!node_state_[to].failed && !node_state_[to].partitioned);
-  if (from == to || !placer_->MoveReplica(model_index, from, to)) {
+  if (from == to || !placer_.MoveReplica(model_index, from, to)) {
     return false;
   }
   ctr_recoveries_->Inc();
@@ -527,7 +523,7 @@ bool ClusterDispatcher::RecoverModelReplica(int model_index, int from, int to) {
   }
   if (trace_ != nullptr) {
     trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kRecoverReplica,
-                   to, zone_topo_.ZoneOf(to), model_index, from);
+                   to, ZoneOfNode(to), model_index, from);
   }
   // Restore-only: the checkpoint half is sunk cost (PhoenixOS restores from
   // the latest checkpoint image; the dead node cannot run a kernel).
@@ -538,12 +534,12 @@ bool ClusterDispatcher::RecoverModelReplica(int model_index, int from, int to) {
 
 bool ClusterDispatcher::DropLostReplica(int model_index, int node) {
   LITHOS_CHECK(node_state_[node].failed || node_state_[node].partitioned);
-  if (!placer_->RemoveReplica(model_index, node)) {
+  if (!placer_.RemoveReplica(model_index, node)) {
     return false;
   }
   if (trace_ != nullptr) {
     trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kDropLostReplica,
-                   node, zone_topo_.ZoneOf(node), model_index, 0);
+                   node, ZoneOfNode(node), model_index, 0);
   }
   AppendRecoveryLog("drop", model_index, node, node);
   return true;
@@ -621,7 +617,7 @@ ClusterResult ClusterDispatcher::Collect(DurationNs measured) {
 void ClusterDispatcher::SetTrace(TraceRecorder* trace) {
   trace_ = trace;
   for (int n = 0; n < config_.num_nodes; ++n) {
-    nodes_[n]->engine()->SetTrace(trace, n, zone_topo_.ZoneOf(n));
+    nodes_[n]->engine()->SetTrace(trace, n, ZoneOfNode(n));
   }
 }
 

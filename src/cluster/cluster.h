@@ -16,10 +16,11 @@
 // load-oblivious spraying.
 //
 // At region scale the pool splits into contiguous failure-domain zones
-// (ClusterConfig::num_zones); src/cluster/fleet_dispatcher.h adds the
-// Zone/FleetDispatcher facade and src/fault/ injects crashes, stragglers,
-// power caps, and whole-zone outages against the fault hooks below. See
-// docs/fleet.md for the hierarchy, failure model, and recovery semantics.
+// (ClusterConfig::num_zones, described by one ZoneTopology that the placer
+// owns); src/cluster/fleet_dispatcher.h adds whole-zone operations and
+// src/fault/ injects crashes, stragglers, power caps, and whole-zone outages
+// against the fault hooks below. See docs/fleet.md for the hierarchy,
+// failure model, and recovery semantics.
 #ifndef LITHOS_CLUSTER_CLUSTER_H_
 #define LITHOS_CLUSTER_CLUSTER_H_
 
@@ -115,10 +116,9 @@ struct ResilienceConfig {
 struct ClusterConfig {
   int num_nodes = 4;
   // Failure domains: nodes are split into this many contiguous, equal-sized
-  // zones (num_nodes must divide evenly when > 1). With more than one zone
-  // the model-affinity policy upgrades to the hierarchical (zone-first)
-  // placer and packing spreads hot models across zones; 1 keeps the flat
-  // pre-hierarchy fleet.
+  // zones (num_nodes must divide evenly when > 1). Model-affinity routing is
+  // zone-first and its packing spreads hot models across zones; 1 is the
+  // flat fleet.
   int num_zones = 1;
   // Sub-zone failure domains: each zone splits into this many contiguous,
   // equal-sized racks (zone_size must divide evenly). Racks only matter to
@@ -136,6 +136,10 @@ struct ClusterConfig {
   double aggregate_rps = 800.0;
   // Per-node GPU-time budget the model-affinity packer fills to; kept well
   // under 1.0 so packed nodes ride out the diurnal peak (~1.38x the mean).
+  // The fleet controller plans capacity and re-packs to the same budget;
+  // the headroom absorbs burstiness within a control period plus the
+  // model-switch overhead consolidation induces, so pushing this much past
+  // 0.5 trades tail latency for GPU-hours.
   double affinity_target_util = 0.5;
   // Diurnal compression: simulated seconds per fleet "day"; traffic follows
   // FleetTelemetry::NormalizedRps over that compressed day. 0 = flat traffic
@@ -233,8 +237,8 @@ class ClusterDispatcher {
 
   const std::vector<FleetModel>& models() const { return fleet_.models(); }
   const std::vector<std::unique_ptr<GpuNode>>& nodes() const { return nodes_; }
-  Placer& placer() { return *placer_; }
-  const Placer& placer() const { return *placer_; }
+  Placer& placer() { return placer_; }
+  const Placer& placer() const { return placer_; }
   const ClusterConfig& config() const { return config_; }
   const FleetTelemetry& fleet() const { return fleet_; }
 
@@ -321,9 +325,9 @@ class ClusterDispatcher {
 
   // --- Zone topology (region-scale hierarchy) -------------------------------
 
-  int num_zones() const { return zone_topo_.num_zones; }
-  int ZoneOfNode(int node) const { return zone_topo_.ZoneOf(node); }
-  const ZoneTopology& zone_topology() const { return zone_topo_; }
+  int num_zones() const { return zone_topology().num_zones; }
+  int ZoneOfNode(int node) const { return zone_topology().ZoneOf(node); }
+  const ZoneTopology& zone_topology() const { return placer_.zone_topology(); }
 
   // Incrementally maintained per-zone sum of outstanding_ms(): the fleet
   // root's zone-selection signal, updated O(1) per dispatch/completion.
@@ -558,7 +562,7 @@ class ClusterDispatcher {
   ClusterConfig config_;
   FleetTelemetry fleet_;
   std::vector<std::unique_ptr<GpuNode>> nodes_;
-  std::unique_ptr<Placer> placer_;
+  Placer placer_;
 
   // Per-model request, switch, and migration kernels (hidden ground-truth
   // timing built from the fleet study's per-request cost and model size).
@@ -570,7 +574,6 @@ class ClusterDispatcher {
 
   std::vector<NodeState> node_state_;
   std::vector<double> outstanding_ms_;
-  ZoneTopology zone_topo_;
   std::vector<double> zone_outstanding_ms_;  // zone -> sum of outstanding_ms_
   std::vector<Rng> arrival_rng_;         // one deterministic stream per model
   double peak_norm_ = 1.0;               // diurnal peak, thinning envelope

@@ -5,50 +5,44 @@
 namespace lithos {
 
 FleetDispatcher::FleetDispatcher(Simulator* sim, const ClusterConfig& config)
-    : ClusterDispatcher(sim, config) {
-  const ZoneTopology& topo = zone_topology();
-  zones_.reserve(topo.num_zones);
-  for (int z = 0; z < topo.num_zones; ++z) {
-    zones_.emplace_back(z, topo.ZoneBegin(z), topo.zone_size);
-  }
-}
+    : ClusterDispatcher(sim, config) {}
 
 void FleetDispatcher::FailZone(int z) {
   LITHOS_CHECK_GE(z, 0);
-  LITHOS_CHECK_LT(z, static_cast<int>(zones_.size()));
-  for (int n = zones_[z].begin(); n < zones_[z].end(); ++n) {
+  LITHOS_CHECK_LT(z, num_zones());
+  for (int n = zone_topology().ZoneBegin(z); n < zone_topology().ZoneEnd(z); ++n) {
     FailNode(n);
   }
 }
 
 void FleetDispatcher::ReviveZone(int z) {
   LITHOS_CHECK_GE(z, 0);
-  LITHOS_CHECK_LT(z, static_cast<int>(zones_.size()));
-  for (int n = zones_[z].begin(); n < zones_[z].end(); ++n) {
+  LITHOS_CHECK_LT(z, num_zones());
+  for (int n = zone_topology().ZoneBegin(z); n < zone_topology().ZoneEnd(z); ++n) {
     ReviveNode(n);
   }
 }
 
 void FleetDispatcher::PartitionZone(int z) {
   LITHOS_CHECK_GE(z, 0);
-  LITHOS_CHECK_LT(z, static_cast<int>(zones_.size()));
-  for (int n = zones_[z].begin(); n < zones_[z].end(); ++n) {
+  LITHOS_CHECK_LT(z, num_zones());
+  for (int n = zone_topology().ZoneBegin(z); n < zone_topology().ZoneEnd(z); ++n) {
     PartitionNode(n);
   }
 }
 
 void FleetDispatcher::HealZone(int z) {
   LITHOS_CHECK_GE(z, 0);
-  LITHOS_CHECK_LT(z, static_cast<int>(zones_.size()));
-  for (int n = zones_[z].begin(); n < zones_[z].end(); ++n) {
+  LITHOS_CHECK_LT(z, num_zones());
+  for (int n = zone_topology().ZoneBegin(z); n < zone_topology().ZoneEnd(z); ++n) {
     HealNode(n);
   }
 }
 
 bool FleetDispatcher::ZonePartitioned(int z) const {
   LITHOS_CHECK_GE(z, 0);
-  LITHOS_CHECK_LT(z, static_cast<int>(zones_.size()));
-  for (int n = zones_[z].begin(); n < zones_[z].end(); ++n) {
+  LITHOS_CHECK_LT(z, num_zones());
+  for (int n = zone_topology().ZoneBegin(z); n < zone_topology().ZoneEnd(z); ++n) {
     if (!NodePartitioned(n)) {
       return false;
     }
@@ -58,35 +52,13 @@ bool FleetDispatcher::ZonePartitioned(int z) const {
 
 bool FleetDispatcher::ZoneFailed(int z) const {
   LITHOS_CHECK_GE(z, 0);
-  LITHOS_CHECK_LT(z, static_cast<int>(zones_.size()));
-  for (int n = zones_[z].begin(); n < zones_[z].end(); ++n) {
+  LITHOS_CHECK_LT(z, num_zones());
+  for (int n = zone_topology().ZoneBegin(z); n < zone_topology().ZoneEnd(z); ++n) {
     if (!NodeFailed(n)) {
       return false;
     }
   }
   return true;
-}
-
-ZoneSnapshot FleetDispatcher::SnapshotZone(int z) const {
-  LITHOS_CHECK_GE(z, 0);
-  LITHOS_CHECK_LT(z, static_cast<int>(zones_.size()));
-  ZoneSnapshot snap;
-  snap.zone = z;
-  snap.nodes = zones_[z].num_nodes();
-  snap.outstanding_ms = zone_outstanding_ms()[z];
-  for (int n = zones_[z].begin(); n < zones_[z].end(); ++n) {
-    if (NodeFailed(n)) {
-      ++snap.failed_nodes;
-    }
-    if (NodePartitioned(n)) {
-      ++snap.partitioned_nodes;
-    }
-    if (NodeActive(n)) {
-      ++snap.active_nodes;
-    }
-    snap.dispatched += dispatched_to(n);
-  }
-  return snap;
 }
 
 }  // namespace lithos

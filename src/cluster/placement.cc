@@ -114,13 +114,29 @@ std::vector<std::vector<int>> PackModels(const std::vector<FleetModel>& models,
   return packed;
 }
 
-// --- Placer base: replica sets and enabled bits ------------------------------
+// --- Placer -------------------------------------------------------------------
 
-Placer::Placer(int num_nodes, int num_models) : num_nodes_(num_nodes), num_models_(num_models) {
+Placer::Placer(PlacementPolicy policy, const std::vector<FleetModel>& models, int num_nodes,
+               double aggregate_rps, double target_utilization, ZoneTopology topo)
+    : policy_(policy),
+      num_nodes_(num_nodes),
+      num_models_(static_cast<int>(models.size())),
+      topo_(topo) {
+  LITHOS_CHECK_GT(num_nodes_, 0);
+  if (topo_.zone_size <= 0) {
+    topo_.num_zones = 1;
+    topo_.zone_size = num_nodes_;
+  }
+  LITHOS_CHECK_EQ(topo_.num_zones * topo_.zone_size, num_nodes_);
   std::vector<int> all(num_nodes_);
   std::iota(all.begin(), all.end(), 0);
-  replicas_.assign(num_models_, all);
+  if (policy_ == PlacementPolicy::kModelAffinity) {
+    replicas_ = PackModels(models, ZoneInterleave(all, topo_), aggregate_rps, target_utilization);
+  } else {
+    replicas_.assign(num_models_, all);
+  }
   enabled_.assign(num_nodes_, 1);
+  zone_enabled_.assign(topo_.num_zones, topo_.zone_size);
 }
 
 const std::vector<int>& Placer::ReplicaNodes(int model_index) const {
@@ -206,26 +222,7 @@ void Placer::SetNodeEnabled(int node, bool enabled) {
     return;
   }
   enabled_[node] = value;
-  if (!zone_enabled_.empty()) {
-    zone_enabled_[topo_.ZoneOf(node)] += enabled ? 1 : -1;
-  }
-}
-
-void Placer::SetZoneTopology(const ZoneTopology& topo) {
-  LITHOS_CHECK_GE(topo.num_zones, 1);
-  topo_ = topo;
-  zone_enabled_.assign(topo.num_zones, 0);
-  for (int n = 0; n < num_nodes_; ++n) {
-    if (enabled_[n]) {
-      ++zone_enabled_[topo_.ZoneOf(n)];
-    }
-  }
-}
-
-int Placer::ZoneEnabledNodes(int zone) const {
-  LITHOS_CHECK_GE(zone, 0);
-  LITHOS_CHECK_LT(zone, static_cast<int>(zone_enabled_.size()));
-  return zone_enabled_[zone];
+  zone_enabled_[topo_.ZoneOf(node)] += enabled ? 1 : -1;
 }
 
 bool Placer::NodeEnabled(int node) const {
@@ -263,173 +260,72 @@ int Placer::PlaceLeastOutstanding(int model_index,
   return best;
 }
 
-namespace {
-
-class RoundRobinPlacer : public Placer {
- public:
-  RoundRobinPlacer(int num_nodes, int num_models) : Placer(num_nodes, num_models) {}
-
-  std::string Name() const override { return PlacementPolicyName(PlacementPolicy::kRoundRobin); }
-
-  int Place(int model_index, const std::vector<double>& outstanding_ms) override {
-    (void)model_index;
-    (void)outstanding_ms;
-    // Cycle the pointer past disabled nodes; with everything disabled the
-    // plain cycle is the safety fallback.
-    for (int tried = 0; tried < num_nodes_; ++tried) {
-      const int node = next_;
-      next_ = (next_ + 1) % num_nodes_;
-      if (enabled_[node]) {
-        return node;
-      }
-    }
-    const int node = next_;
-    next_ = (next_ + 1) % num_nodes_;
-    return node;
-  }
-
- private:
-  int next_ = 0;
-};
-
-class LeastLoadedPlacer : public Placer {
- public:
-  LeastLoadedPlacer(int num_nodes, int num_models) : Placer(num_nodes, num_models) {}
-
-  std::string Name() const override { return PlacementPolicyName(PlacementPolicy::kLeastLoaded); }
-
-  int Place(int model_index, const std::vector<double>& outstanding_ms) override {
-    return PlaceLeastOutstanding(model_index, outstanding_ms);
-  }
-};
-
-// Model-affinity: replica sets seeded by PackModels' first-fit-decreasing
-// packing so high-index nodes stay empty and can be powered off or reclaimed;
-// requests join the shortest queue within the model's replica set.
-class ModelAffinityPlacer : public Placer {
- public:
-  ModelAffinityPlacer(const std::vector<FleetModel>& models, int num_nodes, double aggregate_rps,
-                      double target_utilization)
-      : Placer(num_nodes, static_cast<int>(models.size())) {
-    std::vector<int> all(num_nodes);
-    std::iota(all.begin(), all.end(), 0);
-    replicas_ = PackModels(models, all, aggregate_rps, target_utilization);
-  }
-
-  std::string Name() const override {
-    return PlacementPolicyName(PlacementPolicy::kModelAffinity);
-  }
-
-  int Place(int model_index, const std::vector<double>& outstanding_ms) override {
-    return PlaceLeastOutstanding(model_index, outstanding_ms);
-  }
-};
-
-// Hierarchical dispatch for region-scale fleets: zone first, node second.
-// The replica sets come from PackModels over the zone-interleaved node
-// order, so hot models already span zones; Place then never scans the whole
-// fleet — it walks the (sorted) replica list one zone at a time, scoring
-// each candidate zone from the dispatcher's per-zone queued-work aggregate,
-// and only the winning zone's replicas are compared individually.
-class ZonedAffinityPlacer : public Placer {
- public:
-  ZonedAffinityPlacer(const std::vector<FleetModel>& models, const ZoneTopology& topo,
-                      int num_nodes, double aggregate_rps, double target_utilization,
-                      const std::vector<double>* zone_outstanding_ms)
-      : Placer(num_nodes, static_cast<int>(models.size())),
-        zone_outstanding_ms_(zone_outstanding_ms) {
-    LITHOS_CHECK(zone_outstanding_ms_ != nullptr);
-    LITHOS_CHECK_GT(topo.zone_size, 0);
-    LITHOS_CHECK_EQ(topo.num_zones * topo.zone_size, num_nodes);
-    SetZoneTopology(topo);
-    std::vector<int> all(num_nodes);
-    std::iota(all.begin(), all.end(), 0);
-    replicas_ = PackModels(models, ZoneInterleave(all, topo), aggregate_rps, target_utilization);
-  }
-
-  std::string Name() const override {
-    return PlacementPolicyName(PlacementPolicy::kModelAffinity) + "/zoned";
-  }
-
-  int Place(int model_index, const std::vector<double>& outstanding_ms) override {
-    const std::vector<int>& replicas = ReplicaNodes(model_index);
-    LITHOS_CHECK_EQ(static_cast<int>(zone_outstanding_ms_->size()), topo_.num_zones);
-
-    // Stage 1 (fleet root): walk the sorted replica list zone by zone —
-    // upper_bound jumps over each zone's replicas in O(log R) — and pick the
-    // zone with the least queued work per enabled node. Ties break to the
-    // lowest zone id.
-    int best_zone = -1;
-    double best_score = 0;
-    size_t best_begin = 0;
-    size_t best_end = 0;
-    size_t idx = 0;
-    while (idx < replicas.size()) {
-      const int zone = topo_.ZoneOf(replicas[idx]);
-      const size_t zone_end = static_cast<size_t>(
-          std::upper_bound(replicas.begin() + idx, replicas.end(), topo_.ZoneEnd(zone) - 1) -
-          replicas.begin());
-      const int enabled = zone_enabled_[zone];
-      if (enabled > 0) {
-        const double score = (*zone_outstanding_ms_)[zone] / enabled;
-        if (best_zone < 0 || score < best_score) {
-          best_zone = zone;
-          best_score = score;
-          best_begin = idx;
-          best_end = zone_end;
+int Placer::Place(int model_index, const std::vector<double>& outstanding_ms,
+                  const std::vector<double>& zone_outstanding_ms) {
+  switch (policy_) {
+    case PlacementPolicy::kRoundRobin:
+      // Cycle the cursor past disabled nodes; with everything disabled the
+      // plain cycle is the safety fallback.
+      for (int tried = 0;; ++tried) {
+        const int node = next_;
+        next_ = (next_ + 1) % num_nodes_;
+        if (enabled_[node] || tried == num_nodes_) {
+          return node;
         }
       }
-      idx = zone_end;
-    }
-    if (best_zone < 0) {
-      // Every zone hosting a replica is fully disabled (e.g. the outage took
-      // the model's whole footprint): same fallbacks as the flat placers.
+    case PlacementPolicy::kLeastLoaded:
       return PlaceLeastOutstanding(model_index, outstanding_ms);
-    }
-
-    // Stage 2 (zone dispatcher): join the shortest queue among the model's
-    // enabled replicas inside the chosen zone.
-    int best = -1;
-    for (size_t k = best_begin; k < best_end; ++k) {
-      const int node = replicas[k];
-      if (enabled_[node] && (best < 0 || outstanding_ms[node] < outstanding_ms[best])) {
-        best = node;
-      }
-    }
-    // The zone has enabled nodes but none of this model's replicas among
-    // them; fall back rather than dead-end.
-    return best >= 0 ? best : PlaceLeastOutstanding(model_index, outstanding_ms);
+    case PlacementPolicy::kModelAffinity:
+      return PlaceZoneFirst(model_index, outstanding_ms, zone_outstanding_ms);
   }
-
- private:
-  const std::vector<double>* zone_outstanding_ms_;
-};
-
-}  // namespace
-
-std::unique_ptr<Placer> MakeZonedAffinityPlacer(const std::vector<FleetModel>& models,
-                                                const ZoneTopology& topo, int num_nodes,
-                                                double aggregate_rps, double target_utilization,
-                                                const std::vector<double>* zone_outstanding_ms) {
-  LITHOS_CHECK_GT(num_nodes, 0);
-  return std::make_unique<ZonedAffinityPlacer>(models, topo, num_nodes, aggregate_rps,
-                                               target_utilization, zone_outstanding_ms);
+  return -1;
 }
 
-std::unique_ptr<Placer> MakePlacer(PlacementPolicy policy, const std::vector<FleetModel>& models,
-                                   int num_nodes, double aggregate_rps,
-                                   double target_utilization) {
-  LITHOS_CHECK_GT(num_nodes, 0);
-  switch (policy) {
-    case PlacementPolicy::kRoundRobin:
-      return std::make_unique<RoundRobinPlacer>(num_nodes, static_cast<int>(models.size()));
-    case PlacementPolicy::kLeastLoaded:
-      return std::make_unique<LeastLoadedPlacer>(num_nodes, static_cast<int>(models.size()));
-    case PlacementPolicy::kModelAffinity:
-      return std::make_unique<ModelAffinityPlacer>(models, num_nodes, aggregate_rps,
-                                                   target_utilization);
+int Placer::PlaceZoneFirst(int model_index, const std::vector<double>& outstanding_ms,
+                           const std::vector<double>& zone_outstanding_ms) const {
+  const std::vector<int>& replicas = ReplicaNodes(model_index);
+  LITHOS_CHECK_EQ(static_cast<int>(zone_outstanding_ms.size()), topo_.num_zones);
+
+  // Stage 1 (fleet root): walk the sorted replica list zone by zone —
+  // upper_bound jumps over each zone's replicas in O(log R) — and pick the
+  // zone with the least queued work per enabled node. Ties break to the
+  // lowest zone id.
+  int best_zone = -1;
+  double best_score = 0;
+  size_t best_begin = 0;
+  size_t best_end = 0;
+  size_t idx = 0;
+  while (idx < replicas.size()) {
+    const int zone = topo_.ZoneOf(replicas[idx]);
+    const size_t zone_end = static_cast<size_t>(
+        std::upper_bound(replicas.begin() + idx, replicas.end(), topo_.ZoneEnd(zone) - 1) -
+        replicas.begin());
+    const int enabled = zone_enabled_[zone];
+    if (enabled > 0) {
+      const double score = zone_outstanding_ms[zone] / enabled;
+      if (best_zone < 0 || score < best_score) {
+        best_zone = zone;
+        best_score = score;
+        best_begin = idx;
+        best_end = zone_end;
+      }
+    }
+    idx = zone_end;
   }
-  return nullptr;
+
+  // Stage 2 (zone dispatcher): join the shortest queue among the model's
+  // enabled replicas inside the chosen zone.
+  int best = -1;
+  for (size_t k = best_begin; k < best_end; ++k) {
+    const int node = replicas[k];
+    if (enabled_[node] && (best < 0 || outstanding_ms[node] < outstanding_ms[best])) {
+      best = node;
+    }
+  }
+  // No zone hosting a replica is enabled (e.g. an outage took the model's
+  // whole footprint), or the chosen zone's enabled nodes hold none of this
+  // model's replicas: fall back rather than dead-end.
+  return best >= 0 ? best : PlaceLeastOutstanding(model_index, outstanding_ms);
 }
 
 }  // namespace lithos

@@ -14,20 +14,20 @@
 //                         long tail of cold models together so whole GPUs
 //                         are freed — the paper's consolidation argument.
 //
-// Every placer carries a mutable per-model replica set and a per-node
-// enabled bit, so the autoscale control plane (src/autoscale/) can re-home
-// replicas (live migration) and take nodes in and out of rotation (drain /
-// power-off) mid-run.
+// One Placer serves every policy: it carries a mutable per-model replica
+// set and a per-node enabled bit, so the autoscale control plane
+// (src/autoscale/) can re-home replicas (live migration) and take nodes in
+// and out of rotation (drain / power-off) mid-run, and Place switches on the
+// policy.
 //
-// At region scale the flat O(N) scan becomes the dispatch bottleneck, so a
-// ZoneTopology upgrades model-affinity to a hierarchical two-stage variant
-// ("model-affinity/zoned"): pick the least-loaded zone holding a replica,
-// then the least-loaded replica within it, with replica sets packed in
-// ZoneInterleave order for cross-zone anti-affinity — see docs/fleet.md.
+// Model-affinity routing is zone-first: pick the least-loaded zone holding a
+// replica, then the least-loaded replica within it, with replica sets packed
+// in ZoneInterleave order for cross-zone anti-affinity. A fleet of one zone
+// is the flat case, where this is join-shortest-queue over the replica set
+// — see docs/fleet.md.
 #ifndef LITHOS_CLUSTER_PLACEMENT_H_
 #define LITHOS_CLUSTER_PLACEMENT_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -95,27 +95,44 @@ std::vector<std::vector<int>> PackModels(const std::vector<FleetModel>& models,
                                          const std::vector<int>& nodes, double aggregate_rps,
                                          double target_utilization);
 
-// Strategy interface: picks the node that should serve the next request.
+// The fleet's one router: a per-model replica set and a per-node enabled
+// bit, plus the policy that picks among them.
 class Placer {
  public:
-  virtual ~Placer() = default;
-  Placer() = default;
-  Placer(const Placer&) = delete;
-  Placer& operator=(const Placer&) = delete;
-
-  virtual std::string Name() const = 0;
+  // Builds the replica sets. Round-robin and least-loaded replicate every
+  // model on every node. Model-affinity packs with PackModels over the
+  // zone-interleaved node order; `aggregate_rps` is the fleet-wide mean
+  // request rate and `target_utilization` the per-node GPU-time budget the
+  // packer fills to (both ignored by the other policies). The default
+  // topology is one zone covering every node. Construction is
+  // deterministic: the same inputs always produce the same packing.
+  Placer(PlacementPolicy policy, const std::vector<FleetModel>& models, int num_nodes,
+         double aggregate_rps, double target_utilization, ZoneTopology topo = {});
 
   // Returns the node index ([0, num_nodes)) for a request of
   // `models[model_index]`. `outstanding_ms` is the dispatcher's live
-  // estimate of queued-but-unfinished GPU milliseconds per node.
-  virtual int Place(int model_index, const std::vector<double>& outstanding_ms) = 0;
+  // estimate of queued-but-unfinished GPU milliseconds per node and
+  // `zone_outstanding_ms` its per-zone sum (one entry per zone).
+  //
+  //   * round-robin: the next enabled node after the cursor;
+  //   * least-loaded: the least-outstanding routable node;
+  //   * model-affinity: zone first, node second. Walk the model's sorted
+  //     replica list one zone at a time and pick the zone with the least
+  //     queued work per enabled node, then the least-outstanding enabled
+  //     replica inside it. Per-arrival work is O(Z_m log R + R/Z) for R
+  //     replicas spanning Z_m of Z zones; with one zone this is the
+  //     least-outstanding replica.
+  //
+  // Ties break to the lowest zone, then the lowest node. With no enabled
+  // replica to pick, every policy falls back to the enabled nodes and then
+  // to any node, like EligibleNodes, so routing never dead-ends.
+  int Place(int model_index, const std::vector<double>& outstanding_ms,
+            const std::vector<double>& zone_outstanding_ms);
 
   // Nodes this policy currently routes `model_index` to: the model's replica
-  // set intersected with the enabled nodes. Round-robin and least-loaded
-  // replicate every model everywhere; model-affinity restricts each model to
-  // its packed replica set. Falls back to all enabled nodes when the
-  // intersection is empty (every replica drained away), and to every node
-  // when nothing is enabled, so routing never dead-ends.
+  // set intersected with the enabled nodes. Falls back to all enabled nodes
+  // when the intersection is empty (every replica drained away), and to
+  // every node when nothing is enabled.
   std::vector<int> EligibleNodes(int model_index) const;
 
   // --- Runtime mutation hooks (the autoscale control plane) ----------------
@@ -141,61 +158,27 @@ class Placer {
   void SetNodeEnabled(int node, bool enabled);
   bool NodeEnabled(int node) const;
 
-  // Installs a zone topology: from here on SetNodeEnabled maintains a
-  // per-zone enabled-node count, the signal hierarchical placers use to
-  // skip dark zones in O(1) per zone.
-  void SetZoneTopology(const ZoneTopology& topo);
   const ZoneTopology& zone_topology() const { return topo_; }
-  int ZoneEnabledNodes(int zone) const;
-
   int num_nodes() const { return num_nodes_; }
   int num_models() const { return num_models_; }
 
- protected:
-  // Initialises every model's replica set to all nodes (the load-oblivious
-  // default); the affinity placer overwrites it with its packing.
-  Placer(int num_nodes, int num_models);
-
+ private:
   // Least-outstanding choice over the model's routable nodes — the same
-  // semantics as EligibleNodes (replicas ∩ enabled with the two fallbacks)
-  // without materialising a vector on the dispatch hot path. Ties break to
-  // the lowest node index.
+  // semantics as EligibleNodes without materialising a vector on the
+  // dispatch hot path. Ties break to the lowest node index.
   int PlaceLeastOutstanding(int model_index, const std::vector<double>& outstanding_ms) const;
+  int PlaceZoneFirst(int model_index, const std::vector<double>& outstanding_ms,
+                     const std::vector<double>& zone_outstanding_ms) const;
 
+  PlacementPolicy policy_;
   int num_nodes_ = 0;
   int num_models_ = 0;
+  ZoneTopology topo_;
   std::vector<std::vector<int>> replicas_;  // model -> sorted replica nodes
   std::vector<char> enabled_;               // node -> in rotation?
-  ZoneTopology topo_;                       // flat unless SetZoneTopology ran
   std::vector<int> zone_enabled_;           // zone -> enabled node count
+  int next_ = 0;                            // round-robin cursor
 };
-
-// Builds a placer.
-//
-// `aggregate_rps` is the fleet-wide mean request rate and
-// `target_utilization` the per-node GPU-time budget the affinity packer
-// fills to (both ignored by the load-oblivious policies). Construction is
-// deterministic: the same inputs always produce the same packing.
-std::unique_ptr<Placer> MakePlacer(PlacementPolicy policy, const std::vector<FleetModel>& models,
-                                   int num_nodes, double aggregate_rps,
-                                   double target_utilization);
-
-// Builds the hierarchical (zoned) model-affinity placer: the fleet root of a
-// two-level dispatch. Construction packs replica sets over the
-// zone-interleaved node order (cross-zone anti-affinity for hot models);
-// Place picks a zone first — the least-loaded zone hosting an enabled
-// replica, scored by `zone_outstanding_ms` (the dispatcher's incrementally
-// maintained per-zone queued-work aggregate, averaged over the zone's
-// enabled nodes) — then joins the shortest queue among the model's replicas
-// inside that zone. Per-arrival work is O(Z_m log R + R/Z) for R replicas
-// spanning Z_m of Z zones, versus the flat placer's O(R) scan, and the
-// chosen node is a pure function of (replica sets, enabled bits,
-// outstanding work), preserving the determinism contract.
-// `zone_outstanding_ms` must outlive the placer and hold one entry per zone.
-std::unique_ptr<Placer> MakeZonedAffinityPlacer(const std::vector<FleetModel>& models,
-                                                const ZoneTopology& topo, int num_nodes,
-                                                double aggregate_rps, double target_utilization,
-                                                const std::vector<double>* zone_outstanding_ms);
 
 }  // namespace lithos
 

@@ -48,7 +48,7 @@ void ClusterDispatcher::AddOutstanding(int node, double delta_ms) {
   double& outstanding = outstanding_ms_[node];
   const double before = outstanding;
   outstanding = std::max(0.0, outstanding + delta_ms);
-  zone_outstanding_ms_[zone_topo_.ZoneOf(node)] += outstanding - before;
+  zone_outstanding_ms_[ZoneOfNode(node)] += outstanding - before;
   total_outstanding_ms_ += outstanding - before;
 }
 
@@ -171,7 +171,7 @@ int ClusterDispatcher::PickAttemptNode(int model_index, const RequestState& req,
   // the request already tried it — a retry after a timeout must not re-join
   // the same backlog, and a hedge needs a node distinct from every prior
   // attempt.
-  const int placed = placer_->Place(model_index, outstanding_ms_);
+  const int placed = placer_.Place(model_index, outstanding_ms_, zone_outstanding_ms_);
   if (placed >= 0 && placed < config_.num_nodes && healthy(placed) && !tried(placed) &&
       !doomed(placed)) {
     return placed;
@@ -179,7 +179,7 @@ int ClusterDispatcher::PickAttemptNode(int model_index, const RequestState& req,
   // Deterministic fallback: least-outstanding healthy untried node among the
   // model's eligible set (ties break to the lowest node id — EligibleNodes
   // is sorted and the comparison is strict).
-  const std::vector<int> eligible = placer_->EligibleNodes(model_index);
+  const std::vector<int> eligible = placer_.EligibleNodes(model_index);
   int best = -1;
   for (const int n : eligible) {
     if (healthy(n) && !tried(n) && !doomed(n) &&
@@ -288,7 +288,7 @@ void ClusterDispatcher::LaunchAttempt(uint32_t slot, int node, bool is_hedge) {
 
   const int attempt_idx = static_cast<int>(req.tries.size());
   req.tries.push_back(attempt);
-  EmitReq(TraceKind::kReqAttemptLaunch, node, zone_topo_.ZoneOf(node),
+  EmitReq(TraceKind::kReqAttemptLaunch, node, ZoneOfNode(node),
           ReqArg(attempt_idx, is_hedge), req.req_id);
   ++feed_.node_attempts[node];
   const uint32_t gen = req.gen;
@@ -310,7 +310,7 @@ void ClusterDispatcher::LaunchAttempt(uint32_t slot, int node, bool is_hedge) {
           // it for heal-time delivery (or orphaning, if the node crashes
           // first).
           ctr_deferred_->Inc();
-          EmitReq(TraceKind::kReqDeferredFinish, node, zone_topo_.ZoneOf(node),
+          EmitReq(TraceKind::kReqDeferredFinish, node, ZoneOfNode(node),
                   ReqArg(attempt_idx, false), rid);
           ns.deferred.push_back({epoch, slot, gen, attempt_idx});
           return;
@@ -354,7 +354,7 @@ void ClusterDispatcher::OnAttemptTimeout(uint32_t slot, uint32_t gen) {
     const int last = static_cast<int>(req.tries.size()) - 1;
     const int node = req.tries[last].node;
     ++feed_.node_timeouts[node];
-    EmitReq(TraceKind::kReqAttemptTimeout, node, zone_topo_.ZoneOf(node),
+    EmitReq(TraceKind::kReqAttemptTimeout, node, ZoneOfNode(node),
             ReqArg(last, false), req.req_id);
   }
   // Claw back whatever can be clawed back; attempts that cannot be cancelled
@@ -400,7 +400,7 @@ bool ClusterDispatcher::TryCancelAttempt(uint32_t slot, int attempt) {
     });
   }
   a.open = false;
-  EmitReq(TraceKind::kReqAttemptCancel, a.node, zone_topo_.ZoneOf(a.node),
+  EmitReq(TraceKind::kReqAttemptCancel, a.node, ZoneOfNode(a.node),
           ReqArg(attempt, a.hedge), req.req_id);
   return true;
 }
@@ -462,7 +462,7 @@ void ClusterDispatcher::OnAttemptOrphaned(uint32_t slot, uint32_t gen, int attem
     return;
   }
   a.open = false;
-  EmitReq(TraceKind::kReqAttemptOrphan, a.node, zone_topo_.ZoneOf(a.node),
+  EmitReq(TraceKind::kReqAttemptOrphan, a.node, ZoneOfNode(a.node),
           ReqArg(attempt, a.hedge), req.req_id);
   for (const AttemptState& other : req.tries) {
     if (other.open) {
@@ -500,7 +500,7 @@ void ClusterDispatcher::OnAttemptComplete(uint32_t slot, uint32_t gen, int attem
   if (deferred) {
     ctr_deferred_delivered_->Inc();
   }
-  EmitReq(TraceKind::kReqComplete, a.node, zone_topo_.ZoneOf(a.node),
+  EmitReq(TraceKind::kReqComplete, a.node, ZoneOfNode(a.node),
           ReqArg(attempt, deferred), req.req_id);
   if (req.arrival >= warmup_end_) {
     ++node_state_[a.node].completed_measured;
@@ -526,7 +526,7 @@ void ClusterDispatcher::FailRequest(uint32_t slot) {
   if (node >= 0 && sim_->Now() >= warmup_end_) {
     ++node_state_[node].failed_measured;
   }
-  EmitReq(TraceKind::kReqFail, node, node >= 0 ? zone_topo_.ZoneOf(node) : -1,
+  EmitReq(TraceKind::kReqFail, node, node >= 0 ? ZoneOfNode(node) : -1,
           req.model, req.req_id);
   FreeRequestSlot(slot);
 }

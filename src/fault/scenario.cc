@@ -95,7 +95,6 @@ FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config) {
   control.cluster = config.cluster;
   control.scaling = config.scaling;
   control.control_period = config.control_period;
-  control.target_util = config.target_util;
   control.min_nodes = config.min_nodes;
   control.max_migrations_per_period = config.max_migrations_per_period;
   FleetController controller(&sim, &fleet, control);

@@ -43,7 +43,6 @@ struct FleetFaultConfig {
   // recovery moves are forced regardless.
   ScalingPolicyKind scaling = ScalingPolicyKind::kStaticPeak;
   DurationNs control_period = FromMillis(250);
-  double target_util = 0.5;
   int min_nodes = 1;
   int max_migrations_per_period = 8;
 

@@ -425,8 +425,8 @@ bool RemediationController::GovernorAllows(int node,
     ++available;
   }
   // Raw serving capacity: a node executes 1000 GPU-ms of request work per
-  // second flat out. (Not target_util-scaled — that is planning headroom;
-  // the floor guards against actually running out of machine.)
+  // second flat out. (Not scaled by affinity_target_util — that is planning
+  // headroom; the floor guards against actually running out of machine.)
   const double capacity = static_cast<double>(available) * 1000.0;
   const double offered = dispatcher_->OfferedLoadAt(sim_->Now());
   if (capacity < cfg_.min_capacity_factor * offered) {

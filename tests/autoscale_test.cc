@@ -43,9 +43,8 @@ TEST(ScalingPolicyTest, RegistryNamesAndConstruction) {
   std::set<std::string> names;
   for (ScalingPolicyKind kind : AllScalingPolicies()) {
     names.insert(ScalingPolicyName(kind));
-    auto policy = MakeScalingPolicy(kind);
-    ASSERT_NE(policy, nullptr);
-    EXPECT_EQ(policy->Name(), ScalingPolicyName(kind));
+    // An empty fleet with no traffic demands nothing under every policy.
+    EXPECT_EQ(DemandGpuMsPerSec(kind, FleetSnapshot{}), 0.0);
   }
   EXPECT_EQ(names.size(), 3u);  // distinct names
 }
@@ -62,13 +61,13 @@ TEST(ScalingPolicyTest, DemandEstimatesMatchDesign) {
   snap.peak_ms_per_s = 2000.0;
 
   // Static-peak demands the whole pool regardless of traffic.
-  EXPECT_DOUBLE_EQ(MakeScalingPolicy(ScalingPolicyKind::kStaticPeak)->DemandGpuMsPerSec(snap),
+  EXPECT_DOUBLE_EQ(DemandGpuMsPerSec(ScalingPolicyKind::kStaticPeak, snap),
                    8 * 500.0);
   // Reactive follows last period's arrivals plus backlog catch-up.
-  EXPECT_DOUBLE_EQ(MakeScalingPolicy(ScalingPolicyKind::kReactive)->DemandGpuMsPerSec(snap),
+  EXPECT_DOUBLE_EQ(DemandGpuMsPerSec(ScalingPolicyKind::kReactive, snap),
                    1000.0 + 200.0);
   // Predictive feeds the curve forward (floored at the current offered load).
-  EXPECT_DOUBLE_EQ(MakeScalingPolicy(ScalingPolicyKind::kPredictive)->DemandGpuMsPerSec(snap),
+  EXPECT_DOUBLE_EQ(DemandGpuMsPerSec(ScalingPolicyKind::kPredictive, snap),
                    1500.0 + 200.0);
 }
 
@@ -76,9 +75,9 @@ TEST(ScalingPolicyTest, DemandEstimatesMatchDesign) {
 
 TEST(PlacementMutationTest, MoveReplicaRehomesAndRefusesBadMoves) {
   const std::vector<FleetModel> models = FleetTelemetry(2026).models();
-  auto placer = MakePlacer(PlacementPolicy::kModelAffinity, models, 6, 300.0, 0.65);
+  Placer placer(PlacementPolicy::kModelAffinity, models, 6, 300.0, 0.65);
 
-  const std::vector<int> before = placer->ReplicaNodes(3);
+  const std::vector<int> before = placer.ReplicaNodes(3);
   ASSERT_FALSE(before.empty());
   const int from = before[0];
   int to = -1;
@@ -90,16 +89,16 @@ TEST(PlacementMutationTest, MoveReplicaRehomesAndRefusesBadMoves) {
   }
   ASSERT_GE(to, 0);
 
-  EXPECT_TRUE(placer->MoveReplica(3, from, to));
-  const std::vector<int>& after = placer->ReplicaNodes(3);
+  EXPECT_TRUE(placer.MoveReplica(3, from, to));
+  const std::vector<int>& after = placer.ReplicaNodes(3);
   EXPECT_EQ(std::count(after.begin(), after.end(), to), 1);
   EXPECT_EQ(std::count(after.begin(), after.end(), from), 0);
 
   // `from` no longer hosts the replica; `to` already does.
-  EXPECT_FALSE(placer->MoveReplica(3, from, to));
+  EXPECT_FALSE(placer.MoveReplica(3, from, to));
   // Last replica cannot be removed.
   if (after.size() == 1) {
-    EXPECT_FALSE(placer->RemoveReplica(3, after[0]));
+    EXPECT_FALSE(placer.RemoveReplica(3, after[0]));
   }
 }
 
@@ -107,28 +106,28 @@ TEST(PlacementMutationTest, DisabledNodesLeaveTheRotation) {
   const std::vector<FleetModel> models = FleetTelemetry(2026).models();
 
   // Round-robin cycles past a disabled node.
-  auto rr = MakePlacer(PlacementPolicy::kRoundRobin, models, 3, 300.0, 0.65);
-  rr->SetNodeEnabled(1, false);
+  Placer rr(PlacementPolicy::kRoundRobin, models, 3, 300.0, 0.65);
+  rr.SetNodeEnabled(1, false);
   const std::vector<double> load = {0, 0, 0};
-  EXPECT_EQ(rr->Place(0, load), 0);
-  EXPECT_EQ(rr->Place(0, load), 2);
-  EXPECT_EQ(rr->Place(0, load), 0);
+  EXPECT_EQ(rr.Place(0, load, {0.0}), 0);
+  EXPECT_EQ(rr.Place(0, load, {0.0}), 2);
+  EXPECT_EQ(rr.Place(0, load, {0.0}), 0);
 
   // Least-loaded never picks a disabled node even at zero load.
-  auto ll = MakePlacer(PlacementPolicy::kLeastLoaded, models, 3, 300.0, 0.65);
-  ll->SetNodeEnabled(0, false);
-  EXPECT_EQ(ll->Place(0, {0.0, 5.0, 9.0}), 1);
+  Placer ll(PlacementPolicy::kLeastLoaded, models, 3, 300.0, 0.65);
+  ll.SetNodeEnabled(0, false);
+  EXPECT_EQ(ll.Place(0, {0.0, 5.0, 9.0}, {14.0}), 1);
 
   // Eligibility falls back to enabled nodes when every replica is disabled.
-  auto affinity = MakePlacer(PlacementPolicy::kModelAffinity, models, 3, 300.0, 0.65);
+  Placer affinity(PlacementPolicy::kModelAffinity, models, 3, 300.0, 0.65);
   for (int n = 0; n < 3; ++n) {
-    affinity->SetNodeEnabled(n, false);
+    affinity.SetNodeEnabled(n, false);
   }
-  affinity->SetNodeEnabled(2, true);
-  for (int m = 0; m < affinity->num_models(); ++m) {
+  affinity.SetNodeEnabled(2, true);
+  for (int m = 0; m < affinity.num_models(); ++m) {
     // Whether node 2 hosts the replica or the fallback kicks in, the only
     // routable node is the enabled one.
-    EXPECT_EQ(affinity->EligibleNodes(m), std::vector<int>{2});
+    EXPECT_EQ(affinity.EligibleNodes(m), std::vector<int>{2});
   }
 }
 
@@ -285,7 +284,7 @@ TEST(FleetControllerTest, ScaleDownWaitsForConsecutiveLowTicksScaleUpIsImmediate
       ++drains[r.time_ns];
     }
   }
-  const double capacity = config.target_util * 1000.0;
+  const double capacity = config.cluster.affinity_target_util * 1000.0;
   int below_streak = 0, held = 0, shrinks = 0, grows = 0;
   for (const TraceRecord& r : trace.Records()) {
     if (r.kind != static_cast<uint8_t>(TraceKind::kScaleTarget)) {

@@ -1,6 +1,7 @@
-// Cluster-layer tests: placement-policy selection and determinism, failover
-// to the least-loaded node under a hot model, and dispatcher accounting
-// summing to the per-node driver/engine statistics.
+// Cluster-layer tests: placement-policy selection and determinism, the
+// placer against a flat least-outstanding oracle, failover to the
+// least-loaded node under a hot model, and dispatcher accounting summing to
+// the per-node driver/engine statistics.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -8,6 +9,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/placement.h"
+#include "src/common/rng.h"
 #include "src/obs/trace.h"
 #include "src/workloads/fleet.h"
 
@@ -30,43 +32,64 @@ ClusterConfig SmallConfig(PlacementPolicy policy, SystemKind system = SystemKind
 
 // --- Placement policies ------------------------------------------------------
 
+// Per-zone sums of `outstanding_ms`, the aggregate the dispatcher maintains.
+std::vector<double> ZoneSums(const Placer& placer, const std::vector<double>& outstanding_ms) {
+  std::vector<double> sums(placer.zone_topology().num_zones, 0.0);
+  for (int n = 0; n < placer.num_nodes(); ++n) {
+    sums[placer.zone_topology().ZoneOf(n)] += outstanding_ms[n];
+  }
+  return sums;
+}
+
+int PlaceOn(Placer& placer, int model_index, const std::vector<double>& outstanding_ms) {
+  return placer.Place(model_index, outstanding_ms, ZoneSums(placer, outstanding_ms));
+}
+
 TEST(PlacementTest, PolicyNamesAndRegistry) {
   EXPECT_EQ(AllPlacementPolicies().size(), 3u);
   std::set<std::string> names;
+  const std::vector<FleetModel> models = TestModels();
   for (PlacementPolicy policy : AllPlacementPolicies()) {
     names.insert(PlacementPolicyName(policy));
-    auto placer = MakePlacer(policy, TestModels(), 4, 300.0, 0.65);
-    ASSERT_NE(placer, nullptr);
-    EXPECT_EQ(placer->Name(), PlacementPolicyName(policy));
+    const Placer placer(policy, models, 4, 300.0, 0.65);
+    ASSERT_EQ(placer.num_models(), static_cast<int>(models.size()));
+    for (int m = 0; m < placer.num_models(); ++m) {
+      // Only model-affinity narrows a model to a packed replica set.
+      if (policy == PlacementPolicy::kModelAffinity) {
+        EXPECT_FALSE(placer.ReplicaNodes(m).empty());
+      } else {
+        EXPECT_EQ(placer.ReplicaNodes(m), (std::vector<int>{0, 1, 2, 3}));
+      }
+    }
   }
   EXPECT_EQ(names.size(), 3u);  // distinct names
 }
 
 TEST(PlacementTest, RoundRobinCyclesThroughNodes) {
-  auto placer = MakePlacer(PlacementPolicy::kRoundRobin, TestModels(), 3, 300.0, 0.65);
+  Placer placer(PlacementPolicy::kRoundRobin, TestModels(), 3, 300.0, 0.65);
   const std::vector<double> load = {0, 0, 0};
   for (int i = 0; i < 9; ++i) {
-    EXPECT_EQ(placer->Place(i % 13, load), i % 3);
+    EXPECT_EQ(PlaceOn(placer, i % 13, load), i % 3);
   }
 }
 
 TEST(PlacementTest, LeastLoadedPicksMinimumWithDeterministicTies) {
-  auto placer = MakePlacer(PlacementPolicy::kLeastLoaded, TestModels(), 4, 300.0, 0.65);
-  EXPECT_EQ(placer->Place(0, {5.0, 2.0, 9.0, 2.5}), 1);
+  Placer placer(PlacementPolicy::kLeastLoaded, TestModels(), 4, 300.0, 0.65);
+  EXPECT_EQ(PlaceOn(placer, 0, {5.0, 2.0, 9.0, 2.5}), 1);
   // Ties break to the lowest index.
-  EXPECT_EQ(placer->Place(0, {3.0, 1.0, 1.0, 1.0}), 1);
-  EXPECT_EQ(placer->Place(0, {0.0, 0.0, 0.0, 0.0}), 0);
+  EXPECT_EQ(PlaceOn(placer, 0, {3.0, 1.0, 1.0, 1.0}), 1);
+  EXPECT_EQ(PlaceOn(placer, 0, {0.0, 0.0, 0.0, 0.0}), 0);
 }
 
 TEST(PlacementTest, ModelAffinityPacksColdTailAndFreesNodes) {
   const std::vector<FleetModel> models = TestModels();
   const int num_nodes = 13;
   // Light aggregate load: the whole fleet fits on a few GPUs.
-  auto placer = MakePlacer(PlacementPolicy::kModelAffinity, models, num_nodes, 300.0, 0.65);
+  const Placer placer(PlacementPolicy::kModelAffinity, models, num_nodes, 300.0, 0.65);
 
   std::set<int> used;
   for (size_t m = 0; m < models.size(); ++m) {
-    const std::vector<int> eligible = placer->EligibleNodes(static_cast<int>(m));
+    const std::vector<int> eligible = placer.EligibleNodes(static_cast<int>(m));
     ASSERT_FALSE(eligible.empty());
     used.insert(eligible.begin(), eligible.end());
   }
@@ -74,16 +97,140 @@ TEST(PlacementTest, ModelAffinityPacksColdTailAndFreesNodes) {
   EXPECT_LT(used.size(), models.size() / 2);
 
   // The load-oblivious policies replicate every model everywhere.
-  auto rr = MakePlacer(PlacementPolicy::kRoundRobin, models, num_nodes, 300.0, 0.65);
-  EXPECT_EQ(rr->EligibleNodes(0).size(), static_cast<size_t>(num_nodes));
+  const Placer rr(PlacementPolicy::kRoundRobin, models, num_nodes, 300.0, 0.65);
+  EXPECT_EQ(rr.EligibleNodes(0).size(), static_cast<size_t>(num_nodes));
 }
 
 TEST(PlacementTest, ModelAffinityConstructionIsDeterministic) {
   const std::vector<FleetModel> models = TestModels();
-  auto a = MakePlacer(PlacementPolicy::kModelAffinity, models, 8, 500.0, 0.65);
-  auto b = MakePlacer(PlacementPolicy::kModelAffinity, models, 8, 500.0, 0.65);
+  const Placer a(PlacementPolicy::kModelAffinity, models, 8, 500.0, 0.65);
+  const Placer b(PlacementPolicy::kModelAffinity, models, 8, 500.0, 0.65);
   for (size_t m = 0; m < models.size(); ++m) {
-    EXPECT_EQ(a->EligibleNodes(static_cast<int>(m)), b->EligibleNodes(static_cast<int>(m)));
+    EXPECT_EQ(a.EligibleNodes(static_cast<int>(m)), b.EligibleNodes(static_cast<int>(m)));
+  }
+}
+
+// The flat least-outstanding scan: the model's enabled replicas, else every
+// enabled node, else every node; ties to the lowest index.
+int FlatLeastOutstanding(const Placer& placer, int model_index,
+                         const std::vector<double>& outstanding_ms) {
+  auto scan = [&outstanding_ms](const std::vector<int>& nodes) {
+    int best = -1;
+    for (int node : nodes) {
+      if (best < 0 || outstanding_ms[node] < outstanding_ms[best]) {
+        best = node;
+      }
+    }
+    return best;
+  };
+  std::vector<int> replicas, enabled, all;
+  for (int node : placer.ReplicaNodes(model_index)) {
+    if (placer.NodeEnabled(node)) {
+      replicas.push_back(node);
+    }
+  }
+  for (int n = 0; n < placer.num_nodes(); ++n) {
+    all.push_back(n);
+    if (placer.NodeEnabled(n)) {
+      enabled.push_back(n);
+    }
+  }
+  for (const std::vector<int>* tier : {&replicas, &enabled, &all}) {
+    if (!tier->empty()) {
+      return scan(*tier);
+    }
+  }
+  return -1;
+}
+
+// One random step against a model-affinity placer: new outstanding work on
+// every node (small integers, so ties are common), an enabled-bit flip, and
+// a replica move, add or remove.
+void RandomPlacerStep(Rng& rng, Placer& placer, std::vector<double>& outstanding_ms) {
+  const int num_nodes = placer.num_nodes();
+  for (double& ms : outstanding_ms) {
+    ms = static_cast<double>(rng.UniformInt(0, 4));
+  }
+  const int node = static_cast<int>(rng.UniformInt(0, num_nodes - 1));
+  placer.SetNodeEnabled(node, rng.UniformInt(0, 2) != 0);
+  const int model = static_cast<int>(rng.UniformInt(0, placer.num_models() - 1));
+  const int a = static_cast<int>(rng.UniformInt(0, num_nodes - 1));
+  const int b = static_cast<int>(rng.UniformInt(0, num_nodes - 1));
+  switch (rng.UniformInt(0, 2)) {
+    case 0:
+      placer.MoveReplica(model, a, b);
+      break;
+    case 1:
+      placer.AddReplica(model, a);
+      break;
+    default:
+      placer.RemoveReplica(model, a);
+      break;
+  }
+}
+
+TEST(PlacementDifferentialTest, OneZoneAffinityMatchesFlatScan) {
+  const std::vector<FleetModel> models = TestModels();
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    const int num_nodes = 6 + static_cast<int>(seed % 5);
+    Placer placer(PlacementPolicy::kModelAffinity, models, num_nodes, 600.0, 0.5);
+    Rng rng(seed);
+    std::vector<double> outstanding(num_nodes, 0.0);
+    for (int step = 0; step < 2000; ++step) {
+      RandomPlacerStep(rng, placer, outstanding);
+      for (int m = 0; m < placer.num_models(); ++m) {
+        ASSERT_EQ(PlaceOn(placer, m, outstanding), FlatLeastOutstanding(placer, m, outstanding))
+            << "seed " << seed << " step " << step << " model " << m;
+      }
+    }
+  }
+}
+
+TEST(PlacementDifferentialTest, FourZoneAffinityPicksLeastLoadedZone) {
+  const std::vector<FleetModel> models = TestModels();
+  ZoneTopology topo;
+  topo.num_zones = 4;
+  topo.zone_size = 3;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    Placer placer(PlacementPolicy::kModelAffinity, models, 12, 1500.0, 0.5, topo);
+    Rng rng(seed);
+    std::vector<double> outstanding(12, 0.0);
+    for (int step = 0; step < 2000; ++step) {
+      RandomPlacerStep(rng, placer, outstanding);
+      const std::vector<double> zone_ms = ZoneSums(placer, outstanding);
+      std::vector<int> zone_enabled(topo.num_zones, 0);
+      for (int n = 0; n < 12; ++n) {
+        zone_enabled[topo.ZoneOf(n)] += placer.NodeEnabled(n) ? 1 : 0;
+      }
+      for (int m = 0; m < placer.num_models(); ++m) {
+        // The least queued work per enabled node among the enabled zones
+        // holding a replica; ties to the lowest zone.
+        int zone = -1;
+        for (int node : placer.ReplicaNodes(m)) {
+          const int z = topo.ZoneOf(node);
+          if (zone_enabled[z] > 0 &&
+              (zone < 0 || zone_ms[z] / zone_enabled[z] < zone_ms[zone] / zone_enabled[zone])) {
+            zone = z;
+          }
+        }
+        int expected = -1;
+        for (int node : placer.ReplicaNodes(m)) {
+          if (topo.ZoneOf(node) == zone && placer.NodeEnabled(node) &&
+              (expected < 0 || outstanding[node] < outstanding[expected])) {
+            expected = node;
+          }
+        }
+        const int chosen = placer.Place(m, outstanding, zone_ms);
+        if (expected >= 0) {
+          ASSERT_EQ(topo.ZoneOf(chosen), zone) << "seed " << seed << " step " << step;
+          ASSERT_EQ(chosen, expected) << "seed " << seed << " step " << step;
+        } else {
+          // No enabled replica in that zone: the flat fallback.
+          ASSERT_EQ(chosen, FlatLeastOutstanding(placer, m, outstanding))
+              << "seed " << seed << " step " << step;
+        }
+      }
+    }
   }
 }
 

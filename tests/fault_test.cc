@@ -67,12 +67,14 @@ std::string PhaseLines(const FleetFaultResult& r) {
 TEST(ZoneTest, TopologyPartitionsNodes) {
   Simulator sim;
   FleetDispatcher fleet(&sim, ZonedConfig(4, 3));
-  ASSERT_EQ(fleet.zones().size(), 4u);
+  const ZoneTopology& topo = fleet.zone_topology();
+  ASSERT_EQ(fleet.num_zones(), 4);
+  EXPECT_EQ(topo.zone_size, 3);
+  EXPECT_EQ(topo.ZoneBegin(0), 0);
+  EXPECT_EQ(topo.ZoneEnd(3), 12);
   for (int z = 0; z < 4; ++z) {
-    EXPECT_EQ(fleet.zone(z).id(), z);
-    EXPECT_EQ(fleet.zone(z).num_nodes(), 3);
-    for (int n = fleet.zone(z).begin(); n < fleet.zone(z).end(); ++n) {
-      EXPECT_TRUE(fleet.zone(z).Contains(n));
+    EXPECT_EQ(topo.ZoneEnd(z) - topo.ZoneBegin(z), 3);
+    for (int n = topo.ZoneBegin(z); n < topo.ZoneEnd(z); ++n) {
       EXPECT_EQ(fleet.ZoneOfNode(n), z);
     }
   }
@@ -93,7 +95,6 @@ TEST(ZoneTest, ZonedPackingSpreadsHotModelsAcrossZones) {
   ClusterConfig config = ZonedConfig(4, 8);
   config.aggregate_rps = 2000.0;  // hot head models need several replicas
   FleetDispatcher fleet(&sim, config);
-  EXPECT_EQ(fleet.placer().Name(), "model-affinity/zoned");
 
   // The most popular model's replicas must span more than one failure
   // domain, so a whole-zone outage leaves live copies elsewhere.
@@ -582,8 +583,8 @@ std::string CheckRequestConservation(bool resilient) {
   SpanBuilder spans;
   fleet.SetSpanSink(&spans);
   auto busiest = [&fleet](int zone) {
-    int best = fleet.zone(zone).begin();
-    for (int n = best; n < fleet.zone(zone).end(); ++n) {
+    int best = fleet.zone_topology().ZoneBegin(zone);
+    for (int n = best; n < fleet.zone_topology().ZoneEnd(zone); ++n) {
       if (fleet.outstanding_ms()[n] > fleet.outstanding_ms()[best]) {
         best = n;
       }

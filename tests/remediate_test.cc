@@ -196,7 +196,6 @@ TEST(RemediateRollbackTest, FalsePositiveRollbackRestoresPlacement) {
   control.cluster = base.cluster;
   control.scaling = base.scaling;
   control.control_period = base.control_period;
-  control.target_util = base.target_util;
   control.min_nodes = base.min_nodes;
   control.max_migrations_per_period = base.max_migrations_per_period;
   FleetController controller(&sim, &fleet, control);
