@@ -359,10 +359,7 @@ AutoscaleResult RunClusterAutoscale(const AutoscaleConfig& config) {
       powered_on_seconds > 0
           ? result.cluster.completed_request_gpu_ms / (powered_on_seconds * 1000.0)
           : 0.0;
-  double joules = 0;
-  for (const ClusterNodeStats& node : result.cluster.nodes) {
-    joules += node.energy_joules;
-  }
+  const double joules = result.cluster.energy_joules;
   result.joules_per_day = result.days > 0 ? joules / result.days : joules;
   result.migrations = result.cluster.migrations;
   result.migration_gpu_ms = result.cluster.migration_gpu_ms;

@@ -35,11 +35,6 @@ class BaselineBackend : public Backend {
     return it != clients_.end() && it->second.priority == PriorityClass::kHighPriority;
   }
 
-  const Client* FindClient(int client_id) const {
-    auto it = clients_.find(client_id);
-    return it == clients_.end() ? nullptr : &it->second;
-  }
-
   // Claims the stream head and launches the whole kernel on `mask`. The
   // grant's share weight is priority_boost * thread blocks: when TPCs are
   // shared, the hardware's block dispatcher hands out SM slots roughly in
@@ -53,13 +48,6 @@ class BaselineBackend : public Backend {
   // override to add policy (e.g. pumping gated queues).
   virtual void HandleHeadComplete(Stream* stream, const GrantInfo& info);
 
-  // Number of kernels this backend currently has on the device.
-  int inflight_count() const { return static_cast<int>(inflight_.size()); }
-  // In-flight grant for a stream, or kInvalidGrant.
-  GrantId GrantOf(Stream* stream) const {
-    auto it = inflight_.find(stream);
-    return it == inflight_.end() ? kInvalidGrant : it->second;
-  }
   // Streams with work currently on the device, filtered by priority class.
   int InflightOfClass(PriorityClass cls) const;
 

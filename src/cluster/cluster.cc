@@ -1,6 +1,7 @@
 #include "src/cluster/cluster.h"
 
 #include <algorithm>
+#include <bitset>
 #include <cmath>
 #include <cstdio>
 
@@ -74,6 +75,7 @@ ClusterDispatcher::ClusterDispatcher(Simulator* sim, const ClusterConfig& config
   zone_outstanding_ms_.assign(config_.num_zones, 0.0);
 
   const std::vector<FleetModel>& models = fleet_.models();
+  LITHOS_CHECK_LE(models.size(), 64u);  // NodeState::models_seen is a 64-bit mask
   model_share_ = PopularityShares(models);
   for (size_t i = 0; i < models.size(); ++i) {
     const FleetModel& m = models[i];
@@ -228,16 +230,11 @@ void ClusterDispatcher::BeginMeasurement() {
   ctr_migrations_->Reset();
   g_migration_gpu_ms_->Reset();
   ctr_recoveries_->Reset();
+  window_dispatched_ = 0;
+  window_failed_ = 0;
+  window_switches_ = 0;
   for (int n = 0; n < config_.num_nodes; ++n) {
-    NodeState& state = node_state_[n];
-    state.dispatched_measured = 0;
-    state.completed_measured = 0;
-    state.switches_measured = 0;
-    state.failed_measured = 0;
-    state.migrations_in = 0;
-    state.migrations_out = 0;
-    state.models_seen.clear();
-    state.launches_at_window_start = nodes_[n]->driver()->launches_issued();
+    node_state_[n].models_seen = 0;
     nodes_[n]->engine()->ResetStats();
   }
 }
@@ -298,8 +295,6 @@ bool ClusterDispatcher::MigrateModel(int model_index, int from, int to) {
   // first redirected request on `to`.
   if (sim_->Now() >= warmup_end_) {
     ctr_migrations_->Inc();
-    ++node_state_[from].migrations_out;
-    ++node_state_[to].migrations_in;
   }
   if (trace_ != nullptr) {
     trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kMigration,
@@ -314,9 +309,6 @@ bool ClusterDispatcher::AddModelReplica(int model_index, int node) {
   if (!placer_.AddReplica(model_index, node)) {
     return false;
   }
-  if (sim_->Now() >= warmup_end_) {
-    ++node_state_[node].migrations_in;
-  }
   ChargeMigrationKernel(node, model_index, &restore_kernels_[model_index]);
   return true;
 }
@@ -325,9 +317,6 @@ bool ClusterDispatcher::RemoveModelReplica(int model_index, int node) {
   LITHOS_CHECK(!node_state_[node].failed);  // lost replicas go through DropLostReplica
   if (!placer_.RemoveReplica(model_index, node)) {
     return false;
-  }
-  if (sim_->Now() >= warmup_end_) {
-    ++node_state_[node].migrations_out;
   }
   ChargeMigrationKernel(node, model_index, &checkpoint_kernels_[model_index]);
   return true;
@@ -518,9 +507,6 @@ bool ClusterDispatcher::RecoverModelReplica(int model_index, int from, int to) {
     return false;
   }
   ctr_recoveries_->Inc();
-  if (sim_->Now() >= warmup_end_) {
-    ++node_state_[to].migrations_in;
-  }
   if (trace_ != nullptr) {
     trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kRecoverReplica,
                    to, ZoneOfNode(to), model_index, from);
@@ -554,9 +540,12 @@ ClusterResult ClusterDispatcher::Collect(DurationNs measured) {
   latency_ms.Finalize();
   result.p50_ms = latency_ms.Percentile(50);
   result.p99_ms = latency_ms.P99();
+  result.completed = latency_ms.count();
+  result.dispatched = window_dispatched_;
+  result.failed = window_failed_;
+  result.total_model_switches = window_switches_;
   const double secs = ToSeconds(measured);
-  result.throughput_rps =
-      secs > 0 ? static_cast<double>(latency_ms.count()) / secs : 0.0;
+  result.throughput_rps = secs > 0 ? static_cast<double>(result.completed) / secs : 0.0;
 
   double busy_total = 0;
   double capacity_total = 0;
@@ -565,22 +554,8 @@ ClusterResult ClusterDispatcher::Collect(DurationNs measured) {
   double models_on_used = 0;
   for (int n = 0; n < config_.num_nodes; ++n) {
     const EngineStats& engine = nodes_[n]->engine()->Stats();
-    ClusterNodeStats ns;
-    ns.node_id = n;
-    ns.dispatched = node_state_[n].dispatched_measured;
-    ns.completed = node_state_[n].completed_measured;
-    ns.model_switches = node_state_[n].switches_measured;
-    ns.migrations_in = node_state_[n].migrations_in;
-    ns.migrations_out = node_state_[n].migrations_out;
-    ns.failed = node_state_[n].failed_measured;
-    ns.distinct_models = static_cast<int>(node_state_[n].models_seen.size());
-    ns.busy_tpc_seconds = engine.busy_tpc_seconds;
-    ns.energy_joules = engine.energy_joules;
-    ns.driver_launches =
-        nodes_[n]->driver()->launches_issued() - node_state_[n].launches_at_window_start;
     const double capacity = engine.elapsed_seconds * config_.spec.TotalTpcs();
-    ns.utilization = capacity > 0 ? engine.busy_tpc_seconds / capacity : 0.0;
-
+    result.energy_joules += engine.energy_joules;
     busy_total += engine.busy_tpc_seconds;
     capacity_total += capacity;
     // A node counts as used if the policy ever routed to it (lifetime), so
@@ -589,13 +564,8 @@ ClusterResult ClusterDispatcher::Collect(DurationNs measured) {
       ++result.nodes_used;
       busy_used += engine.busy_tpc_seconds;
       capacity_used += capacity;
-      models_on_used += ns.distinct_models;
+      models_on_used += std::bitset<64>(node_state_[n].models_seen).count();
     }
-    result.dispatched += ns.dispatched;
-    result.completed += ns.completed;
-    result.failed += ns.failed;
-    result.total_model_switches += ns.model_switches;
-    result.nodes.push_back(ns);
   }
   result.recoveries = ctr_recoveries_->value();
   result.fleet_utilization = capacity_total > 0 ? busy_total / capacity_total : 0.0;

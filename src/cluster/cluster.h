@@ -17,15 +17,14 @@
 //
 // At region scale the pool splits into contiguous failure-domain zones
 // (ClusterConfig::num_zones, described by one ZoneTopology that the placer
-// owns); src/cluster/fleet_dispatcher.h adds whole-zone operations and
-// src/fault/ injects crashes, stragglers, power caps, and whole-zone outages
-// against the fault hooks below. See docs/fleet.md for the hierarchy,
-// failure model, and recovery semantics.
+// owns). The fault hooks below are per node; src/fault/ injects crashes,
+// stragglers, power caps, and whole-zone outages and partitions through
+// them. See docs/fleet.md for the hierarchy, failure model, and recovery
+// semantics.
 #ifndef LITHOS_CLUSTER_CLUSTER_H_
 #define LITHOS_CLUSTER_CLUSTER_H_
 
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -154,26 +153,8 @@ struct ClusterConfig {
   ResilienceConfig resilience;
 };
 
-// Per-node snapshot. Every counter covers the post-warm-up measurement
-// window opened by BeginMeasurement() — including `distinct_models` and
-// `driver_launches`, which snapshot their lifetime baselines at the window
-// start — so all per-node counters share one window with the latency/engine
-// statistics. Without a BeginMeasurement() call the window is the full run.
-struct ClusterNodeStats {
-  int node_id = 0;
-  uint64_t dispatched = 0;        // requests routed here
-  uint64_t completed = 0;         // requests finished here
-  uint64_t model_switches = 0;    // switch/load kernels charged (incl. cold start)
-  uint64_t migrations_in = 0;     // replicas restored onto this node
-  uint64_t migrations_out = 0;    // replicas checkpointed away from this node
-  int distinct_models = 0;        // models that landed here in the window
-  uint64_t failed = 0;            // requests lost to a crash of this node
-  double utilization = 0;         // busy TPC-seconds / capacity
-  double busy_tpc_seconds = 0;
-  double energy_joules = 0;
-  uint64_t driver_launches = 0;   // kernels + markers through this driver
-};
-
+// Fleet totals over the post-warm-up measurement window opened by
+// BeginMeasurement(); without that call the window is the full run.
 struct ClusterResult {
   PlacementPolicy policy = PlacementPolicy::kRoundRobin;
   int num_nodes = 0;
@@ -203,7 +184,8 @@ struct ClusterResult {
   // GPU per model (13 for the production fleet's model set).
   int gpus_saved_vs_dedicated = 0;
   double mean_models_per_node = 0;  // over used nodes
-  uint64_t total_model_switches = 0;
+  uint64_t total_model_switches = 0;  // switch/load kernels (incl. cold starts)
+  double energy_joules = 0;           // drawn by every node's engine
 
   // Live-migration traffic (autoscale control plane).
   uint64_t migrations = 0;           // replica re-homings (checkpoint + restore)
@@ -214,8 +196,6 @@ struct ClusterResult {
   // restore-only recovery path.
   uint64_t failed = 0;
   uint64_t recoveries = 0;
-
-  std::vector<ClusterNodeStats> nodes;
 };
 
 class ClusterDispatcher {
@@ -263,10 +243,9 @@ class ClusterDispatcher {
   void SetWarmupEnd(TimeNs t) { warmup_end_ = t; }
 
   // Opens the measurement window at the current simulated time: discards
-  // every accumulated statistic (latency digest, fleet and per-node
-  // counters, every node engine's stats), clears the per-node model sets,
-  // and snapshots the driver launch counters — so every ClusterNodeStats
-  // field covers one window. Call at warm-up end.
+  // every accumulated statistic (latency digest, window counters, every node
+  // engine's stats) and clears the per-node model sets, so every
+  // ClusterResult field covers one window. Call at warm-up end.
   void BeginMeasurement();
 
   // Snapshots fleet metrics; `measured` is the post-warm-up window length.
@@ -466,15 +445,7 @@ class ClusterDispatcher {
     bool partitioned = false;
     TimeNs partitioned_at = 0;
     std::vector<DeferredCompletion> deferred;  // finish-order buffer
-    // Measurement-window counters reported through ClusterNodeStats.
-    uint64_t dispatched_measured = 0;
-    uint64_t completed_measured = 0;
-    uint64_t switches_measured = 0;
-    uint64_t failed_measured = 0;
-    uint64_t migrations_in = 0;
-    uint64_t migrations_out = 0;
-    std::set<int> models_seen;           // cleared at window start
-    uint64_t launches_at_window_start = 0;
+    uint64_t models_seen = 0;  // bit m: model m landed here in the window
     // Lazily created client/stream per model; index by model, null until
     // the first request for that model lands here.
     std::vector<Stream*> model_streams;
@@ -536,7 +507,9 @@ class ClusterDispatcher {
   //
   // Picks a healthy target for the next attempt; prefers the placer's
   // choice, falls back to a least-outstanding scan of the model's eligible
-  // nodes (hedges require an untried node). Returns -1 when none qualifies.
+  // nodes, then to one ranked scan of the whole fleet. A hedge stops after
+  // the eligible scan (it needs a viable untried node). Returns -1 when
+  // none qualifies.
   int PickAttemptNode(int model_index, const RequestState& req, bool hedge);
   // Launches one attempt (switch kernel if needed + request kernel +
   // completion marker) on `node`; the switch gets its own marker only when
@@ -603,6 +576,12 @@ class ClusterDispatcher {
   Gauge* g_dispatched_request_ms_ = nullptr;  // cumulative arrival-weighted request GPU-ms
   Gauge* g_migration_gpu_ms_ = nullptr;
   Histogram* hist_latency_ms_ = nullptr;
+  // Measurement-window totals behind ClusterResult, zeroed by
+  // BeginMeasurement(); plain fields so the registry's rows stay the
+  // lifetime fleet/* set. `completed` is hist_latency_ms_'s count.
+  uint64_t window_dispatched_ = 0;  // requests whose first attempt launched
+  uint64_t window_failed_ = 0;      // failed requests with at least one attempt
+  uint64_t window_switches_ = 0;    // model-switch kernels charged
   int failed_node_count_ = 0;
   int partitioned_node_count_ = 0;
   std::vector<std::string> recovery_log_;

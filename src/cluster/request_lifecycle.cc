@@ -176,7 +176,7 @@ int ClusterDispatcher::PickAttemptNode(int model_index, const RequestState& req,
       !doomed(placed)) {
     return placed;
   }
-  // Deterministic fallback: least-outstanding healthy untried node among the
+  // Tier 0: least-outstanding healthy untried undoomed node among the
   // model's eligible set (ties break to the lowest node id — EligibleNodes
   // is sorted and the comparison is strict).
   const std::vector<int> eligible = placer_.EligibleNodes(model_index);
@@ -191,42 +191,29 @@ int ClusterDispatcher::PickAttemptNode(int model_index, const RequestState& req,
     return best;  // a hedge without a viable distinct target is skipped
   }
   // Every replica was already tried, is unreachable, or is saturated past the
-  // timeout. Escaping to a fresh node matters more than model affinity here,
-  // so pay the model switch on the least-outstanding healthy untried
-  // unsaturated node (the same last resort the placers use for a fully-dead
-  // replica set).
+  // timeout. Escaping to a fresh node matters more than model affinity, and
+  // serving with a likely timeout beats refusing, so rank every healthy node:
+  //   1  untried and undoomed (pays the model switch on a fresh node)
+  //   2  untried but doomed (accept the likely timeout)
+  //   3  tried, but one of the model's eligible nodes (reuse a replica)
+  //   4  tried
+  // and take the least (tier, outstanding, node id). Returns -1 only when no
+  // node is healthy.
+  int best_tier = 5;
+  size_t next_eligible = 0;
   for (int n = 0; n < config_.num_nodes; ++n) {
-    if (healthy(n) && !tried(n) && !doomed(n) &&
-        (best < 0 || outstanding_ms_[n] < outstanding_ms_[best])) {
-      best = n;
+    while (next_eligible < eligible.size() && eligible[next_eligible] < n) {
+      ++next_eligible;
     }
-  }
-  if (best >= 0) {
-    return best;
-  }
-  // Everything viable is saturated: take the least-loaded untried node and
-  // accept the likely timeout rather than refuse outright.
-  for (int n = 0; n < config_.num_nodes; ++n) {
-    if (healthy(n) && !tried(n) &&
-        (best < 0 || outstanding_ms_[n] < outstanding_ms_[best])) {
-      best = n;
+    if (!healthy(n)) {
+      continue;
     }
-  }
-  if (best >= 0) {
-    return best;
-  }
-  // Nothing untried anywhere: reuse a tried replica rather than give up.
-  for (const int n : eligible) {
-    if (healthy(n) && (best < 0 || outstanding_ms_[n] < outstanding_ms_[best])) {
+    const bool is_eligible = next_eligible < eligible.size() && eligible[next_eligible] == n;
+    const int tier = !tried(n) ? (doomed(n) ? 2 : 1) : (is_eligible ? 3 : 4);
+    if (tier < best_tier ||
+        (tier == best_tier && outstanding_ms_[n] < outstanding_ms_[best])) {
       best = n;
-    }
-  }
-  if (best >= 0) {
-    return best;
-  }
-  for (int n = 0; n < config_.num_nodes; ++n) {
-    if (healthy(n) && (best < 0 || outstanding_ms_[n] < outstanding_ms_[best])) {
-      best = n;
+      best_tier = tier;
     }
   }
   return best;
@@ -239,9 +226,9 @@ void ClusterDispatcher::LaunchAttempt(uint32_t slot, int node, bool is_hedge) {
   const bool measured = sim_->Now() >= warmup_end_;
   ++state.dispatched;  // every attempt marks the node used
   if (req.tries.empty() && measured) {
-    ++state.dispatched_measured;  // the request itself counts once
+    ++window_dispatched_;  // the request itself counts once
   }
-  state.models_seen.insert(req.model);
+  state.models_seen |= uint64_t{1} << req.model;
 
   Stream* stream = StreamFor(node, req.model);
   Driver* driver = nodes_[node]->driver();
@@ -270,7 +257,7 @@ void ClusterDispatcher::LaunchAttempt(uint32_t slot, int node, bool is_hedge) {
       cost_ms += switch_ms;
     }
     if (measured) {
-      ++state.switches_measured;
+      ++window_switches_;
     }
     state.last_model = req.model;
   }
@@ -503,7 +490,6 @@ void ClusterDispatcher::OnAttemptComplete(uint32_t slot, uint32_t gen, int attem
   EmitReq(TraceKind::kReqComplete, a.node, ZoneOfNode(a.node),
           ReqArg(attempt, deferred), req.req_id);
   if (req.arrival >= warmup_end_) {
-    ++node_state_[a.node].completed_measured;
     hist_latency_ms_->Add(ToMillis(sim_->Now() - req.arrival));
     g_completed_request_ms_->Add(fleet_.models()[req.model].cost_ms);
   }
@@ -524,7 +510,7 @@ void ClusterDispatcher::FailRequest(uint32_t slot) {
   ctr_failed_->Inc();
   const int node = req.tries.empty() ? -1 : req.tries.back().node;
   if (node >= 0 && sim_->Now() >= warmup_end_) {
-    ++node_state_[node].failed_measured;
+    ++window_failed_;
   }
   EmitReq(TraceKind::kReqFail, node, node >= 0 ? ZoneOfNode(node) : -1,
           req.model, req.req_id);

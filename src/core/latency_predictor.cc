@@ -89,9 +89,6 @@ void LatencyPredictor::Record(const OperatorKey& key, const ExecConditions& cond
   if (!inserted) {
     bit->second = (1.0 - kEwmaAlpha) * bit->second + kEwmaAlpha * canonical;
   }
-  m.canonical_ewma = m.canonical_ewma == 0
-                         ? canonical
-                         : (1.0 - kEwmaAlpha) * m.canonical_ewma + kEwmaAlpha * canonical;
   m.last_tpcs = cond.tpcs;
   ++m.observations;
   if (m.by_tpcs.size() >= 2) {
@@ -141,11 +138,6 @@ bool LatencyPredictor::GetScalingFit(const OperatorKey& key, ScalingFit* fit) co
 int LatencyPredictor::DistinctTpcPoints(const OperatorKey& key) const {
   auto it = ops_.find(key);
   return it == ops_.end() ? 0 : static_cast<int>(it->second.by_tpcs.size());
-}
-
-double LatencyPredictor::CanonicalLatencyNs(const OperatorKey& key) const {
-  auto it = ops_.find(key);
-  return it == ops_.end() ? 0.0 : it->second.canonical_ewma;
 }
 
 double LatencyPredictor::FreqSensitivity(const OperatorKey& key) const {

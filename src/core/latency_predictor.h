@@ -94,9 +94,6 @@ class LatencyPredictor {
   // Distinct TPC allocations observed for the operator.
   int DistinctTpcPoints(const OperatorKey& key) const;
 
-  // Mean observed latency at canonical conditions; 0 if unseen.
-  double CanonicalLatencyNs(const OperatorKey& key) const;
-
   // Learned frequency sensitivity s in [0,1]; negative when no cross-
   // frequency evidence exists yet (the DVFS manager then assumes s = 1).
   double FreqSensitivity(const OperatorKey& key) const;
@@ -116,7 +113,6 @@ class LatencyPredictor {
     // fraction and max frequency with the operator's estimated sensitivity.
     std::map<int, double> by_tpcs;  // rounded tpcs -> canonical ns
     ScalingFit fit;                 // fit over by_tpcs; valid once size() >= 2
-    double canonical_ewma = 0;      // overall canonical EWMA (any allocation)
     double last_tpcs = 0;           // allocation of most recent observation
     // Frequency sensitivity estimate (s in [0,1]); starts at the conservative
     // linear assumption s = 1.

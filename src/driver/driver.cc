@@ -57,13 +57,6 @@ void Stream::CompleteHead() {
   }
 }
 
-void Stream::RequeueHead() {
-  LITHOS_CHECK(head_in_flight_);
-  head_in_flight_ = false;
-  // The record stays at the front; it becomes dispatchable again.
-  NotifyBackendIfReady();
-}
-
 bool Stream::CancelQueued(uint64_t launch_id) {
   for (size_t i = 0; i < pending_.size(); ++i) {
     if (pending_[i].launch_id != launch_id) {

@@ -79,11 +79,6 @@ class Stream {
   // the backend if another kernel becomes dispatchable.
   void CompleteHead();
 
-  // Returns the claimed head to dispatchable state without completing it —
-  // used by reset-style preemption (REEF) when an in-flight kernel is aborted
-  // and must run again from scratch.
-  void RequeueHead();
-
   // Removes a still-queued operation (kernel or marker) by launch id without
   // running it — the hedged-dispatch loser path. Returns false when the id is
   // not queued here or is the claimed in-flight head (cancel that through the

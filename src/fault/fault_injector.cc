@@ -72,7 +72,7 @@ DurationNs SampleRepair(const RepairModel& model, Rng& rng) {
 
 }  // namespace
 
-FaultInjector::FaultInjector(Simulator* sim, FleetDispatcher* fleet,
+FaultInjector::FaultInjector(Simulator* sim, ClusterDispatcher* fleet,
                              const FaultScenarioConfig& config)
     : sim_(sim), fleet_(fleet), config_(config) {
   LITHOS_CHECK(fleet_ != nullptr);

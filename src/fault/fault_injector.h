@@ -17,7 +17,10 @@
 // Failure semantics live in the layers below: a crash goes through
 // ClusterDispatcher::FailNode (queued work written off, in-flight requests
 // discounted as failed, placement rotation updated immediately), and
-// recovery is the FleetController's job at its next tick. Stragglers and
+// recovery is the FleetController's job at its next tick. Zone-wide faults
+// are the injector's own: a zone outage or partition is applied node by node
+// through FailNode / PartitionNode, with per-node cause counts so
+// overlapping causes repair only when the last one ends. Stragglers and
 // power caps request a lower clock through ExecutionEngine's DVFS path
 // (effective after the spec's freq_switch_latency, like real GPUs); when a
 // node is both straggling and zone-capped the most restrictive factor wins.
@@ -28,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "src/cluster/fleet_dispatcher.h"
+#include "src/cluster/cluster.h"
 #include "src/common/time.h"
 #include "src/sim/simulator.h"
 
@@ -184,7 +187,7 @@ struct GroundTruthSpan {
 class FaultInjector {
  public:
   // Generates the full schedule deterministically; nothing is armed yet.
-  FaultInjector(Simulator* sim, FleetDispatcher* fleet, const FaultScenarioConfig& config);
+  FaultInjector(Simulator* sim, ClusterDispatcher* fleet, const FaultScenarioConfig& config);
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
@@ -232,7 +235,7 @@ class FaultInjector {
   static std::string FormatEvent(const FaultEvent& event);
 
   Simulator* sim_;
-  FleetDispatcher* fleet_;
+  ClusterDispatcher* fleet_;
   FaultScenarioConfig config_;
   std::vector<FaultEvent> schedule_;
 

@@ -14,7 +14,7 @@ namespace {
 // known-down input. Lives on the scenario stack for the whole run.
 struct DetectorTicker {
   Simulator* sim = nullptr;
-  FleetDispatcher* fleet = nullptr;
+  ClusterDispatcher* fleet = nullptr;
   GrayNodeDetector* detector = nullptr;
   RemediationController* remedy = nullptr;  // ticks right after the detector
   TimeNs horizon = 0;
@@ -86,7 +86,7 @@ FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config) {
   const TimeNs horizon = config.phases.back().end;
 
   Simulator sim;
-  FleetDispatcher fleet(&sim, config.cluster);
+  ClusterDispatcher fleet(&sim, config.cluster);
   sim.SetTrace(config.trace);
   fleet.SetTrace(config.trace);
   fleet.SetSpanSink(config.spans);

@@ -137,7 +137,7 @@ struct FleetFaultResult {
   double Rate(const MetricsRegistry::PhaseSnapshot& phase, const std::string& metric) const;
 };
 
-// Builds simulator + FleetDispatcher + FleetController + FaultInjector,
+// Builds simulator + ClusterDispatcher + FleetController + FaultInjector,
 // runs to the last phase's end, and snapshots the registry per phase.
 // Deterministic for a given config.
 FleetFaultResult RunFleetFaultScenario(const FleetFaultConfig& config);

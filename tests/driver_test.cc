@@ -122,16 +122,6 @@ TEST_F(DriverTest, BatchOrdinalsResetAtMarkers) {
   EXPECT_EQ(stream_->PeekHead().batch_ordinal, 0u);
 }
 
-TEST_F(DriverTest, RequeueHeadMakesKernelDispatchableAgain) {
-  driver_.CuLaunchKernel(stream_, &kernel_);
-  const uint64_t id_before = stream_->BeginHead().launch_id;
-  backend_.ready.clear();
-  stream_->RequeueHead();  // REEF-style reset: run again from scratch
-  EXPECT_EQ(backend_.ready.size(), 1u);
-  ASSERT_TRUE(stream_->HasDispatchableKernel());
-  EXPECT_EQ(stream_->PeekHead().launch_id, id_before);
-}
-
 TEST_F(DriverTest, InFlightHeadAccessor) {
   EXPECT_EQ(stream_->InFlightHead(), nullptr);
   driver_.CuLaunchKernel(stream_, &kernel_);

@@ -11,7 +11,7 @@
 
 #include "bench/bench_util.h"
 #include "src/autoscale/fleet_controller.h"
-#include "src/cluster/fleet_dispatcher.h"
+#include "src/cluster/cluster.h"
 #include "src/cluster/placement.h"
 #include "src/experiments/sweep.h"
 #include "src/fault/fault_injector.h"
@@ -66,7 +66,7 @@ std::string PhaseLines(const FleetFaultResult& r) {
 
 TEST(ZoneTest, TopologyPartitionsNodes) {
   Simulator sim;
-  FleetDispatcher fleet(&sim, ZonedConfig(4, 3));
+  ClusterDispatcher fleet(&sim, ZonedConfig(4, 3));
   const ZoneTopology& topo = fleet.zone_topology();
   ASSERT_EQ(fleet.num_zones(), 4);
   EXPECT_EQ(topo.zone_size, 3);
@@ -94,7 +94,7 @@ TEST(ZoneTest, ZonedPackingSpreadsHotModelsAcrossZones) {
   Simulator sim;
   ClusterConfig config = ZonedConfig(4, 8);
   config.aggregate_rps = 2000.0;  // hot head models need several replicas
-  FleetDispatcher fleet(&sim, config);
+  ClusterDispatcher fleet(&sim, config);
 
   // The most popular model's replicas must span more than one failure
   // domain, so a whole-zone outage leaves live copies elsewhere.
@@ -110,9 +110,10 @@ TEST(ZoneTest, ZonedPackingSpreadsHotModelsAcrossZones) {
 TEST(ZoneTest, ZonedPlacerRoutesAroundDeadZone) {
   Simulator sim;
   ClusterConfig config = ZonedConfig(4, 4);
-  FleetDispatcher fleet(&sim, config);
-  fleet.FailZone(0);
-  EXPECT_TRUE(fleet.ZoneFailed(0));
+  ClusterDispatcher fleet(&sim, config);
+  for (int n = fleet.zone_topology().ZoneBegin(0); n < fleet.zone_topology().ZoneEnd(0); ++n) {
+    fleet.FailNode(n);
+  }
   EXPECT_EQ(fleet.failed_node_count(), 4);
 
   // Every model stays routable, and nothing routes into the dead zone.
@@ -128,7 +129,7 @@ TEST(ZoneTest, ZonedPlacerRoutesAroundDeadZone) {
 TEST(FaultTest, CrashWritesOffInFlightWork) {
   Simulator sim;
   ClusterConfig config = ZonedConfig(2, 2, PlacementPolicy::kLeastLoaded);
-  FleetDispatcher fleet(&sim, config);
+  ClusterDispatcher fleet(&sim, config);
 
   // Put two requests in flight (least-loaded spreads them over two nodes),
   // then crash both hosts before either completes.
@@ -162,7 +163,7 @@ TEST(FaultTest, CrashWritesOffInFlightWork) {
 
 TEST(FaultTest, FailNodeIsIdempotent) {
   Simulator sim;
-  FleetDispatcher fleet(&sim, ZonedConfig(2, 2));
+  ClusterDispatcher fleet(&sim, ZonedConfig(2, 2));
   fleet.FailNode(1);
   fleet.FailNode(1);
   EXPECT_EQ(fleet.failed_node_count(), 1);
@@ -173,7 +174,7 @@ TEST(FaultTest, FailNodeIsIdempotent) {
 
 TEST(FaultTest, RecoverModelReplicaChargesRestoreOnly) {
   Simulator sim;
-  FleetDispatcher fleet(&sim, ZonedConfig(2, 2));
+  ClusterDispatcher fleet(&sim, ZonedConfig(2, 2));
   // Find a model hosted on node 0 and a survivor not hosting it.
   int model = -1;
   for (int m = 0; m < static_cast<int>(fleet.models().size()); ++m) {
@@ -234,8 +235,8 @@ TEST(FaultReplayTest, ScheduleIsPureFunctionOfConfig) {
   scenario.power_caps = {{2, FromSeconds(6), FromSeconds(2), 0.7}};
 
   Simulator sim_a, sim_b;
-  FleetDispatcher fleet_a(&sim_a, ZonedConfig(4, 4));
-  FleetDispatcher fleet_b(&sim_b, ZonedConfig(4, 4));
+  ClusterDispatcher fleet_a(&sim_a, ZonedConfig(4, 4));
+  ClusterDispatcher fleet_b(&sim_b, ZonedConfig(4, 4));
   FaultInjector injector_a(&sim_a, &fleet_a, scenario);
   FaultInjector injector_b(&sim_b, &fleet_b, scenario);
 
@@ -312,7 +313,7 @@ TEST(FaultReplayTest, SweepGridIsByteIdenticalAcrossJobs) {
 
 TEST(PartitionTest, PartitionDefersThenHealDelivers) {
   Simulator sim;
-  FleetDispatcher fleet(&sim, ZonedConfig(2, 2, PlacementPolicy::kLeastLoaded));
+  ClusterDispatcher fleet(&sim, ZonedConfig(2, 2, PlacementPolicy::kLeastLoaded));
   const int node = fleet.Dispatch(0);
   ASSERT_GE(node, 0);
 
@@ -340,7 +341,7 @@ TEST(PartitionTest, PartitionDefersThenHealDelivers) {
 
 TEST(PartitionTest, CrashDuringPartitionOrphansDeferredWork) {
   Simulator sim;
-  FleetDispatcher fleet(&sim, ZonedConfig(2, 2, PlacementPolicy::kLeastLoaded));
+  ClusterDispatcher fleet(&sim, ZonedConfig(2, 2, PlacementPolicy::kLeastLoaded));
   const int node = fleet.Dispatch(0);
   ASSERT_GE(node, 0);
   fleet.PartitionNode(node);
@@ -361,11 +362,11 @@ TEST(PartitionTest, CrashDuringPartitionOrphansDeferredWork) {
 
 TEST(PartitionTest, WriteOffPolicyFailsFastIntoPartitionedPool) {
   Simulator sim;
-  FleetDispatcher fleet(&sim, ZonedConfig(2, 2));
-  fleet.PartitionZone(0);
-  fleet.PartitionZone(1);
-  EXPECT_TRUE(fleet.ZonePartitioned(0));
-  EXPECT_TRUE(fleet.ZonePartitioned(1));
+  ClusterDispatcher fleet(&sim, ZonedConfig(2, 2));
+  for (int n = 0; n < fleet.config().num_nodes; ++n) {
+    fleet.PartitionNode(n);  // both zones
+  }
+  EXPECT_EQ(fleet.partitioned_node_count(), 4);
 
   // With every node unreachable there is nowhere to attempt; the one-attempt
   // write-off policy fails the request at admission instead of launching
@@ -382,7 +383,7 @@ TEST(RackTest, ScriptedRackCrashFailsExactlyTheRack) {
   Simulator sim;
   ClusterConfig cc = ZonedConfig(2, 4);
   cc.racks_per_zone = 2;  // 2-node racks
-  FleetDispatcher fleet(&sim, cc);
+  ClusterDispatcher fleet(&sim, cc);
 
   FaultScenarioConfig scenario;
   scenario.seed = 3;
@@ -406,7 +407,7 @@ TEST(RackTest, RandomRackProcessTargetsWholeRacks) {
   Simulator sim;
   ClusterConfig cc = ZonedConfig(2, 4);
   cc.racks_per_zone = 2;
-  FleetDispatcher fleet(&sim, cc);
+  ClusterDispatcher fleet(&sim, cc);
 
   FaultScenarioConfig scenario;
   scenario.seed = 21;
@@ -445,7 +446,7 @@ TEST(FaultReplayTest, RepairDistributionDoesNotPerturbCrashDraws) {
   heavy.crash_repair = RepairModel::Weibull(0.7, 2.0);
 
   Simulator sim;
-  FleetDispatcher fleet(&sim, ZonedConfig(2, 2));
+  ClusterDispatcher fleet(&sim, ZonedConfig(2, 2));
   FaultInjector injector_fixed(&sim, &fleet, fixed);
   FaultInjector injector_heavy(&sim, &fleet, heavy);
 
@@ -473,7 +474,7 @@ TEST(FaultReplayTest, RepairDistributionDoesNotPerturbCrashDraws) {
 
 TEST(FaultValidationTest, RejectsOutOfRangeZoneAndRack) {
   Simulator sim;
-  FleetDispatcher fleet(&sim, ZonedConfig(2, 2));
+  ClusterDispatcher fleet(&sim, ZonedConfig(2, 2));
 
   FaultScenarioConfig bad_partition;
   bad_partition.partitions = {{/*zone=*/5, FromSeconds(1), FromSeconds(1)}};
@@ -552,7 +553,7 @@ TEST(ResilienceTest, ShedBoundsOutstandingWork) {
   ClusterConfig cc = ZonedConfig(1, 2);
   cc.resilience.enabled = true;
   cc.resilience.shed_watermark_ms = 5.0;
-  FleetDispatcher fleet(&sim, cc);
+  ClusterDispatcher fleet(&sim, cc);
 
   // Slam 200 arrivals into a 2-node pool without letting the sim drain:
   // admission control must kick in and cap the queued backlog.
@@ -579,7 +580,7 @@ std::string CheckRequestConservation(bool resilient) {
   Simulator sim;
   ClusterConfig cc = ResilienceScenario(resilient).cluster;
   cc.resilience.hedge = resilient;
-  FleetDispatcher fleet(&sim, cc);
+  ClusterDispatcher fleet(&sim, cc);
   SpanBuilder spans;
   fleet.SetSpanSink(&spans);
   auto busiest = [&fleet](int zone) {
@@ -595,10 +596,16 @@ std::string CheckRequestConservation(bool resilient) {
   sim.ScheduleAt(FromMillis(300), [&] { fleet.FailNode(busiest(1)); });
   sim.ScheduleAt(FromMillis(400), [&] {
     behind = busiest(0);
-    fleet.PartitionZone(0);
+    for (int n = fleet.zone_topology().ZoneBegin(0); n < fleet.zone_topology().ZoneEnd(0); ++n) {
+      fleet.PartitionNode(n);
+    }
   });
   sim.ScheduleAt(FromMillis(420), [&] { fleet.FailNode(behind); });
-  sim.ScheduleAt(FromMillis(700), [&] { fleet.HealZone(0); });
+  sim.ScheduleAt(FromMillis(700), [&] {
+    for (int n = fleet.zone_topology().ZoneBegin(0); n < fleet.zone_topology().ZoneEnd(0); ++n) {
+      fleet.HealNode(n);
+    }
+  });
   fleet.StartArrivals(FromSeconds(1));
   sim.RunToCompletion();
 

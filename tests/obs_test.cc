@@ -380,12 +380,16 @@ TEST(TraceDeterminismTest, PhaseSnapshotMatchesCollectBitForBit) {
   ClusterResult collected;
   for (const bool collect : {false, true}) {
     Simulator sim;
-    FleetDispatcher fleet(&sim, config.cluster);
+    ClusterDispatcher fleet(&sim, config.cluster);
     sim.ScheduleAt(window.begin, [&fleet, &window] {
       fleet.BeginMeasurement();
       fleet.metrics().BeginPhase(window.name);
     });
-    sim.ScheduleAt(window.begin + FromMillis(100), [&fleet] { fleet.FailZone(1); });
+    sim.ScheduleAt(window.begin + FromMillis(100), [&fleet] {
+      for (int n = fleet.zone_topology().ZoneBegin(1); n < fleet.zone_topology().ZoneEnd(1); ++n) {
+        fleet.FailNode(n);
+      }
+    });
     sim.ScheduleAt(window.end, [&] {
       if (collect) {
         collected = fleet.Collect(window.end - window.begin);

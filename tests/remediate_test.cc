@@ -166,7 +166,7 @@ struct PlacementSnapshot {
   std::vector<bool> enabled;               // node -> in rotation
   std::vector<bool> quarantined;           // node -> quarantine active
 
-  static PlacementSnapshot Of(const FleetDispatcher& fleet) {
+  static PlacementSnapshot Of(const ClusterDispatcher& fleet) {
     PlacementSnapshot snap;
     const int num_models = static_cast<int>(fleet.models().size());
     for (int m = 0; m < num_models; ++m) {
@@ -190,7 +190,7 @@ TEST(RemediateRollbackTest, FalsePositiveRollbackRestoresPlacement) {
 
   const TimeNs horizon = base.phases.back().end;
   Simulator sim;
-  FleetDispatcher fleet(&sim, base.cluster);
+  ClusterDispatcher fleet(&sim, base.cluster);
 
   AutoscaleConfig control;
   control.cluster = base.cluster;
