@@ -10,7 +10,7 @@ namespace lithos {
 
 void MpsBackend::OnStreamReady(Stream* stream) {
   // MPS multiplexes every context onto the device unconditionally.
-  SubmitWhole(stream, engine_->spec().AllTpcs(), 1.0);
+  SubmitWhole(stream, engine_->AllTpcs(), 1.0);
 }
 
 // --- Priority -----------------------------------------------------------------
@@ -25,7 +25,7 @@ constexpr double kHpWeight = 8.0;
 
 void PriorityBackend::OnStreamReady(Stream* stream) {
   const double boost = IsHighPriority(stream->client_id()) ? kHpWeight : 1.0;
-  SubmitWhole(stream, engine_->spec().AllTpcs(), boost);
+  SubmitWhole(stream, engine_->AllTpcs(), boost);
 }
 
 // --- REEF ---------------------------------------------------------------------
@@ -36,7 +36,7 @@ bool ReefBackend::AnyHpActive() const {
 
 void ReefBackend::OnStreamReady(Stream* stream) {
   if (IsHighPriority(stream->client_id())) {
-    SubmitWhole(stream, engine_->spec().AllTpcs(), 1.0);
+    SubmitWhole(stream, engine_->AllTpcs(), 1.0);
     return;
   }
   if (be_waiting_set_.insert(stream).second) {
@@ -59,7 +59,7 @@ void ReefBackend::PumpBestEffort() {
     be_waiting_.pop_front();
     be_waiting_set_.erase(s);
     if (s->HasDispatchableKernel()) {
-      SubmitWhole(s, engine_->spec().AllTpcs(), 1.0);
+      SubmitWhole(s, engine_->AllTpcs(), 1.0);
       --be_window_remaining_;
     }
   }
@@ -82,7 +82,7 @@ void TgsBackend::OnStreamReady(Stream* stream) {
           static_cast<DurationNs>(static_cast<double>(std::max(be_gap_, kInitialGap)) * kGrow),
           kMinGap, kMaxGap);
     }
-    SubmitWhole(stream, engine_->spec().AllTpcs(), 1.0);
+    SubmitWhole(stream, engine_->AllTpcs(), 1.0);
     return;
   }
   if (be_waiting_set_.insert(stream).second) {
@@ -108,7 +108,7 @@ void TgsBackend::PumpBestEffort() {
   be_waiting_.pop_front();
   be_waiting_set_.erase(s);
   if (s->HasDispatchableKernel()) {
-    SubmitWhole(s, engine_->spec().AllTpcs(), 1.0);
+    SubmitWhole(s, engine_->AllTpcs(), 1.0);
     be_earliest_launch_ = now + be_gap_;
   }
 }
@@ -150,12 +150,12 @@ bool OrionBackend::Contends(const KernelDesc& be_kernel) const {
 
 void OrionBackend::OnStreamReady(Stream* stream) {
   if (IsHighPriority(stream->client_id())) {
-    SubmitWhole(stream, engine_->spec().AllTpcs(), 1.0);
+    SubmitWhole(stream, engine_->AllTpcs(), 1.0);
     return;
   }
   const KernelDesc& k = *stream->PeekHead().kernel;
   if (InflightOfClass(PriorityClass::kHighPriority) == 0 || !Contends(k)) {
-    SubmitWhole(stream, engine_->spec().AllTpcs(), 1.0);
+    SubmitWhole(stream, engine_->AllTpcs(), 1.0);
     return;
   }
   if (be_waiting_set_.insert(stream).second) {
@@ -175,7 +175,7 @@ void OrionBackend::PumpBestEffort() {
     if (InflightOfClass(PriorityClass::kHighPriority) == 0 || !Contends(k)) {
       be_waiting_.erase(be_waiting_.begin() + static_cast<long>(i));
       be_waiting_set_.erase(s);
-      SubmitWhole(s, engine_->spec().AllTpcs(), 1.0);
+      SubmitWhole(s, engine_->AllTpcs(), 1.0);
       continue;
     }
     ++i;

@@ -62,7 +62,7 @@ void TimesliceBackend::DispatchReady(ClientSlot& slot) {
     if (!s->HasDispatchableKernel()) {
       continue;
     }
-    SubmitWhole(s, engine_->spec().AllTpcs(), 1.0);
+    SubmitWhole(s, engine_->AllTpcs(), 1.0);
     ++slot.running;
   }
 }
@@ -74,7 +74,7 @@ void TimesliceBackend::SwitchTo(int client_id) {
   // Resume anything preempted on a previous slice.
   for (GrantId g : slot.paused) {
     if (engine_->IsActive(g)) {
-      engine_->Resume(g, engine_->spec().AllTpcs());
+      engine_->Resume(g, engine_->AllTpcs());
       ++slot.running;
     }
   }

@@ -12,14 +12,22 @@ namespace {
 // Progress is a double in [0,1]; values within this epsilon of 1 count as
 // finished, absorbing floating-point drift from repeated checkpointing.
 constexpr double kProgressEpsilon = 1e-9;
+
+// Clock factor of the dynamic power draw at `mhz`.
+double DynamicFreqFactor(const GpuSpec& spec, int mhz) {
+  const double f_ratio = static_cast<double>(mhz) / static_cast<double>(spec.max_mhz);
+  return std::pow(f_ratio, spec.freq_power_exponent);
+}
 }  // namespace
 
 ExecutionEngine::ExecutionEngine(Simulator* sim, const GpuSpec& spec)
     : sim_(sim),
       spec_(spec),
       total_tpcs_(spec.TotalTpcs()),
+      all_tpcs_(spec.AllTpcs()),
       current_mhz_(spec.max_mhz),
       desired_mhz_(spec.max_mhz),
+      dynamic_freq_factor_(DynamicFreqFactor(spec, spec.max_mhz)),
       last_account_(sim->Now()) {}
 
 ExecutionEngine::Grant* ExecutionEngine::Resolve(GrantId id) {
@@ -72,15 +80,29 @@ double ExecutionEngine::CurrentLatencyNs(const Grant& g) const {
   double effective = 0;
   double foreign_sum = 0;
   int n = 0;
-  ForEachTpc(g.mask, [&](int t) {
-    LITHOS_CHECK_GT(sharers_[t], 0);
-    const double total_w = share_weight_[t];
-    effective += w / total_w;
-    if (total_w > w) {
-      foreign_sum += (total_w - w) / total_w;
+  if (uniform_) {
+    // Every TPC holds the same weight sum, so every term is the same. Adding
+    // it once per TPC keeps the per-TPC walk's rounding (n * term would not).
+    LITHOS_CHECK(g.mask == all_tpcs_);
+    LITHOS_CHECK_GT(uniform_sharers_, 0);
+    const double total_w = uniform_weight_;
+    const double share = w / total_w;
+    const double foreign_term = total_w > w ? (total_w - w) / total_w : 0.0;
+    for (; n < total_tpcs_; ++n) {
+      effective += share;
+      foreign_sum += foreign_term;
     }
-    ++n;
-  });
+  } else {
+    ForEachTpc(g.mask, [&](int t) {
+      LITHOS_CHECK_GT(sharers_[t], 0);
+      const double total_w = share_weight_[t];
+      effective += w / total_w;
+      if (total_w > w) {
+        foreign_sum += (total_w - w) / total_w;
+      }
+      ++n;
+    });
+  }
   effective = std::max(effective, 1e-6);
   double lat = static_cast<double>(k.RangeLatencyNs(spec_, lo, hi, effective, current_mhz_));
 
@@ -137,7 +159,7 @@ double ExecutionEngine::InstantPowerW() const {
   const double f_ratio = static_cast<double>(current_mhz_) / static_cast<double>(spec_.max_mhz);
   const double idle_scale = spec_.idle_freq_floor + (1.0 - spec_.idle_freq_floor) * f_ratio;
   return spec_.idle_power_w * idle_scale +
-         spec_.dynamic_power_w * busy_frac * std::pow(f_ratio, spec_.freq_power_exponent);
+         spec_.dynamic_power_w * busy_frac * dynamic_freq_factor_;
 }
 
 void ExecutionEngine::CheckpointGrant(Grant& g) {
@@ -215,16 +237,52 @@ void ExecutionEngine::EnsureClient(int client_id) {
 }
 
 void ExecutionEngine::CheckOnDevice(const TpcMask& mask) const {
-  LITHOS_CHECK((mask >> static_cast<size_t>(total_tpcs_)).none());
+  LITHOS_CHECK((mask & ~all_tpcs_).none());
+}
+
+void ExecutionEngine::CheckPerTpcStateZero() const {
+#ifndef NDEBUG
+  for (int t = 0; t < kMaxTpcs; ++t) {
+    LITHOS_CHECK(sharers_[t] == 0 && share_weight_[t] == 0);
+  }
+#endif
+}
+
+void ExecutionEngine::EnterPerTpcMode() {
+  CheckPerTpcStateZero();
+  if (uniform_sharers_ > 0) {
+    std::fill_n(sharers_.begin(), total_tpcs_, uniform_sharers_);
+    std::fill_n(share_weight_.begin(), total_tpcs_, uniform_weight_);
+  }
+  uniform_ = false;
+  uniform_sharers_ = 0;
+  uniform_weight_ = 0;
+}
+
+void ExecutionEngine::EnterUniformMode() {
+  // RemoveFromTpcs zeroes a TPC's weight when its last sharer leaves, so with
+  // no grant running every per-TPC entry is already exactly 0.
+  CheckPerTpcStateZero();
+  uniform_ = true;
 }
 
 void ExecutionEngine::AddToTpcs(Grant& g) {
-  ForEachTpc(g.mask, [&](int t) {
-    if (sharers_[t]++ == 0) {
-      busy_mask_.set(t);
+  if (uniform_ && g.mask != all_tpcs_) {
+    EnterPerTpcMode();
+  }
+  if (uniform_) {
+    if (uniform_sharers_++ == 0) {
+      busy_mask_ = all_tpcs_;
     }
-    share_weight_[t] += g.item.share_weight;
-  });
+    uniform_weight_ += g.item.share_weight;
+  } else {
+    ForEachTpc(g.mask, [&](int t) {
+      if (sharers_[t]++ == 0) {
+        busy_mask_.set(t);
+      }
+      share_weight_[t] += g.item.share_weight;
+    });
+  }
   const int c = g.item.client_id;
   EnsureClient(c);
   client_alloc_tpcs_[static_cast<size_t>(c)] += static_cast<int>(g.mask.count());
@@ -235,21 +293,34 @@ void ExecutionEngine::AddToTpcs(Grant& g) {
 }
 
 void ExecutionEngine::RemoveFromTpcs(Grant& g) {
-  ForEachTpc(g.mask, [&](int t) {
-    LITHOS_CHECK_GT(sharers_[t], 0);
-    if (--sharers_[t] == 0) {
-      busy_mask_.reset(t);
-      share_weight_[t] = 0;  // Clear accumulated floating-point residue.
+  if (uniform_) {
+    LITHOS_CHECK(g.mask == all_tpcs_);
+    LITHOS_CHECK_GT(uniform_sharers_, 0);
+    if (--uniform_sharers_ == 0) {
+      busy_mask_.reset();
+      uniform_weight_ = 0;  // Clear accumulated floating-point residue.
     } else {
-      share_weight_[t] -= g.item.share_weight;
+      uniform_weight_ -= g.item.share_weight;
     }
-  });
+  } else {
+    ForEachTpc(g.mask, [&](int t) {
+      LITHOS_CHECK_GT(sharers_[t], 0);
+      if (--sharers_[t] == 0) {
+        busy_mask_.reset(t);
+        share_weight_[t] = 0;  // Clear accumulated floating-point residue.
+      } else {
+        share_weight_[t] -= g.item.share_weight;
+      }
+    });
+  }
   const int c = g.item.client_id;
   client_alloc_tpcs_[static_cast<size_t>(c)] -= static_cast<int>(g.mask.count());
   if (--client_running_[static_cast<size_t>(c)] == 0) {
     active_clients_.erase(std::find(active_clients_.begin(), active_clients_.end(), c));
   }
-  --running_grants_;
+  if (--running_grants_ == 0 && !uniform_) {
+    EnterUniformMode();
+  }
 }
 
 GrantId ExecutionEngine::Launch(WorkItem item, const TpcMask& mask) {
@@ -437,6 +508,7 @@ void ExecutionEngine::RequestFrequencyMhz(int mhz) {
     switch_event_ = 0;
     if (current_mhz_ != desired_mhz_) {
       current_mhz_ = desired_mhz_;
+      dynamic_freq_factor_ = DynamicFreqFactor(spec_, current_mhz_);
       if (trace_ != nullptr) {
         trace_->Append(sim_->Now(), TraceLayer::kEngine, TraceKind::kDvfsApply,
                        trace_node_, trace_zone_, current_mhz_, 0);

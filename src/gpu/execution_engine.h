@@ -26,6 +26,16 @@
 // incrementally so the control-plane pollers (fleet controller, DVFS, right-
 // sizer) never trigger a rebuild.
 //
+// Whole-device grants (every MPS, Priority and time-slice grant) cost O(1):
+// while every running grant's mask is the whole device, each TPC's sharer
+// count and share-weight sum would hold the same value, so the engine keeps
+// that value once (*uniform mode*) and applies to it the same +w, -w and
+// reset-at-zero steps each per-TPC entry would get. The first partial mask
+// to land copies it into the per-TPC arrays; the engine returns to uniform
+// mode only when no grant runs, when every per-TPC entry is exactly 0. So
+// each mode's unused state is always zero, and every rate is bit-identical
+// to the per-TPC bookkeeping for any share weights.
+//
 // The engine also integrates power and allocation accounting so the
 // right-sizing (Fig. 17) and DVFS (Fig. 18) experiments read energy and
 // capacity directly from the same clockwork.
@@ -108,6 +118,8 @@ class ExecutionEngine {
   ExecutionEngine& operator=(const ExecutionEngine&) = delete;
 
   const GpuSpec& spec() const { return spec_; }
+  // Mask of every TPC on the device (spec().AllTpcs(), computed once).
+  const TpcMask& AllTpcs() const { return all_tpcs_; }
 
   // --- Grant lifecycle -----------------------------------------------------
 
@@ -137,7 +149,12 @@ class ExecutionEngine {
   const TpcMask& BusyMask() const { return busy_mask_; }
   int NumRunningGrants() const { return running_grants_; }
   // Number of running grants whose mask includes `tpc`.
-  int SharersOn(int tpc) const { return sharers_[tpc]; }
+  int SharersOn(int tpc) const {
+    if (uniform_) {
+      return tpc < total_tpcs_ ? uniform_sharers_ : 0;
+    }
+    return sharers_[tpc];
+  }
   // Clients with at least one running grant, in first-became-active order.
   // The reference stays valid but its contents change with engine state.
   const std::vector<int>& ActiveClients() const { return active_clients_; }
@@ -245,9 +262,15 @@ class ExecutionEngine {
   void OnGrantFinished(GrantId id);
 
   // TPC bookkeeping + incremental device state (busy mask, running count,
-  // per-client running/allocation counters, active-client list).
+  // per-client running/allocation counters, active-client list). O(1) for a
+  // whole-device mask in uniform mode, O(mask bits) otherwise.
   void AddToTpcs(Grant& g);
   void RemoveFromTpcs(Grant& g);
+  // Mode switches. Both find the per-TPC arrays all 0, which Debug builds
+  // check.
+  void EnterPerTpcMode();
+  void EnterUniformMode();
+  void CheckPerTpcStateZero() const;
   void EnsureClient(int client_id);
   // Masks handed to the engine name only TPCs the device has.
   void CheckOnDevice(const TpcMask& mask) const;
@@ -255,10 +278,16 @@ class ExecutionEngine {
   Simulator* sim_;
   GpuSpec spec_;
   int total_tpcs_;  // spec_.TotalTpcs(), read once
+  TpcMask all_tpcs_;  // spec_.AllTpcs(), read once
 
   std::vector<Grant> grants_;            // slab; iterate by slot, skip !occupied
   std::vector<uint32_t> free_grants_;
 
+  // Uniform mode: every running grant covers the whole device, and the
+  // per-TPC arrays below are all 0. Per-TPC mode: the uniform pair is 0.
+  bool uniform_ = true;
+  int uniform_sharers_ = 0;      // running grants on every TPC
+  double uniform_weight_ = 0;    // sum of their share weights
   std::array<int, kMaxTpcs> sharers_{};          // running (non-paused) grants per TPC
   std::array<double, kMaxTpcs> share_weight_{};  // sum of share weights per TPC
 
@@ -272,6 +301,9 @@ class ExecutionEngine {
 
   int current_mhz_;
   int desired_mhz_;
+  // pow(current_mhz_ / max_mhz, freq_power_exponent): InstantPowerW's clock
+  // factor, recomputed only when the clock changes.
+  double dynamic_freq_factor_;
   EventId switch_event_ = 0;
   bool power_gated_ = false;
 

@@ -24,7 +24,11 @@ struct FuzzResult {
   std::multiset<GrantId> completions;
 };
 
-void ExpectEveryGrantCompletesOrAbortsExactlyOnce(const GpuSpec& spec, uint64_t seed) {
+// With `whole_device_share` > 0, that share of launch, resume and reassign
+// masks covers the whole device, so the engine moves in and out of its
+// uniform (every grant whole-device) bookkeeping mid-run.
+void ExpectEveryGrantCompletesOrAbortsExactlyOnce(const GpuSpec& spec, uint64_t seed,
+                                                  double whole_device_share = 0) {
   Simulator sim;
   ExecutionEngine engine(&sim, spec);
   Rng rng(seed);
@@ -43,6 +47,14 @@ void ExpectEveryGrantCompletesOrAbortsExactlyOnce(const GpuSpec& spec, uint64_t 
   std::vector<GrantId> live;
   std::vector<GrantId> paused;
   std::map<GrantId, TpcMask> masks;  // last mask each grant was given
+  // The coin is drawn only when whole_device_share > 0, so the partial-only
+  // cases keep their random stream.
+  auto draw_mask = [&](auto partial) -> TpcMask {
+    if (whole_device_share > 0 && rng.Uniform(0, 1) < whole_device_share) {
+      return spec.AllTpcs();
+    }
+    return partial();
+  };
 
   // Schedule a random action every 100us for 200 steps.
   for (int step = 0; step < 200; ++step) {
@@ -58,11 +70,11 @@ void ExpectEveryGrantCompletesOrAbortsExactlyOnce(const GpuSpec& spec, uint64_t 
       prune(paused);
 
       // Per-TPC sharer counts and the busy mask match the running grants'
-      // masks, checked with a plain bit loop on every TPC of the device.
-      std::vector<int> sharers(static_cast<size_t>(total), 0);
+      // masks, checked with a plain bit loop on every TPC a mask can name.
+      std::vector<int> sharers(static_cast<size_t>(kMaxTpcs), 0);
       TpcMask busy;
       for (const GrantId g : live) {
-        for (int t = 0; t < total; ++t) {
+        for (int t = 0; t < kMaxTpcs; ++t) {
           if (masks[g].test(t)) {
             ++sharers[static_cast<size_t>(t)];
             busy.set(t);
@@ -70,14 +82,17 @@ void ExpectEveryGrantCompletesOrAbortsExactlyOnce(const GpuSpec& spec, uint64_t 
         }
       }
       EXPECT_EQ(engine.BusyMask(), busy);
-      for (int t = 0; t < total; ++t) {
+      for (int t = 0; t < kMaxTpcs; ++t) {
         EXPECT_EQ(engine.SharersOn(t), sharers[static_cast<size_t>(t)]) << "TPC " << t;
       }
 
       if (action <= 4 || (live.empty() && paused.empty())) {
         // Launch on a random non-empty mask.
-        const int lo = static_cast<int>(rng.UniformInt(0, total - 2));
-        const int hi = static_cast<int>(rng.UniformInt(lo + 1, total));
+        const TpcMask mask = draw_mask([&] {
+          const int lo = static_cast<int>(rng.UniformInt(0, total - 2));
+          const int hi = static_cast<int>(rng.UniformInt(lo + 1, total));
+          return TpcRange(lo, hi);
+        });
         WorkItem item;
         item.kernel = &kernels[static_cast<size_t>(rng.UniformInt(0, 7))];
         item.client_id = static_cast<int>(rng.UniformInt(1, 4));
@@ -87,8 +102,8 @@ void ExpectEveryGrantCompletesOrAbortsExactlyOnce(const GpuSpec& spec, uint64_t 
           result.completions.insert(info.id);
           EXPECT_GE(info.end_time, info.start_time);
         };
-        live.push_back(engine.Launch(std::move(item), TpcRange(lo, hi)));
-        masks[live.back()] = TpcRange(lo, hi);
+        live.push_back(engine.Launch(std::move(item), mask));
+        masks[live.back()] = mask;
         ++result.launched;
       } else if (action == 5 && !live.empty()) {
         const size_t i = static_cast<size_t>(rng.UniformInt(0, static_cast<int>(live.size()) - 1));
@@ -98,13 +113,15 @@ void ExpectEveryGrantCompletesOrAbortsExactlyOnce(const GpuSpec& spec, uint64_t 
       } else if (action == 6 && !paused.empty()) {
         const size_t i =
             static_cast<size_t>(rng.UniformInt(0, static_cast<int>(paused.size()) - 1));
-        masks[paused[i]] = TpcRange(0, static_cast<int>(rng.UniformInt(1, total)));
+        masks[paused[i]] =
+            draw_mask([&] { return TpcRange(0, static_cast<int>(rng.UniformInt(1, total))); });
         engine.Resume(paused[i], masks[paused[i]]);
         live.push_back(paused[i]);
         paused.erase(paused.begin() + static_cast<long>(i));
       } else if (action == 7 && !live.empty()) {
         const size_t i = static_cast<size_t>(rng.UniformInt(0, static_cast<int>(live.size()) - 1));
-        masks[live[i]] = TpcRange(0, static_cast<int>(rng.UniformInt(1, total)));
+        masks[live[i]] =
+            draw_mask([&] { return TpcRange(0, static_cast<int>(rng.UniformInt(1, total))); });
         engine.Reassign(live[i], masks[live[i]]);
       } else if (action >= 8 && !live.empty()) {
         const size_t i = static_cast<size_t>(rng.UniformInt(0, static_cast<int>(live.size()) - 1));
@@ -160,6 +177,20 @@ TEST_P(EngineFuzzH100Test, EveryGrantCompletesOrAbortsExactlyOnce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzzH100Test,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
+
+// About half the masks cover the whole device, with the same non-integer
+// share weights: the engine leaves and re-enters its uniform bookkeeping
+// mid-run, some seeds with whole-device grants already running when a
+// partial mask lands, on a spec inside one mask word and one across two.
+class EngineFuzzWholeDeviceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EngineFuzzWholeDeviceTest, EveryGrantCompletesOrAbortsExactlyOnce) {
+  ExpectEveryGrantCompletesOrAbortsExactlyOnce(GpuSpec::A100(), GetParam(), 0.5);
+  ExpectEveryGrantCompletesOrAbortsExactlyOnce(GpuSpec::H100(), GetParam(), 0.5);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzzWholeDeviceTest,
+                         ::testing::Values(101, 202, 303, 404, 505, 606, 707, 808, 909, 1010));
 
 // The sum of per-client allocated TPC-seconds can never exceed
 // total TPCs x elapsed time when masks are disjoint.

@@ -3,6 +3,9 @@
 // power/capacity accounting.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "src/gpu/execution_engine.h"
 #include "src/sim/simulator.h"
 
@@ -279,6 +282,135 @@ TEST_F(EngineTest, ResetStatsClearsIntegrals) {
   engine_.ResetStats();
   EXPECT_EQ(engine_.Stats().grants_completed, 0u);
   EXPECT_DOUBLE_EQ(engine_.Stats().energy_joules, 0);
+}
+
+TEST_F(EngineTest, UniformModeRoundTripsThroughPerTpcBookkeeping) {
+  const GpuSpec& spec = engine_.spec();
+  const KernelDesc k = BigKernel(spec);
+  const TpcMask partial = TpcRange(0, 10);
+  // Expected sharers: `on_partial` on the partial range, `on_rest` on the
+  // device's other TPCs, 0 past the device.
+  auto expect_sharers = [&](int on_partial, int on_rest) {
+    for (int t = 0; t < kMaxTpcs; ++t) {
+      const int want = partial.test(t) ? on_partial : (t < spec.TotalTpcs() ? on_rest : 0);
+      EXPECT_EQ(engine_.SharersOn(t), want) << "TPC " << t;
+    }
+  };
+
+  // Whole-device grants only.
+  const GrantId a = engine_.Launch(Item(&k, 1), engine_.AllTpcs());
+  const GrantId b = engine_.Launch(Item(&k, 2), engine_.AllTpcs());
+  expect_sharers(2, 2);
+  EXPECT_EQ(engine_.BusyMask(), spec.AllTpcs());
+
+  // A partial grant lands beside them.
+  const GrantId p = engine_.Launch(Item(&k, 3), partial);
+  expect_sharers(3, 2);
+  EXPECT_EQ(engine_.BusyMask(), spec.AllTpcs());
+
+  // The whole-device grants leave; the partial one keeps running.
+  engine_.Abort(a);
+  engine_.Abort(b);
+  expect_sharers(1, 0);
+  EXPECT_EQ(engine_.BusyMask(), partial);
+
+  // Drained.
+  engine_.Abort(p);
+  expect_sharers(0, 0);
+  EXPECT_TRUE(engine_.BusyMask().none());
+  EXPECT_EQ(engine_.NumRunningGrants(), 0);
+
+  // A whole-device grant again runs at the exclusive rate: no weight from
+  // the earlier grants is left behind.
+  TimeNs end = 0;
+  engine_.Launch(Item(&k, 1, [&](const GrantInfo& i) { end = i.end_time; }), engine_.AllTpcs());
+  expect_sharers(1, 1);
+  EXPECT_EQ(engine_.BusyMask(), spec.AllTpcs());
+  sim_.RunToCompletion();
+  EXPECT_EQ(end, FromMillis(10));
+}
+
+struct WholeDeviceRun {
+  std::vector<TimeNs> end_times;  // in completion order
+  double energy_joules = 0;
+};
+
+// Runs a fixed schedule of whole-device grants. Three clients each run a
+// chain of 20 kernels, weighted as BaselineBackend::SubmitWhole weights them
+// (priority boost x thread blocks, so every weight is an integer); one chain
+// is paused and resumed, another has a grant aborted and relaunched, and the
+// clock switches once. A long anchor grant runs throughout. With
+// `force_per_tpc`, a one-TPC grant is launched and aborted at t = 0 after the
+// first grants land: the engine leaves uniform mode and, with the anchor
+// running, does not return to it, so it books the same schedule per TPC.
+// Integer weights make that launch-and-abort exact on TPC 0.
+WholeDeviceRun RunWholeDeviceSchedule(bool force_per_tpc) {
+  Simulator sim;
+  const GpuSpec spec = GpuSpec::A100();
+  ExecutionEngine engine(&sim, spec);
+  const std::array<KernelDesc, 3> kernels = {
+      MakeKernel("hp", 240, FromMicros(300), 0.9, 0.6, spec),
+      MakeKernel("be", 4000, FromMicros(700), 0.95, 0.3, spec),
+      MakeKernel("mid", 1500, FromMicros(450), 0.8, 0.8, spec)};
+  const std::array<double, 3> boost = {8.0, 1.0, 1.0};
+  const KernelDesc anchor = MakeKernel("anchor", 500, FromMillis(50), 1.0, 0.5, spec);
+
+  WholeDeviceRun run;
+  std::array<GrantId, 3> current{};
+  std::array<int, 3> launched{};
+  std::array<std::function<void()>, 3> launchers;
+  for (size_t c = 0; c < 3; ++c) {
+    launchers[c] = [&, c] {
+      if (launched[c]++ == 20) {
+        return;
+      }
+      WorkItem item;
+      item.kernel = &kernels[c];
+      item.client_id = static_cast<int>(c) + 1;
+      item.share_weight = boost[c] * static_cast<double>(kernels[c].NumBlocks());
+      item.on_complete = [&, c](const GrantInfo& info) {
+        run.end_times.push_back(info.end_time);
+        launchers[c]();
+      };
+      current[c] = engine.Launch(std::move(item), engine.AllTpcs());
+    };
+  }
+
+  sim.ScheduleAt(FromMillis(2), [&] { engine.Pause(current[1]); });
+  sim.ScheduleAt(FromMillis(3), [&] { engine.Resume(current[1], engine.AllTpcs()); });
+  sim.ScheduleAt(FromMillis(4), [&] {
+    engine.Abort(current[2]);
+    --launched[2];
+    launchers[2]();
+  });
+  sim.ScheduleAt(FromMillis(5), [&] { engine.RequestFrequencyMhz(1200); });
+
+  WorkItem anchor_item;
+  anchor_item.kernel = &anchor;
+  anchor_item.client_id = 4;
+  anchor_item.share_weight = static_cast<double>(anchor.NumBlocks());
+  anchor_item.on_complete = [&](const GrantInfo& info) { run.end_times.push_back(info.end_time); };
+  engine.Launch(std::move(anchor_item), engine.AllTpcs());
+  for (auto& launch : launchers) {
+    launch();
+  }
+  if (force_per_tpc) {
+    WorkItem probe;
+    probe.kernel = &anchor;
+    probe.client_id = 5;
+    engine.Abort(engine.Launch(std::move(probe), TpcRange(0, 1)));
+  }
+  sim.RunToCompletion();
+  run.energy_joules = engine.Stats().energy_joules;
+  return run;
+}
+
+TEST(EngineUniformModeTest, PerTpcBookkeepingMatchesUniformBitForBit) {
+  const WholeDeviceRun uniform = RunWholeDeviceSchedule(false);
+  const WholeDeviceRun per_tpc = RunWholeDeviceSchedule(true);
+  ASSERT_EQ(uniform.end_times.size(), 61u);  // 3 chains x 20 + the anchor
+  EXPECT_EQ(uniform.end_times, per_tpc.end_times);
+  EXPECT_EQ(uniform.energy_joules, per_tpc.energy_joules);
 }
 
 // Work-conservation property: N sequential equal kernels on the full device
