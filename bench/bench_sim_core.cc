@@ -1,6 +1,7 @@
 // Event-core throughput: micro benchmarks of the discrete-event simulator
 // (events/sec, new slab/d-ary-heap core vs the pre-PR priority_queue +
-// unordered_map core), a whole-GPU MPS churn micro of the execution engine's
+// unordered_map core), a timer-churn micro of constant-delay timers on FIFO
+// lanes vs the heap, a whole-GPU MPS churn micro of the execution engine's
 // hot path, a LithOS dispatch micro of the per-GPU OS hot path, plus
 // end-to-end wall-clock of the two scenario
 // families every figure rides on — single-GPU inference stacking and the
@@ -11,6 +12,7 @@
 // The pre-PR core is embedded below (namespace legacy) so the speedup ratio
 // is measured in one binary on one machine — absolute events/sec vary across
 // runners, the ratio much less.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -222,6 +224,79 @@ double ChurnReschedulePerSec(int64_t ops, int pending) {
   return static_cast<double>(ops + fired) / SecondsSince(t0);
 }
 
+// --- Micro 2b: constant-delay timer churn ------------------------------------
+// The fleet request lifecycle in miniature: each request arms a hedge timer
+// and an attempt timeout (two constant delays), its completion fires a short
+// service time later and cancels both, and the slot admits the next
+// request. `in_flight` requests run at once (perfbench `region` keeps ~120).
+// With `lanes` the timers go on the simulator's FIFO timer lanes, where
+// only each lane's head sits in the heap and a cancel is O(1); without,
+// every timer is a heap entry. Services are shorter than either delay, so
+// timers are only ever cancelled, as almost all are in the fleet. The rate
+// counts simulator operations (3 schedules, 1 fire, 2 cancels per request).
+class TimerChurn {
+ public:
+  static constexpr DurationNs kHedgeDelay = FromMillis(75);
+  static constexpr DurationNs kTimeout = FromMillis(250);
+
+  TimerChurn(bool lanes, int64_t total, int in_flight)
+      : lanes_(lanes),
+        total_(total),
+        hedge_lane_(sim_.TimerLane(kHedgeDelay)),
+        timeout_lane_(sim_.TimerLane(kTimeout)),
+        requests_(static_cast<size_t>(in_flight)) {}
+
+  double EventsPerSec() {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < requests_.size(); ++i) {
+      Admit(i);
+    }
+    sim_.RunToCompletion();
+    const double seconds = SecondsSince(t0);
+    const SimCounters& c = sim_.counters();
+    return static_cast<double>(c.scheduled + c.fired + c.canceled) / seconds;
+  }
+
+ private:
+  struct Request {
+    EventId hedge = 0;
+    EventId timeout = 0;
+  };
+
+  void Admit(size_t i) {
+    ++admitted_;
+    Request& r = requests_[i];
+    auto expire = [] {};
+    if (lanes_) {
+      r.hedge = sim_.ScheduleOnLane(hedge_lane_, expire);
+      r.timeout = sim_.ScheduleOnLane(timeout_lane_, expire);
+    } else {
+      r.hedge = sim_.ScheduleAfter(kHedgeDelay, expire);
+      r.timeout = sim_.ScheduleAfter(kTimeout, expire);
+    }
+    // 1-16 ms of service, spread so completions interleave.
+    const DurationNs service = FromMicros(1000 + static_cast<int64_t>(rng_.Next() % 15000));
+    sim_.ScheduleAfter(service, [this, i] { Complete(i); });
+  }
+
+  void Complete(size_t i) {
+    sim_.Cancel(requests_[i].hedge);
+    sim_.Cancel(requests_[i].timeout);
+    if (admitted_ < total_) {
+      Admit(i);
+    }
+  }
+
+  Simulator sim_;
+  const bool lanes_;
+  const int64_t total_;
+  const TimerLaneId hedge_lane_;
+  const TimerLaneId timeout_lane_;
+  std::vector<Request> requests_;
+  ChurnRng rng_;
+  int64_t admitted_ = 0;
+};
+
 // --- Micro 3: whole-GPU MPS churn ------------------------------------------
 // `k` concurrent equal-weight grants share every TPC of an A100, as on a
 // fleet node under MPS; each completion launches a successor until `total`
@@ -411,6 +486,8 @@ int main(int argc, char** argv) {
   constexpr int kRingSize = 64;
   constexpr int64_t kChurnOps = 2'000'000;
   constexpr int kChurnPending = 512;
+  constexpr int64_t kTimerChurnRequests = 1'000'000;
+  constexpr int kTimerChurnInFlight = 120;
   constexpr int64_t kMpsChurnGrants = 400'000;
   constexpr int kMpsChurnConcurrency = 8;
   constexpr TimeNs kLithosDispatchHorizon = FromSeconds(300);
@@ -429,6 +506,19 @@ int main(int argc, char** argv) {
   const double churn_new_resched = ChurnReschedulePerSec(kChurnOps, kChurnPending);
   const double churn_legacy =
       ChurnCancelReinsertPerSec<legacy::Simulator>(kChurnOps, kChurnPending);
+  // Best of three interleaved runs per side, so a burst of host load
+  // during one run does not skew the lanes/heap ratio.
+  TimerChurn(true, kTimerChurnRequests / 10, kTimerChurnInFlight).EventsPerSec();  // warm-up
+  double timer_churn_heap = 0;
+  double timer_churn_lanes = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    timer_churn_heap = std::max(
+        timer_churn_heap,
+        TimerChurn(false, kTimerChurnRequests, kTimerChurnInFlight).EventsPerSec());
+    timer_churn_lanes = std::max(
+        timer_churn_lanes,
+        TimerChurn(true, kTimerChurnRequests, kTimerChurnInFlight).EventsPerSec());
+  }
   MpsChurn(kMpsChurnGrants / 10, kMpsChurnConcurrency).GrantsPerSec();  // warm-up
   const double mps_churn = MpsChurn(kMpsChurnGrants, kMpsChurnConcurrency).GrantsPerSec();
   LithosDispatch(kLithosDispatchHorizon / 10).AtomsPerSec();  // warm-up
@@ -451,6 +541,11 @@ int main(int argc, char** argv) {
   std::printf("\nTraced ring (binary recorder attached, %zu-record ring): %.2f Mev/s "
               "(%.0f%% of untraced)\n",
               TraceRecorder::kSegmentRecords, ring_traced / 1e6, 100 * ring_traced_fraction);
+  const double timer_churn_speedup = timer_churn_lanes / timer_churn_heap;
+  std::printf("Timer churn (%d requests in flight, 2 constant-delay timers each): heap %.2f "
+              "Mev/s, lanes %.2f Mev/s (%.2fx)\n",
+              kTimerChurnInFlight, timer_churn_heap / 1e6, timer_churn_lanes / 1e6,
+              timer_churn_speedup);
   std::printf("Whole-GPU MPS churn (%d concurrent grants on all TPCs): %.3f M grants/s\n",
               kMpsChurnConcurrency, mps_churn / 1e6);
   std::printf("LithOS dispatch (2 HP at 75/25 quotas + 1 BE; %llu atoms, %llu TPCs stolen): "
@@ -470,6 +565,9 @@ int main(int argc, char** argv) {
   json.WallMetric("churn_events_per_sec_legacy", churn_legacy);
   json.WallMetric("churn_speedup", churn_speedup);
   json.WallMetric("churn_cancel_speedup", churn_new_cancel / churn_legacy);
+  json.WallMetric("timer_churn_events_per_sec", timer_churn_lanes);
+  json.WallMetric("timer_churn_events_per_sec_heap", timer_churn_heap);
+  json.WallMetric("timer_churn_speedup", timer_churn_speedup);
   json.WallMetric("mps_churn_grants_per_sec", mps_churn);
   json.WallMetric("lithos_dispatch_atoms_per_sec", lithos_atoms);
 

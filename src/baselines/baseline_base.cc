@@ -16,11 +16,15 @@ GrantId BaselineBackend::SubmitWhole(Stream* stream, const TpcMask& mask, double
   // Demand-proportional sharing: see the header comment.
   item.share_weight = priority_boost * static_cast<double>(rec.kernel->NumBlocks());
   item.on_complete = [this, stream](const GrantInfo& info) {
-    inflight_.erase(stream);
+    inflight_[static_cast<size_t>(stream->id())] = {};
     HandleHeadComplete(stream, info);
   };
   const GrantId id = engine_->Launch(std::move(item), mask);
-  inflight_[stream] = id;
+  const size_t index = static_cast<size_t>(stream->id());
+  if (index >= inflight_.size()) {
+    inflight_.resize(index + 1);
+  }
+  inflight_[index] = {stream, id};
   return id;
 }
 
@@ -30,20 +34,24 @@ void BaselineBackend::HandleHeadComplete(Stream* stream, const GrantInfo& info) 
 }
 
 bool BaselineBackend::CancelInFlight(Stream* stream) {
-  auto it = inflight_.find(stream);
-  if (it == inflight_.end() || !engine_->IsActive(it->second)) {
+  const size_t index = static_cast<size_t>(stream->id());
+  if (index >= inflight_.size() || inflight_[index].stream == nullptr ||
+      !engine_->IsActive(inflight_[index].grant)) {
     return false;
   }
-  engine_->Abort(it->second);  // completion event rescinded; on_complete never runs
-  inflight_.erase(it);
+  engine_->Abort(inflight_[index].grant);  // completion event rescinded; on_complete never runs
+  inflight_[index] = {};
   stream->CompleteHead();  // pops the aborted head, drains markers, re-notifies
   return true;
 }
 
 int BaselineBackend::InflightOfClass(PriorityClass cls) const {
   int n = 0;
-  for (const auto& [stream, grant] : inflight_) {
-    auto it = clients_.find(stream->client_id());
+  for (const InflightGrant& g : inflight_) {
+    if (g.stream == nullptr) {
+      continue;
+    }
+    auto it = clients_.find(g.stream->client_id());
     if (it != clients_.end() && it->second.priority == cls) {
       ++n;
     }

@@ -6,6 +6,7 @@
 #define LITHOS_BASELINES_BASELINE_BASE_H_
 
 #include <unordered_map>
+#include <vector>
 
 #include "src/common/time.h"
 #include "src/driver/backend.h"
@@ -22,7 +23,7 @@ class BaselineBackend : public Backend {
 
   // Whole-kernel dispatch makes in-flight cancellation exact: abort the
   // grant (the engine rescinds its completion without running on_complete),
-  // drop it from inflight_, and pop the head so the FIFO advances.
+  // drop it from the in-flight table, and pop the head so the FIFO advances.
   bool CancelInFlight(Stream* stream) override;
 
  protected:
@@ -51,8 +52,17 @@ class BaselineBackend : public Backend {
   // Streams with work currently on the device, filtered by priority class.
   int InflightOfClass(PriorityClass cls) const;
 
+  // One stream's whole-kernel grant on the device; `stream` is null while
+  // the stream has none.
+  struct InflightGrant {
+    Stream* stream = nullptr;
+    GrantId grant = kInvalidGrant;
+  };
+
   std::unordered_map<int, Client> clients_;
-  std::unordered_map<Stream*, GrantId> inflight_;
+  // Indexed by stream id (dense per driver): launches allocate nothing, and
+  // walks visit streams in ascending id order.
+  std::vector<InflightGrant> inflight_;
 };
 
 }  // namespace lithos

@@ -133,11 +133,11 @@ bool OrionBackend::Contends(const KernelDesc& be_kernel) const {
   // A BE kernel contends when any in-flight HP kernel stresses the same
   // dominant resource (compute vs memory bandwidth). Profiles come from the
   // descriptor, standing in for Orion's offline profiling pass.
-  for (const auto& [stream, grant] : inflight_) {
-    if (!IsHighPriority(stream->client_id())) {
+  for (const InflightGrant& g : inflight_) {
+    if (g.stream == nullptr || !IsHighPriority(g.stream->client_id())) {
       continue;
     }
-    const LaunchRecord* head = stream->InFlightHead();
+    const LaunchRecord* head = g.stream->InFlightHead();
     if (head == nullptr || head->kernel == nullptr) {
       continue;
     }

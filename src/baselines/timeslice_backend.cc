@@ -109,12 +109,14 @@ void TimesliceBackend::OnQuantumExpired() {
     ArmQuantum();  // Sole tenant keeps the device.
     return;
   }
-  // Preempt the current holder: pause its running grants (progress kept).
+  // Preempt the current holder: pause its running grants (progress kept),
+  // in stream id order — the order SwitchTo resumes them in.
   ClientSlot& slot = slots_[current_];
-  for (const auto& [stream, grant] : inflight_) {
-    if (stream->client_id() == current_ && engine_->IsActive(grant)) {
-      engine_->Pause(grant);
-      slot.paused.push_back(grant);
+  for (const InflightGrant& g : inflight_) {
+    if (g.stream != nullptr && g.stream->client_id() == current_ &&
+        engine_->IsActive(g.grant)) {
+      engine_->Pause(g.grant);
+      slot.paused.push_back(g.grant);
       --slot.running;
     }
   }

@@ -67,6 +67,13 @@ ClusterDispatcher::ClusterDispatcher(Simulator* sim, const ClusterConfig& config
     rc.shed_watermark_ms = 0;
     rc.quarantine = 0;
   }
+  // Both request timers have one delay per run: arm them on FIFO lanes.
+  if (config_.resilience.hedge) {
+    hedge_lane_ = sim_->TimerLane(config_.resilience.hedge_delay);
+  }
+  if (config_.resilience.attempt_timeout > 0) {
+    timeout_lane_ = sim_->TimerLane(config_.resilience.attempt_timeout);
+  }
 
   for (int n = 0; n < config_.num_nodes; ++n) {
     nodes_.push_back(

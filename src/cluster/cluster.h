@@ -459,11 +459,26 @@ class ClusterDispatcher {
     Stream* stream = nullptr;
     uint64_t kernel_id = 0;   // request-kernel launch id (cancellation)
     uint64_t marker_id = 0;   // completion-marker launch id
+    uint32_t marker = 0;      // its state in markers_ while it is queued
     double cost_ms = 0;       // GPU-ms the marker releases (+ switch if uncancellable)
     uint64_t epoch = 0;       // node epoch at launch
     TimeNs launch = 0;        // launch instant (detector latency samples)
     bool open = false;
     bool hedge = false;       // the hedged duplicate (for hedge-win stats)
+  };
+
+  // What an attempt's completion marker needs when it fires, even after
+  // its request settled and the slot was recycled. It lives in a slab so
+  // the marker's closure is `[this, index]`, which fits std::function's
+  // local buffer: launching an attempt allocates nothing.
+  struct AttemptMarker {
+    uint32_t slot = 0;
+    uint32_t gen = 0;
+    int attempt = -1;
+    int node = -1;
+    double cost_ms = 0;
+    uint64_t epoch = 0;
+    uint64_t req_id = 0;
   };
 
   // Slab entry for an in-flight request. Slots are recycled
@@ -515,6 +530,9 @@ class ClusterDispatcher {
   // completion marker) on `node`; the switch gets its own marker only when
   // the policy can cancel attempts. `is_hedge` marks the duplicate.
   void LaunchAttempt(uint32_t slot, int node, bool is_hedge);
+  // Runs (and frees) a completion marker: completes the attempt, defers it
+  // (partitioned node) or orphans it (crashed node).
+  void OnAttemptMarker(uint32_t marker);
   void OnAttemptComplete(uint32_t slot, uint32_t gen, int attempt, bool deferred);
   void OnAttemptOrphaned(uint32_t slot, uint32_t gen, int attempt);
   void OnAttemptTimeout(uint32_t slot, uint32_t gen);
@@ -533,6 +551,10 @@ class ClusterDispatcher {
 
   Simulator* sim_;
   ClusterConfig config_;
+  // Constant-delay timer lanes of the hedge and attempt-timeout timers
+  // (valid only when the policy arms them).
+  TimerLaneId hedge_lane_ = 0;
+  TimerLaneId timeout_lane_ = 0;
   FleetTelemetry fleet_;
   std::vector<std::unique_ptr<GpuNode>> nodes_;
   Placer placer_;
@@ -594,6 +616,10 @@ class ClusterDispatcher {
   // Request slab: one entry per in-flight request.
   std::vector<RequestState> requests_;
   std::vector<uint32_t> free_request_slots_;
+  // Completion-marker slab; an entry is freed when its marker fires or is
+  // cancelled.
+  std::vector<AttemptMarker> markers_;
+  std::vector<uint32_t> free_markers_;
   // Per-model lifetime dispatch/retry counts backing the retry budget.
   std::vector<uint64_t> model_dispatched_;
   std::vector<uint64_t> model_retries_;

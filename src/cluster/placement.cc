@@ -137,6 +137,24 @@ Placer::Placer(PlacementPolicy policy, const std::vector<FleetModel>& models, in
   }
   enabled_.assign(num_nodes_, 1);
   zone_enabled_.assign(topo_.num_zones, topo_.zone_size);
+  spans_.resize(num_models_);
+  for (int m = 0; m < num_models_; ++m) {
+    RebuildSpans(m);
+  }
+}
+
+void Placer::RebuildSpans(int model_index) {
+  const std::vector<int>& replicas = replicas_[model_index];
+  std::vector<ZoneSpan>& spans = spans_[model_index];
+  spans.clear();
+  for (int k = 0; k < static_cast<int>(replicas.size()); ++k) {
+    const int zone = topo_.ZoneOf(replicas[k]);
+    if (spans.empty() || spans.back().zone != zone) {
+      spans.push_back({zone, k, k + 1});
+    } else {
+      spans.back().end = k + 1;
+    }
+  }
 }
 
 const std::vector<int>& Placer::ReplicaNodes(int model_index) const {
@@ -183,6 +201,7 @@ bool Placer::MoveReplica(int model_index, int from, int to) {
   }
   nodes.erase(it);
   nodes.insert(std::upper_bound(nodes.begin(), nodes.end(), to), to);
+  RebuildSpans(model_index);
   return true;
 }
 
@@ -196,6 +215,7 @@ bool Placer::AddReplica(int model_index, int node) {
     return false;
   }
   nodes.insert(std::upper_bound(nodes.begin(), nodes.end(), node), node);
+  RebuildSpans(model_index);
   return true;
 }
 
@@ -211,6 +231,7 @@ bool Placer::RemoveReplica(int model_index, int node) {
     return false;
   }
   nodes.erase(it);
+  RebuildSpans(model_index);
   return true;
 }
 
@@ -286,37 +307,30 @@ int Placer::PlaceZoneFirst(int model_index, const std::vector<double>& outstandi
   const std::vector<int>& replicas = ReplicaNodes(model_index);
   LITHOS_CHECK_EQ(static_cast<int>(zone_outstanding_ms.size()), topo_.num_zones);
 
-  // Stage 1 (fleet root): walk the sorted replica list zone by zone —
-  // upper_bound jumps over each zone's replicas in O(log R) — and pick the
-  // zone with the least queued work per enabled node. Ties break to the
-  // lowest zone id.
+  // Stage 1 (fleet root): walk the model's zone spans and pick the zone with
+  // the least queued work per enabled node. Ties break to the lowest zone
+  // id (spans are in ascending zone order).
   int best_zone = -1;
   double best_score = 0;
-  size_t best_begin = 0;
-  size_t best_end = 0;
-  size_t idx = 0;
-  while (idx < replicas.size()) {
-    const int zone = topo_.ZoneOf(replicas[idx]);
-    const size_t zone_end = static_cast<size_t>(
-        std::upper_bound(replicas.begin() + idx, replicas.end(), topo_.ZoneEnd(zone) - 1) -
-        replicas.begin());
-    const int enabled = zone_enabled_[zone];
+  int best_begin = 0;
+  int best_end = 0;
+  for (const ZoneSpan& span : spans_[model_index]) {
+    const int enabled = zone_enabled_[span.zone];
     if (enabled > 0) {
-      const double score = zone_outstanding_ms[zone] / enabled;
+      const double score = zone_outstanding_ms[span.zone] / enabled;
       if (best_zone < 0 || score < best_score) {
-        best_zone = zone;
+        best_zone = span.zone;
         best_score = score;
-        best_begin = idx;
-        best_end = zone_end;
+        best_begin = span.begin;
+        best_end = span.end;
       }
     }
-    idx = zone_end;
   }
 
   // Stage 2 (zone dispatcher): join the shortest queue among the model's
   // enabled replicas inside the chosen zone.
   int best = -1;
-  for (size_t k = best_begin; k < best_end; ++k) {
+  for (int k = best_begin; k < best_end; ++k) {
     const int node = replicas[k];
     if (enabled_[node] && (best < 0 || outstanding_ms[node] < outstanding_ms[best])) {
       best = node;

@@ -116,12 +116,12 @@ class Placer {
   //
   //   * round-robin: the next enabled node after the cursor;
   //   * least-loaded: the least-outstanding routable node;
-  //   * model-affinity: zone first, node second. Walk the model's sorted
-  //     replica list one zone at a time and pick the zone with the least
-  //     queued work per enabled node, then the least-outstanding enabled
-  //     replica inside it. Per-arrival work is O(Z_m log R + R/Z) for R
-  //     replicas spanning Z_m of Z zones; with one zone this is the
-  //     least-outstanding replica.
+  //   * model-affinity: zone first, node second. Walk the model's cached
+  //     zone spans (one run of its sorted replica list per zone) and pick
+  //     the zone with the least queued work per enabled node, then the
+  //     least-outstanding enabled replica inside it. Per-arrival work is
+  //     O(Z_m + R/Z) for R replicas spanning Z_m of Z zones; with one zone
+  //     this is the least-outstanding replica.
   //
   // Ties break to the lowest zone, then the lowest node. With no enabled
   // replica to pick, every policy falls back to the enabled nodes and then
@@ -170,11 +170,23 @@ class Placer {
   int PlaceZoneFirst(int model_index, const std::vector<double>& outstanding_ms,
                      const std::vector<double>& zone_outstanding_ms) const;
 
+  // One zone's run [begin, end) of a model's sorted replica list.
+  struct ZoneSpan {
+    int zone;
+    int begin;
+    int end;
+  };
+  // Recomputes spans_[model_index] from replicas_[model_index]; every
+  // replica-set mutation calls it.
+  void RebuildSpans(int model_index);
+
   PlacementPolicy policy_;
   int num_nodes_ = 0;
   int num_models_ = 0;
   ZoneTopology topo_;
   std::vector<std::vector<int>> replicas_;  // model -> sorted replica nodes
+  // model -> zone runs of replicas_, in ascending zone order
+  std::vector<std::vector<ZoneSpan>> spans_;
   std::vector<char> enabled_;               // node -> in rotation?
   std::vector<int> zone_enabled_;           // zone -> enabled node count
   int next_ = 0;                            // round-robin cursor

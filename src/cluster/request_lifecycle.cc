@@ -105,7 +105,7 @@ int ClusterDispatcher::Dispatch(int model_index) {
   LaunchAttempt(slot, node, /*is_hedge=*/false);
   if (rc.hedge) {
     const uint32_t gen = req.gen;
-    req.hedge_event = sim_->ScheduleAfter(rc.hedge_delay, [this, slot, gen] {
+    req.hedge_event = sim_->ScheduleOnLane(hedge_lane_, [this, slot, gen] {
       if (slot >= requests_.size() || !requests_[slot].in_use ||
           requests_[slot].gen != gen) {
         return;
@@ -278,36 +278,45 @@ void ClusterDispatcher::LaunchAttempt(uint32_t slot, int node, bool is_hedge) {
   EmitReq(TraceKind::kReqAttemptLaunch, node, ZoneOfNode(node),
           ReqArg(attempt_idx, is_hedge), req.req_id);
   ++feed_.node_attempts[node];
-  const uint32_t gen = req.gen;
-  const uint64_t epoch = state.epoch;
-  const uint64_t rid = req.req_id;
+  uint32_t marker;
+  if (!free_markers_.empty()) {
+    marker = free_markers_.back();
+    free_markers_.pop_back();
+  } else {
+    marker = static_cast<uint32_t>(markers_.size());
+    markers_.emplace_back();
+  }
+  markers_[marker] = {slot, req.gen, attempt_idx, node, cost_ms, state.epoch, req.req_id};
+  req.tries[attempt_idx].marker = marker;
   req.tries[attempt_idx].marker_id =
-      driver->CuStreamAddCallback(stream, [this, slot, gen, attempt_idx, node, cost_ms, epoch,
-                                           rid] {
-        NodeState& ns = node_state_[node];
-        if (ns.epoch != epoch) {
-          // Node crashed under the attempt; FailNode already wrote off the
-          // outstanding work.
-          OnAttemptOrphaned(slot, gen, attempt_idx);
-          return;
-        }
-        AddOutstanding(node, -cost_ms);
-        if (ns.partitioned) {
-          // The node finished the work but cannot deliver the result: buffer
-          // it for heal-time delivery (or orphaning, if the node crashes
-          // first).
-          ctr_deferred_->Inc();
-          EmitReq(TraceKind::kReqDeferredFinish, node, ZoneOfNode(node),
-                  ReqArg(attempt_idx, false), rid);
-          ns.deferred.push_back({epoch, slot, gen, attempt_idx});
-          return;
-        }
-        OnAttemptComplete(slot, gen, attempt_idx, /*deferred=*/false);
-      });
+      driver->CuStreamAddCallback(stream, [this, marker] { OnAttemptMarker(marker); });
   if (!is_hedge) {
     ++req.attempts;
     ArmAttemptTimer(slot);
   }
+}
+
+void ClusterDispatcher::OnAttemptMarker(uint32_t marker) {
+  const AttemptMarker m = markers_[marker];
+  free_markers_.push_back(marker);
+  NodeState& ns = node_state_[m.node];
+  if (ns.epoch != m.epoch) {
+    // Node crashed under the attempt; FailNode already wrote off the
+    // outstanding work.
+    OnAttemptOrphaned(m.slot, m.gen, m.attempt);
+    return;
+  }
+  AddOutstanding(m.node, -m.cost_ms);
+  if (ns.partitioned) {
+    // The node finished the work but cannot deliver the result: buffer it
+    // for heal-time delivery (or orphaning, if the node crashes first).
+    ctr_deferred_->Inc();
+    EmitReq(TraceKind::kReqDeferredFinish, m.node, ZoneOfNode(m.node),
+            ReqArg(m.attempt, false), m.req_id);
+    ns.deferred.push_back({m.epoch, m.slot, m.gen, m.attempt});
+    return;
+  }
+  OnAttemptComplete(m.slot, m.gen, m.attempt, /*deferred=*/false);
 }
 
 void ClusterDispatcher::ArmAttemptTimer(uint32_t slot) {
@@ -320,8 +329,8 @@ void ClusterDispatcher::ArmAttemptTimer(uint32_t slot) {
     return;  // 0 disables per-attempt timeouts
   }
   const uint32_t gen = req.gen;
-  req.timer_event = sim_->ScheduleAfter(config_.resilience.attempt_timeout,
-                                        [this, slot, gen] { OnAttemptTimeout(slot, gen); });
+  req.timer_event =
+      sim_->ScheduleOnLane(timeout_lane_, [this, slot, gen] { OnAttemptTimeout(slot, gen); });
   req.timer_armed = true;
 }
 
@@ -371,6 +380,7 @@ bool ClusterDispatcher::TryCancelAttempt(uint32_t slot, int attempt) {
   if (!driver->CancelLaunch(a.stream, a.marker_id)) {
     return false;  // completion already delivered (or about to be)
   }
+  free_markers_.push_back(a.marker);  // the marker never runs
   if (driver->CancelLaunch(a.stream, a.kernel_id)) {
     AddOutstanding(a.node, -a.cost_ms);  // clawed back before it ran
   } else {

@@ -16,18 +16,24 @@
 //   * Cancel() removes the event from the heap in place (O(log n), no
 //     tombstones); Reschedule() sifts the entry to its new timestamp instead
 //     of cancel + re-insert.
+//   * Constant-delay timers (ScheduleOnLane) queue on a per-delay FIFO
+//     lane: their deadlines arrive sorted, so only each lane's first live
+//     entry sits in the heap and cancelling a queued timer is O(1).
 //
 // Determinism contract: events at equal timestamps execute in insertion order
 // (a monotonically increasing sequence number breaks ties), so a given seed
 // always produces an identical schedule, which the test suite relies on.
 // Reschedule() re-stamps the sequence number: a rescheduled event behaves
 // exactly like Cancel() + ScheduleAt(), i.e. it runs after events already
-// scheduled at its new timestamp. See docs/simulator.md.
+// scheduled at its new timestamp. A lane timer keeps the (at, seq) it got
+// when armed, so ScheduleOnLane() orders exactly like ScheduleAfter() with
+// the lane's delay. See docs/simulator.md.
 #ifndef LITHOS_SIM_SIMULATOR_H_
 #define LITHOS_SIM_SIMULATOR_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -44,6 +50,9 @@ class TraceRecorder;
 // rescheduling. Encodes (slot index, generation) so handles of fired or
 // cancelled events never alias a live one.
 using EventId = uint64_t;
+
+// Handle of a constant-delay timer lane (Simulator::TimerLane).
+using TimerLaneId = uint32_t;
 
 // Lifetime operation counts of one Simulator; the work measure behind
 // events/sec benchmarks. Like every simulation output these are
@@ -165,6 +174,17 @@ class Simulator {
     return ScheduleAt(now_ + delay, std::move(fn));
   }
 
+  // Returns the FIFO lane of timers that fire `delay` (>= 0) after they are
+  // armed; asking twice for one delay returns the same lane.
+  TimerLaneId TimerLane(DurationNs delay);
+
+  // Schedules `fn` to run the lane's delay from now. Orders, counts and
+  // traces exactly like ScheduleAfter(delay, fn) — same slot, same (at, seq)
+  // — but only the lane's earliest live timer occupies the heap, so arming
+  // costs O(1) while the lane has a head and cancelling a queued timer is
+  // O(1) with no heap work.
+  EventId ScheduleOnLane(TimerLaneId lane, EventCallback fn);
+
   // Cancels a pending event in place (O(log n), no tombstone). Cancelling an
   // already-fired or unknown event is a no-op (schedulers frequently race
   // completion against their own timers).
@@ -189,7 +209,7 @@ class Simulator {
   // empty. Exposed for fine-grained engine tests.
   bool Step();
 
-  size_t pending_events() const { return heap_.size(); }
+  size_t pending_events() const { return heap_.size() + lane_queued_; }
 
   // Operations since construction. Region-scale runs report `fired` as
   // their work measure (events/sec of wall time), and the determinism
@@ -210,15 +230,37 @@ class Simulator {
   TraceRecorder* trace() const { return trace_; }
 
  private:
-  // Slab entry. `heap_index` is the event's position in `heap_` (-1 when the
-  // slot is free); `generation` increments every time the slot is recycled so
-  // stale EventIds never resolve.
+  // Slab entry. `heap_index` is the event's position in `heap_`, kFree when
+  // the slot is free, or kOnLane while the timer waits behind its lane's
+  // head; `generation` increments every time the slot is recycled so stale
+  // EventIds never resolve. `lane` names the timer lane of a queued timer or
+  // lane head (-1 for heap-only events); it sits in what would otherwise be
+  // padding before `fn`.
+  static constexpr int32_t kFree = -1;
+  static constexpr int32_t kOnLane = -2;
   struct Slot {
     TimeNs at = 0;
     uint64_t seq = 0;
     uint32_t generation = 1;
-    int32_t heap_index = -1;
+    int32_t heap_index = kFree;
+    int32_t lane = -1;
     EventCallback fn;
+  };
+
+  // A queued lane timer: the slot and the generation it was armed under. A
+  // cancelled timer frees its slot at once and leaves its entry behind;
+  // promotion skips entries whose slot no longer matches.
+  struct QueuedTimer {
+    uint32_t slot = 0;
+    uint32_t generation = 0;
+  };
+
+  // One constant-delay lane: the timers armed behind the head, in arm
+  // order — which, with one delay, is (at, seq) order.
+  struct Lane {
+    DurationNs delay = 0;
+    bool head_in_heap = false;
+    std::deque<QueuedTimer> queued;
   };
 
   static constexpr size_t kArity = 4;  // d-ary heap: shallower than binary
@@ -248,6 +290,11 @@ class Simulator {
   bool SiftUp(size_t pos);     // returns true when the entry moved
   void SiftDown(size_t pos);
   void RemoveFromHeap(size_t pos);
+  // Replaces the lane head at heap position `pos` with the lane's next live
+  // queued timer (which keeps its arm-time (at, seq)), or removes it when
+  // the lane has none.
+  void PromoteLaneHead(size_t pos, int32_t lane);
+  uint32_t AllocSlot(TimeNs at, EventCallback&& fn);
   void FreeSlot(uint32_t slot);
   void FireTop();
 
@@ -258,6 +305,8 @@ class Simulator {
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   std::vector<uint32_t> heap_;  // slot indices, d-ary min-heap by (at, seq)
+  std::vector<Lane> lanes_;
+  size_t lane_queued_ = 0;  // live timers queued behind lane heads
 };
 
 }  // namespace lithos

@@ -3,10 +3,15 @@
 // control, contention awareness) verified through the driver shim.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <vector>
+
 #include "src/baselines/concurrent_backends.h"
 #include "src/baselines/partition_backend.h"
 #include "src/baselines/timeslice_backend.h"
 #include "src/driver/driver.h"
+#include "src/obs/trace.h"
 
 namespace lithos {
 namespace {
@@ -241,6 +246,85 @@ TEST_F(BaselinesTest, OrionAdmitsComplementaryBeKernel) {
   driver_.CuLaunchKernel(sh, &big_);       // compute-bound HP
   driver_.CuLaunchKernel(sb, &membound_);  // memory-bound BE: complementary
   EXPECT_EQ(engine_.NumRunningGrants(), 2);
+}
+
+// One timeslice client with two streams in flight across a preemption by a
+// second client. Returns the run's engine and simulator trace bytes, which
+// record the pause and resume sequence (each Pause/Resume checkpoints the
+// grants it slows or speeds, and reschedules their completions).
+// `heap_noise` allocations made first shift every stream's address.
+std::vector<uint8_t> RunTimeslicePreemption(int heap_noise) {
+  std::vector<std::unique_ptr<char[]>> noise;
+  for (int i = 0; i < heap_noise; ++i) {
+    noise.push_back(std::make_unique<char[]>(static_cast<size_t>(40 + 56 * i)));
+  }
+  Simulator sim;
+  ExecutionEngine engine(&sim, GpuSpec::A100());
+  Driver driver(&sim, &engine);
+  TraceRecorder trace;
+  sim.SetTrace(&trace);
+  engine.SetTrace(&trace);
+  TimesliceBackend backend(&sim, &engine);
+  driver.SetBackend(&backend);
+  const KernelDesc long_kernel =
+      MakeKernel("long", 100000, FromMillis(10), 1.0, 0.8, engine.spec(), 64);
+  const KernelDesc short_kernel =
+      MakeKernel("short", 30000, FromMillis(5), 0.9, 0.6, engine.spec(), 64);
+  Client* a = driver.CuCtxCreate("a", PriorityClass::kHighPriority);
+  Client* b = driver.CuCtxCreate("b", PriorityClass::kBestEffort);
+  Stream* a1 = driver.CuStreamCreate(a);
+  Stream* a2 = driver.CuStreamCreate(a);
+  Stream* b1 = driver.CuStreamCreate(b);
+  driver.CuLaunchKernel(a1, &long_kernel);
+  driver.CuLaunchKernel(a2, &short_kernel);
+  driver.CuLaunchKernel(b1, &long_kernel);
+  sim.RunUntil(FromMillis(1));
+  EXPECT_EQ(backend.current_client(), a->id);
+  EXPECT_EQ(engine.NumRunningGrants(), 2);  // both of a's streams in flight
+  sim.RunUntil(FromMillis(3));
+  EXPECT_EQ(backend.current_client(), b->id);  // a's grants paused mid-kernel
+  EXPECT_EQ(engine.NumRunningGrants(), 1);
+  sim.RunToCompletion();
+  EXPECT_EQ(engine.NumRunningGrants(), 0);
+  return trace.Serialize();
+}
+
+// Payloads (progress, ppm) of the engine checkpoint records at `t`.
+std::vector<int64_t> CheckpointsAt(const std::vector<TraceRecord>& records, TimeNs t) {
+  std::vector<int64_t> out;
+  for (const TraceRecord& r : records) {
+    if (r.time_ns == t && r.layer == static_cast<uint8_t>(TraceLayer::kEngine) &&
+        r.kind == static_cast<uint8_t>(TraceKind::kGrantCheckpoint)) {
+      out.push_back(r.payload);
+    }
+  }
+  return out;
+}
+
+TEST(TimesliceDeterminismTest, PreemptedStreamsPauseAndResumeInStreamIdOrder) {
+  // Paused grants resume in stream id order, never in an order that
+  // depends on where the streams happen to live in memory.
+  const std::vector<uint8_t> reference = RunTimeslicePreemption(0);
+  for (int noise = 1; noise <= 8; ++noise) {
+    EXPECT_EQ(RunTimeslicePreemption(noise), reference) << "heap noise " << noise;
+  }
+
+  // The order itself. At the 2 ms preemption the first Pause checkpoints
+  // both of a's grants (slab order: a1, then a2) and the second Pause only
+  // the grant still running — a2 when a1 was paused first. At the 4 ms
+  // switch back, resuming the second grant checkpoints the first — a1 when
+  // a1 was resumed first — after b's own pause checkpoint.
+  std::vector<TraceRecord> records(
+      (reference.size() - sizeof(TraceFileHeader)) / sizeof(TraceRecord));
+  std::memcpy(records.data(), reference.data() + sizeof(TraceFileHeader),
+              records.size() * sizeof(TraceRecord));
+  const std::vector<int64_t> preempt = CheckpointsAt(records, FromMillis(2));
+  ASSERT_EQ(preempt.size(), 3u);
+  EXPECT_NE(preempt[0], preempt[1]);
+  EXPECT_EQ(preempt[2], preempt[1]);  // a1 paused first
+  const std::vector<int64_t> resume = CheckpointsAt(records, FromMillis(4));
+  ASSERT_EQ(resume.size(), 2u);
+  EXPECT_EQ(resume[1], preempt[0]);  // a1 resumed first
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Cluster-layer tests: placement-policy selection and determinism, the
-// placer against a flat least-outstanding oracle, failover to the
+// placer against a flat least-outstanding oracle and against the pre-cache
+// zone walk, failover to the
 // least-loaded node under a hot model, the ranked attempt fallback, and the
 // dispatcher's window totals against the per-node routing counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -230,6 +232,73 @@ TEST(PlacementDifferentialTest, FourZoneAffinityPicksLeastLoadedZone) {
           ASSERT_EQ(chosen, FlatLeastOutstanding(placer, m, outstanding))
               << "seed " << seed << " step " << step;
         }
+      }
+    }
+  }
+}
+
+// PlaceZoneFirst before it cached zone spans: stage 1 jumps over each zone's
+// run of the sorted replica list with upper_bound; stage 2 and the fallback
+// are unchanged. The oracle for the span cache.
+int UpperBoundZoneFirst(const Placer& placer, int model_index,
+                        const std::vector<double>& outstanding_ms,
+                        const std::vector<double>& zone_outstanding_ms) {
+  const ZoneTopology& topo = placer.zone_topology();
+  std::vector<int> zone_enabled(topo.num_zones, 0);
+  for (int n = 0; n < placer.num_nodes(); ++n) {
+    zone_enabled[topo.ZoneOf(n)] += placer.NodeEnabled(n) ? 1 : 0;
+  }
+  const std::vector<int>& replicas = placer.ReplicaNodes(model_index);
+  int best_zone = -1;
+  double best_score = 0;
+  size_t best_begin = 0;
+  size_t best_end = 0;
+  size_t idx = 0;
+  while (idx < replicas.size()) {
+    const int zone = topo.ZoneOf(replicas[idx]);
+    const size_t zone_end = static_cast<size_t>(
+        std::upper_bound(replicas.begin() + idx, replicas.end(), topo.ZoneEnd(zone) - 1) -
+        replicas.begin());
+    const int enabled = zone_enabled[zone];
+    if (enabled > 0) {
+      const double score = zone_outstanding_ms[zone] / enabled;
+      if (best_zone < 0 || score < best_score) {
+        best_zone = zone;
+        best_score = score;
+        best_begin = idx;
+        best_end = zone_end;
+      }
+    }
+    idx = zone_end;
+  }
+  int best = -1;
+  for (size_t k = best_begin; k < best_end; ++k) {
+    const int node = replicas[k];
+    if (placer.NodeEnabled(node) &&
+        (best < 0 || outstanding_ms[node] < outstanding_ms[best])) {
+      best = node;
+    }
+  }
+  return best >= 0 ? best : FlatLeastOutstanding(placer, model_index, outstanding_ms);
+}
+
+TEST(PlacementDifferentialTest, EightZoneSpanCacheMatchesUpperBoundWalk) {
+  const std::vector<FleetModel> models = TestModels();
+  ZoneTopology topo;
+  topo.num_zones = 8;
+  topo.zone_size = 4;
+  const int num_nodes = topo.num_zones * topo.zone_size;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    Placer placer(PlacementPolicy::kModelAffinity, models, num_nodes, 4000.0, 0.5, topo);
+    Rng rng(seed);
+    std::vector<double> outstanding(num_nodes, 0.0);
+    for (int step = 0; step < 2000; ++step) {
+      RandomPlacerStep(rng, placer, outstanding);
+      const std::vector<double> zone_ms = ZoneSums(placer, outstanding);
+      for (int m = 0; m < placer.num_models(); ++m) {
+        ASSERT_EQ(placer.Place(m, outstanding, zone_ms),
+                  UpperBoundZoneFirst(placer, m, outstanding, zone_ms))
+            << "seed " << seed << " step " << step << " model " << m;
       }
     }
   }
