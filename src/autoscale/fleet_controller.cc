@@ -160,7 +160,7 @@ bool FleetController::DrainHeld(int node) const {
 }
 
 bool FleetController::HasStrandedReplicas() const {
-  const Placer& placer = static_cast<const ClusterDispatcher*>(dispatcher_)->placer();
+  const Placer& placer = dispatcher_->placer();
   for (int m = 0; m < placer.num_models(); ++m) {
     for (int node : placer.ReplicaNodes(m)) {
       if (states_[node] != NodePower::kActive) {
@@ -196,7 +196,7 @@ void FleetController::Rebalance(double demand_ms_per_s) {
   const std::vector<std::vector<int>> target = PackModels(
       models, pack_order, cluster.aggregate_rps * scale, cluster.affinity_target_util);
 
-  Placer& placer = dispatcher_->placer();
+  const Placer& placer = dispatcher_->placer();
   int budget = config_.max_migrations_per_period;
   for (size_t m = 0; m < models.size(); ++m) {
     const int model = static_cast<int>(m);
@@ -214,42 +214,17 @@ void FleetController::Rebalance(double demand_ms_per_s) {
       return states_[node] != NodePower::kActive;
     });
 
-    size_t i = 0;
-    size_t j = 0;
-    while (i < removed.size() && j < added.size()) {
-      const bool forced = states_[removed[i]] != NodePower::kActive;
+    // One move per k: a migration while both lists last, then retires
+    // (to = -1) or clones (from = -1). The dispatcher picks the path from
+    // the source's state: an unreachable source recovers or drops.
+    for (size_t k = 0; k < std::max(removed.size(), added.size()); ++k) {
+      const int from = k < removed.size() ? removed[k] : -1;
+      const int to = k < added.size() ? added[k] : -1;
+      const bool forced = from >= 0 && states_[from] != NodePower::kActive;
       if (!forced && budget <= 0) {
-        break;  // partitioned: everything after is unforced too
+        break;  // forced moves come first: every later one is unforced too
       }
-      // A crashed source cannot run its checkpoint half — and a partitioned
-      // one cannot be reached to run it: the replica is re-placed through
-      // the restore-only recovery path instead of a full live migration.
-      const bool unreachable = dispatcher_->NodeFailed(removed[i]) ||
-                               dispatcher_->NodePartitioned(removed[i]);
-      const bool moved = unreachable
-                             ? dispatcher_->RecoverModelReplica(model, removed[i], added[j])
-                             : dispatcher_->MigrateModel(model, removed[i], added[j]);
-      if (moved && !forced) {
-        --budget;
-      }
-      ++i;
-      ++j;
-    }
-    for (; i < removed.size(); ++i) {  // replica count shrinking
-      const bool forced = states_[removed[i]] != NodePower::kActive;
-      if (!forced && budget <= 0) {
-        continue;
-      }
-      const bool dropped = dispatcher_->NodeFailed(removed[i]) ||
-                                   dispatcher_->NodePartitioned(removed[i])
-                               ? dispatcher_->DropLostReplica(model, removed[i])
-                               : dispatcher_->RemoveModelReplica(model, removed[i]);
-      if (dropped && !forced) {
-        --budget;
-      }
-    }
-    for (; j < added.size() && budget > 0; ++j) {  // replica count growing
-      if (dispatcher_->AddModelReplica(model, added[j])) {
+      if (dispatcher_->MoveReplica(model, from, to) && !forced) {
         --budget;
       }
     }

@@ -9,12 +9,12 @@
 //     marked Draining leaves the placement rotation but finishes its queued
 //     work; once empty it is power-gated (idle draw falls to the GPU spec's
 //     gated_power_w) until the curve climbs back.
-//   * live migration — a model replica is re-homed to another node through
-//     ClusterDispatcher::MigrateModel: arrivals redirect immediately, a
-//     memory-bound checkpoint kernel drains behind the replica's in-flight
-//     requests on the source, and a restore kernel serialises ahead of the
-//     first redirected request on the destination (PhoenixOS-style
-//     checkpoint/transfer/restore; see docs/autoscale.md).
+//   * replica changes — one ClusterDispatcher::MoveReplica call per move,
+//     clone (from = -1) or retire (to = -1): arrivals redirect immediately,
+//     a memory-bound checkpoint kernel drains behind the replica's
+//     in-flight requests on the source, and a restore kernel serialises
+//     ahead of the first redirected request on the destination
+//     (PhoenixOS-style checkpoint/transfer/restore; see docs/autoscale.md).
 //
 // Each control period DemandGpuMsPerSec, under the configured scaling
 // policy, turns demand telemetry into a powered-on node target; the
@@ -32,10 +32,11 @@
 // control plane, not the application, handles faults). A node crashed by
 // src/fault/ drops out of the placement rotation immediately; at the next
 // tick the controller drains it from its books and the rebalance diff
-// re-places every replica stranded on it onto survivors through
-// ClusterDispatcher::RecoverModelReplica — the restore-only half of the
-// checkpoint/restore migration path, since a dead node cannot execute its
-// checkpoint half. These recovery moves are forced (never budget-capped).
+// re-places every replica stranded on it onto survivors. The controller
+// issues the same MoveReplica as for any move; the dispatcher sees the
+// unreachable source and charges only the restore half, since a dead node
+// cannot execute its checkpoint half. These recovery moves are forced
+// (never budget-capped).
 // A repaired node rejoins exactly like a trough-gated one: powered off and
 // out of rotation until demand wants it back.
 #ifndef LITHOS_AUTOSCALE_FLEET_CONTROLLER_H_
@@ -145,8 +146,8 @@ class FleetController {
   // node changed state.
   bool ApplyLifecycle(int desired);
   // Re-packs replica sets over the current active set and issues the
-  // migrations the diff requires; replicas on crashed nodes take the
-  // restore-only recovery path.
+  // MoveReplica calls the diff requires, moves off non-active nodes first
+  // and uncapped.
   void Rebalance(double demand_ms_per_s);
   void CompleteDrains();
   bool HasStrandedReplicas() const;

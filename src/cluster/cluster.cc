@@ -267,9 +267,9 @@ bool ClusterDispatcher::NodeGated(int node) const {
 
 void ClusterDispatcher::ChargeMigrationKernel(int node, int model_index,
                                               const KernelDesc* kernel) {
-  // Migration kernels only ever target live, reachable nodes: MigrateModel
-  // sources are draining (not crashed) and recovery charges its restore on a
-  // survivor.
+  // Migration kernels only ever target live, reachable nodes: MoveReplica
+  // charges no checkpoint on an unreachable source, and a restore must land
+  // on a survivor.
   LITHOS_CHECK(!node_state_[node].failed);
   LITHOS_CHECK(!node_state_[node].partitioned);
   const FleetModel& model = fleet_.models()[model_index];
@@ -290,42 +290,38 @@ void ClusterDispatcher::ChargeMigrationKernel(int node, int model_index,
   });
 }
 
-bool ClusterDispatcher::MigrateModel(int model_index, int from, int to) {
-  LITHOS_CHECK_GE(from, 0);
-  LITHOS_CHECK_LT(from, config_.num_nodes);
-  if (from == to || !placer_.MoveReplica(model_index, from, to)) {
+bool ClusterDispatcher::MoveReplica(int model_index, int from, int to) {
+  if (!placer_.MoveReplica(model_index, from, to)) {
     return false;
   }
-  // Arrivals are redirected from this instant (the placer now routes the
-  // model to `to`); the checkpoint drains FIFO behind the replica's
-  // in-flight requests on `from`, and the restore serialises ahead of the
-  // first redirected request on `to`.
-  if (sim_->Now() >= warmup_end_) {
-    ctr_migrations_->Inc();
+  // A source the dispatcher cannot reach — crashed, or partitioned away —
+  // cannot run its checkpoint half: the replica restores from its latest
+  // checkpoint image instead (PhoenixOS), and a retire forgets the copy.
+  const bool lost = from >= 0 && (node_state_[from].failed || node_state_[from].partitioned);
+  if (from >= 0 && to >= 0) {
+    if (lost) {
+      ctr_recoveries_->Inc();
+    } else if (sim_->Now() >= warmup_end_) {
+      ctr_migrations_->Inc();
+    }
+    if (trace_ != nullptr) {
+      trace_->Append(sim_->Now(), TraceLayer::kCluster,
+                     lost ? TraceKind::kRecoverReplica : TraceKind::kMigration, to,
+                     ZoneOfNode(to), model_index, from);
+    }
+  } else if (lost && trace_ != nullptr) {
+    trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kDropLostReplica, from,
+                   ZoneOfNode(from), model_index, 0);
   }
-  if (trace_ != nullptr) {
-    trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kMigration,
-                   to, ZoneOfNode(to), model_index, from);
+  if (from >= 0 && !lost) {
+    ChargeMigrationKernel(from, model_index, &checkpoint_kernels_[model_index]);
   }
-  ChargeMigrationKernel(from, model_index, &checkpoint_kernels_[model_index]);
-  ChargeMigrationKernel(to, model_index, &restore_kernels_[model_index]);
-  return true;
-}
-
-bool ClusterDispatcher::AddModelReplica(int model_index, int node) {
-  if (!placer_.AddReplica(model_index, node)) {
-    return false;
+  if (to >= 0) {
+    ChargeMigrationKernel(to, model_index, &restore_kernels_[model_index]);
   }
-  ChargeMigrationKernel(node, model_index, &restore_kernels_[model_index]);
-  return true;
-}
-
-bool ClusterDispatcher::RemoveModelReplica(int model_index, int node) {
-  LITHOS_CHECK(!node_state_[node].failed);  // lost replicas go through DropLostReplica
-  if (!placer_.RemoveReplica(model_index, node)) {
-    return false;
+  if (lost) {
+    AppendRecoveryLog(to >= 0 ? "recover" : "drop", model_index, from, to >= 0 ? to : from);
   }
-  ChargeMigrationKernel(node, model_index, &checkpoint_kernels_[model_index]);
   return true;
 }
 
@@ -503,39 +499,6 @@ void ClusterDispatcher::AppendRecoveryLog(const char* action, int model_index, i
                 static_cast<long long>(sim_->Now()), action,
                 fleet_.models()[model_index].id.c_str(), from, to);
   recovery_log_.push_back(line);
-}
-
-bool ClusterDispatcher::RecoverModelReplica(int model_index, int from, int to) {
-  // Recovery is for unreachable sources only (crashed or partitioned away)...
-  LITHOS_CHECK(node_state_[from].failed || node_state_[from].partitioned);
-  // ...onto a live, reachable survivor.
-  LITHOS_CHECK(!node_state_[to].failed && !node_state_[to].partitioned);
-  if (from == to || !placer_.MoveReplica(model_index, from, to)) {
-    return false;
-  }
-  ctr_recoveries_->Inc();
-  if (trace_ != nullptr) {
-    trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kRecoverReplica,
-                   to, ZoneOfNode(to), model_index, from);
-  }
-  // Restore-only: the checkpoint half is sunk cost (PhoenixOS restores from
-  // the latest checkpoint image; the dead node cannot run a kernel).
-  ChargeMigrationKernel(to, model_index, &restore_kernels_[model_index]);
-  AppendRecoveryLog("recover", model_index, from, to);
-  return true;
-}
-
-bool ClusterDispatcher::DropLostReplica(int model_index, int node) {
-  LITHOS_CHECK(node_state_[node].failed || node_state_[node].partitioned);
-  if (!placer_.RemoveReplica(model_index, node)) {
-    return false;
-  }
-  if (trace_ != nullptr) {
-    trace_->Append(sim_->Now(), TraceLayer::kCluster, TraceKind::kDropLostReplica,
-                   node, ZoneOfNode(node), model_index, 0);
-  }
-  AppendRecoveryLog("drop", model_index, node, node);
-  return true;
 }
 
 ClusterResult ClusterDispatcher::Collect(DurationNs measured) {

@@ -19,8 +19,10 @@
 // (ClusterConfig::num_zones, described by one ZoneTopology that the placer
 // owns). The fault hooks below are per node; src/fault/ injects crashes,
 // stragglers, power caps, and whole-zone outages and partitions through
-// them. See docs/fleet.md for the hierarchy, failure model, and recovery
-// semantics.
+// them. Replica sets change through one call, MoveReplica: the dispatcher,
+// which owns node state, decides from the source's reachability whether a
+// move is a live migration or a crash recovery. See docs/fleet.md for the
+// hierarchy, failure model, and recovery semantics.
 #ifndef LITHOS_CLUSTER_CLUSTER_H_
 #define LITHOS_CLUSTER_CLUSTER_H_
 
@@ -217,7 +219,7 @@ class ClusterDispatcher {
 
   const std::vector<FleetModel>& models() const { return fleet_.models(); }
   const std::vector<std::unique_ptr<GpuNode>>& nodes() const { return nodes_; }
-  Placer& placer() { return placer_; }
+  // Read-only: replica sets change only through MoveReplica.
   const Placer& placer() const { return placer_; }
   const ClusterConfig& config() const { return config_; }
   const FleetTelemetry& fleet() const { return fleet_; }
@@ -286,19 +288,32 @@ class ClusterDispatcher {
   void PowerGateNode(int node, bool gated);
   bool NodeGated(int node) const;
 
-  // Live migration: re-homes one replica of the model from `from` to `to`,
-  // redirecting future arrivals immediately and charging the migration cost
-  // as kernels — a checkpoint on the source stream (FIFO-ordered behind the
-  // replica's in-flight requests, i.e. the drain) and a restore on the
-  // destination stream (serialising before the first redirected request).
-  // Returns false (charging nothing) if the placer refuses the move.
-  bool MigrateModel(int model_index, int from, int to);
-
-  // Replica-set growth/shrink with the matching one-sided costs: a clone
-  // charges only the restore on `node`; a retire charges only the
-  // checkpoint. Both fail (charging nothing) if the placer refuses.
-  bool AddModelReplica(int model_index, int node);
-  bool RemoveModelReplica(int model_index, int node);
+  // The one replica-set change: re-homes one replica of the model from
+  // `from` to `to`, where -1 means "no node" (`from = -1` clones a replica
+  // onto `to`, `to = -1` retires the one on `from`). Arrivals redirect
+  // immediately — the placer routes by the new set from this instant — and
+  // the cost is charged as kernels, PhoenixOS-style: a checkpoint on the
+  // source stream (FIFO-ordered behind the replica's in-flight requests,
+  // i.e. the drain) and a restore on the destination stream (serialising
+  // before the first redirected request). The source's state picks what
+  // runs:
+  //
+  //   * reachable source, node -> node: live migration — checkpoint, then
+  //     restore; counts fleet/migrations (inside the measurement window)
+  //     and traces kMigration;
+  //   * crashed or partitioned source, node -> node: recovery — restore
+  //     only (the unreachable node cannot run its checkpoint half; the
+  //     replica restores from its last image); counts fleet/recoveries,
+  //     traces kRecoverReplica and logs `recover`;
+  //   * -1 -> node: clone — restore only;
+  //   * reachable source, node -> -1: retire — checkpoint only;
+  //   * crashed or partitioned source, node -> -1: drop the lost copy — no
+  //     kernel; traces kDropLostReplica and logs `drop`.
+  //
+  // Returns false, charging nothing, if the placer refuses the change (see
+  // Placer::MoveReplica). A restore onto a crashed or partitioned `to` is a
+  // checked error.
+  bool MoveReplica(int model_index, int from, int to);
 
   uint64_t migrations() const { return ctr_migrations_->value(); }
 
@@ -351,18 +366,6 @@ class ClusterDispatcher {
   // Requests lost to crashes (lifetime; per-window counts come via Collect).
   uint64_t failed() const { return ctr_failed_->value(); }
 
-  // Crash recovery: re-homes a replica stranded on crashed node `from` onto
-  // healthy node `to`, charging only the restore kernel on `to` — the
-  // checkpoint half already happened (PhoenixOS-style: restore from the
-  // latest checkpoint; the dead node cannot execute anything). `from` must
-  // be failed and `to` healthy. Returns false if the placer refuses.
-  bool RecoverModelReplica(int model_index, int from, int to);
-
-  // Shrinks a replica set by a copy lost on crashed `node`, charging no
-  // kernel anywhere (there is nothing left to checkpoint). Used when the
-  // target packing wants fewer replicas than survived the crash.
-  bool DropLostReplica(int model_index, int node);
-
   uint64_t recoveries() const { return ctr_recoveries_->value(); }
 
   // --- Remediation hooks (src/remediate/) -----------------------------------
@@ -386,8 +389,9 @@ class ClusterDispatcher {
   double HerdImbalance() const;
 
   // Append-only, deterministically formatted record of every recovery
-  // action (RecoverModelReplica / DropLostReplica) since construction; the
-  // fault-replay tests compare it byte-for-byte across runs.
+  // action (MoveReplica off an unreachable source: `recover` or `drop`)
+  // since construction; the fault-replay tests compare it byte-for-byte
+  // across runs.
   const std::vector<std::string>& recovery_log() const { return recovery_log_; }
 
   // --- Observability --------------------------------------------------------
@@ -418,6 +422,10 @@ class ClusterDispatcher {
   // for every request. The gray-failure detector diffs these window over
   // window (docs/attribution.md).
   const DetectorFeed& detector_feed() const { return feed_; }
+
+  // Completion markers taken from the slab and not yet fired or cancelled;
+  // zero once the simulation has drained.
+  size_t live_markers() const { return markers_.size() - free_markers_.size(); }
 
  private:
   // A completion that finished while its node was partitioned, buffered for

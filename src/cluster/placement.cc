@@ -192,45 +192,22 @@ std::vector<int> Placer::EligibleNodes(int model_index) const {
 bool Placer::MoveReplica(int model_index, int from, int to) {
   LITHOS_CHECK_GE(model_index, 0);
   LITHOS_CHECK_LT(model_index, num_models_);
-  LITHOS_CHECK_GE(to, 0);
+  LITHOS_CHECK(from >= 0 || to >= 0);
+  LITHOS_CHECK_GE(to, -1);
   LITHOS_CHECK_LT(to, num_nodes_);
   std::vector<int>& nodes = replicas_[model_index];
-  auto it = std::find(nodes.begin(), nodes.end(), from);
-  if (it == nodes.end() || std::find(nodes.begin(), nodes.end(), to) != nodes.end()) {
+  const auto at = std::find(nodes.begin(), nodes.end(), from);
+  if ((from >= 0 && at == nodes.end()) ||
+      (to >= 0 && std::find(nodes.begin(), nodes.end(), to) != nodes.end()) ||
+      (to < 0 && nodes.size() <= 1)) {
     return false;
   }
-  nodes.erase(it);
-  nodes.insert(std::upper_bound(nodes.begin(), nodes.end(), to), to);
-  RebuildSpans(model_index);
-  return true;
-}
-
-bool Placer::AddReplica(int model_index, int node) {
-  LITHOS_CHECK_GE(model_index, 0);
-  LITHOS_CHECK_LT(model_index, num_models_);
-  LITHOS_CHECK_GE(node, 0);
-  LITHOS_CHECK_LT(node, num_nodes_);
-  std::vector<int>& nodes = replicas_[model_index];
-  if (std::find(nodes.begin(), nodes.end(), node) != nodes.end()) {
-    return false;
+  if (from >= 0) {
+    nodes.erase(at);
   }
-  nodes.insert(std::upper_bound(nodes.begin(), nodes.end(), node), node);
-  RebuildSpans(model_index);
-  return true;
-}
-
-bool Placer::RemoveReplica(int model_index, int node) {
-  LITHOS_CHECK_GE(model_index, 0);
-  LITHOS_CHECK_LT(model_index, num_models_);
-  std::vector<int>& nodes = replicas_[model_index];
-  if (nodes.size() <= 1) {
-    return false;  // a model must stay routable somewhere
+  if (to >= 0) {
+    nodes.insert(std::upper_bound(nodes.begin(), nodes.end(), to), to);
   }
-  auto it = std::find(nodes.begin(), nodes.end(), node);
-  if (it == nodes.end()) {
-    return false;
-  }
-  nodes.erase(it);
   RebuildSpans(model_index);
   return true;
 }

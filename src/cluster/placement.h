@@ -140,17 +140,13 @@ class Placer {
   // The model's raw replica set, ignoring the enabled bits. Sorted.
   const std::vector<int>& ReplicaNodes(int model_index) const;
 
-  // Re-homes one replica of the model from `from` to `to`. Fails (returning
-  // false, mutating nothing) unless `from` currently hosts a replica and
-  // `to` does not.
+  // Changes one replica of the model: re-homes it from `from` to `to`, where
+  // -1 means "no node", so `from = -1` adds a replica on `to` and `to = -1`
+  // removes the one on `from`. Fails (returning false, mutating nothing)
+  // unless `from` hosts a replica and `to` does not; a removal never takes
+  // the last replica (a model must stay routable somewhere). -1 -> -1 is a
+  // checked error.
   bool MoveReplica(int model_index, int from, int to);
-
-  // Grows the replica set by `node`; false if already present.
-  bool AddReplica(int model_index, int node);
-
-  // Shrinks the replica set; refuses the last replica (a model must remain
-  // routable somewhere).
-  bool RemoveReplica(int model_index, int node);
 
   // Takes a node out of (or back into) rotation. Disabled nodes receive no
   // new placements but keep their replica assignments, so a drained node
@@ -176,8 +172,8 @@ class Placer {
     int begin;
     int end;
   };
-  // Recomputes spans_[model_index] from replicas_[model_index]; every
-  // replica-set mutation calls it.
+  // Recomputes spans_[model_index] from replicas_[model_index]; the
+  // constructor and MoveReplica call it.
   void RebuildSpans(int model_index);
 
   PlacementPolicy policy_;

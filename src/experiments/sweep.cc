@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <memory>
 #include <thread>
 
 namespace lithos {
@@ -66,59 +65,48 @@ void SweepRunner::RunIndexed(size_t n, const std::function<void(size_t)>& body,
   const auto start = std::chrono::steady_clock::now();
   points_run_ += n;
 
-  // Every point carries a claim flag; worker w drains its own stripe
-  // (i ≡ w mod workers) and then sweeps the other stripes, stealing any
-  // point nobody has claimed yet. Results land in per-index slots, so
-  // completion order never affects collection order. With one worker the
-  // single stripe covers [0, n) in declaration order — the serial loop —
-  // and runs inline on the caller with no threads spawned, so exception
-  // semantics (run everything, rethrow the first by index) are identical
-  // for every worker count.
+  // Workers take the next unclaimed index from one shared counter, so a
+  // run of slow points spreads over every worker instead of queueing behind
+  // one. Results land in per-index slots, so completion order never affects
+  // collection order. With one worker the counter walks [0, n) in
+  // declaration order — the serial loop — on the caller with no threads
+  // spawned, so exception semantics (run everything, rethrow the first by
+  // index) are identical for every worker count.
   const size_t workers = std::max<size_t>(1, std::min(static_cast<size_t>(jobs_), n));
-  std::unique_ptr<std::atomic<bool>[]> claimed(new std::atomic<bool>[n]);
-  for (size_t i = 0; i < n; ++i) {
-    claimed[i].store(false, std::memory_order_relaxed);
-  }
+  std::atomic<size_t> next{0};
   std::vector<std::exception_ptr> errors(n);
   // Per-index wall times: each slot is written by exactly the worker that
   // claimed the point, then merged post-join — no locks, no races.
   std::vector<double> point_seconds(n, 0.0);
 
-  auto worker = [&](size_t w) {
-    for (size_t pass = 0; pass < workers; ++pass) {
-      const size_t stripe = (w + pass) % workers;
-      for (size_t i = stripe; i < n; i += workers) {
-        bool expected = false;
-        if (!claimed[i].compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
-          continue;
-        }
-        const auto point_start = std::chrono::steady_clock::now();
-        try {
-          body(i);
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "[sweep] point %zu%s%s%s failed: %s\n", i,
-                       name_of ? " '" : "", name_of ? name_of(i).c_str() : "",
-                       name_of ? "'" : "", e.what());
-          errors[i] = std::current_exception();
-        } catch (...) {
-          std::fprintf(stderr, "[sweep] point %zu%s%s%s failed with a non-std exception\n", i,
-                       name_of ? " '" : "", name_of ? name_of(i).c_str() : "",
-                       name_of ? "'" : "");
-          errors[i] = std::current_exception();
-        }
-        point_seconds[i] =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - point_start)
-                .count();
+  auto worker = [&] {
+    for (size_t i = next++; i < n; i = next++) {
+      const auto point_start = std::chrono::steady_clock::now();
+      try {
+        body(i);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "[sweep] point %zu%s%s%s failed: %s\n", i,
+                     name_of ? " '" : "", name_of ? name_of(i).c_str() : "",
+                     name_of ? "'" : "", e.what());
+        errors[i] = std::current_exception();
+      } catch (...) {
+        std::fprintf(stderr, "[sweep] point %zu%s%s%s failed with a non-std exception\n", i,
+                     name_of ? " '" : "", name_of ? name_of(i).c_str() : "",
+                     name_of ? "'" : "");
+        errors[i] = std::current_exception();
       }
+      point_seconds[i] =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - point_start)
+              .count();
     }
   };
 
   std::vector<std::thread> pool;
   pool.reserve(workers - 1);
   for (size_t w = 1; w < workers; ++w) {
-    pool.emplace_back(worker, w);
+    pool.emplace_back(worker);
   }
-  worker(0);
+  worker();
   for (std::thread& t : pool) {
     t.join();
   }

@@ -2,8 +2,9 @@
 // grid-shaped bench. A bench declares a flat grid of named scenario points —
 // each a pure closure (own config, own Simulator, own seeded Rng streams)
 // producing that point's result struct — and the runner executes them on a
-// work-stealing thread pool sized by --jobs / $LITHOS_JOBS (default: the
-// hardware concurrency), collecting results back in declaration order.
+// thread pool sized by --jobs / $LITHOS_JOBS (default: the hardware
+// concurrency) that claims points from one shared counter, collecting
+// results back in declaration order.
 //
 // Determinism contract (see docs/harness.md): because every point is a pure
 // function of its config and results are collected by declaration index, the
@@ -57,9 +58,9 @@ class SweepRunner {
   double wall_seconds() const { return wall_seconds_; }
 
   // Executes body(i) for every i in [0, n) across the pool and returns when
-  // all complete. Worker w owns the stripe i ≡ w (mod workers) and steals
-  // unclaimed points from other stripes once its own is drained, so a stripe
-  // of slow points (e.g. one heavyweight system) cannot serialise the sweep.
+  // all complete. Workers claim the next unrun index from one shared
+  // counter, so a run of slow points (e.g. one heavyweight system) spreads
+  // over the pool instead of serialising the sweep.
   // With one worker the same loop runs inline on the caller — identical
   // semantics, no threads. Exceptions are captured per point (each failure
   // is reported on stderr with the point's name when `name_of` is given)

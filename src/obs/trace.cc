@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <string>
 
 namespace lithos {
 
@@ -138,6 +140,53 @@ void TraceRecorder::Clear() {
   ring_.clear();
   ring_next_ = 0;
   segments_.clear();
+}
+
+bool ReadTraceFile(const std::string& path, TraceFile* out, std::string* error) {
+  struct Closer {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+  const std::unique_ptr<std::FILE, Closer> file(std::fopen(path.c_str(), "rb"));
+  if (file == nullptr) {
+    *error = "cannot open " + path;
+    return false;
+  }
+  auto reject = [&](const std::string& reason) {
+    *error = path + ": " + reason;
+    return false;
+  };
+  std::FILE* f = file.get();
+  TraceFileHeader& h = out->header;
+  if (std::fread(&h, sizeof(h), 1, f) != 1) {
+    return reject("short read on header");
+  }
+  if (std::memcmp(h.magic, kTraceMagic, sizeof(kTraceMagic)) != 0) {
+    return reject("bad magic (not a LithOS trace)");
+  }
+  if (h.version != kTraceFormatVersion || h.record_size != sizeof(TraceRecord)) {
+    return reject("unsupported version " + std::to_string(h.version) + " / record size " +
+                  std::to_string(h.record_size));
+  }
+  if (std::fseek(f, 0, SEEK_END) != 0) {
+    return reject("cannot seek");
+  }
+  const long size = std::ftell(f);
+  if (size < static_cast<long>(sizeof(h)) || std::fseek(f, sizeof(h), SEEK_SET) != 0) {
+    return reject("cannot seek");
+  }
+  // The count must fit the bytes after the header before it sizes anything.
+  const uint64_t fits = (static_cast<uint64_t>(size) - sizeof(h)) / sizeof(TraceRecord);
+  if (h.record_count > fits) {
+    return reject("header claims " + std::to_string(h.record_count) + " records, file holds " +
+                  std::to_string(fits));
+  }
+  out->records.resize(h.record_count);
+  if (h.record_count > 0 &&
+      std::fread(out->records.data(), sizeof(TraceRecord), h.record_count, f) !=
+          h.record_count) {
+    return reject("short read on records");
+  }
+  return true;
 }
 
 }  // namespace lithos

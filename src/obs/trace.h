@@ -240,6 +240,20 @@ class TraceRecorder {
   std::vector<std::vector<TraceRecord>> segments_;
 };
 
+// A trace file read back: its header and the records it carries.
+struct TraceFile {
+  TraceFileHeader header;
+  std::vector<TraceRecord> records;
+};
+
+// Reads a file TraceRecorder::WriteFile wrote. Returns false, with a
+// one-line reason naming `path` in `*error`, when the file cannot be opened
+// or read, its magic, version or record size do not match this build, or
+// its record_count does not fit the file's size. The count is checked
+// before the record array is allocated, so a corrupt header cannot ask for
+// terabytes.
+bool ReadTraceFile(const std::string& path, TraceFile* out, std::string* error);
+
 }  // namespace lithos
 
 #endif  // LITHOS_OBS_TRACE_H_

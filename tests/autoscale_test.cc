@@ -10,6 +10,8 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/autoscale/fleet_controller.h"
 #include "src/autoscale/scaling_policy.h"
@@ -96,10 +98,24 @@ TEST(PlacementMutationTest, MoveReplicaRehomesAndRefusesBadMoves) {
 
   // `from` no longer hosts the replica; `to` already does.
   EXPECT_FALSE(placer.MoveReplica(3, from, to));
-  // Last replica cannot be removed.
-  if (after.size() == 1) {
-    EXPECT_FALSE(placer.RemoveReplica(3, after[0]));
+
+  // -1 is "no node": an add onto `from`, refused onto a node that hosts one.
+  const std::vector<int> moved = after;
+  EXPECT_TRUE(placer.MoveReplica(3, -1, from));
+  EXPECT_EQ(std::count(after.begin(), after.end(), from), 1);
+  EXPECT_FALSE(placer.MoveReplica(3, -1, to));
+  // A removal, refused once `from` no longer hosts one.
+  EXPECT_TRUE(placer.MoveReplica(3, from, -1));
+  EXPECT_EQ(placer.ReplicaNodes(3), moved);
+  EXPECT_FALSE(placer.MoveReplica(3, from, -1));
+  // The last replica cannot be removed.
+  while (after.size() > 1) {
+    ASSERT_TRUE(placer.MoveReplica(3, after.back(), -1));
   }
+  EXPECT_FALSE(placer.MoveReplica(3, after[0], -1));
+  EXPECT_EQ(after.size(), 1u);
+  // A change with neither end is a checked error.
+  EXPECT_DEATH(placer.MoveReplica(3, -1, -1), "from >= 0 \\|\\| to >= 0");
 }
 
 TEST(PlacementMutationTest, DisabledNodesLeaveTheRotation) {
@@ -159,7 +175,7 @@ TEST(MigrationTest, MigrateModelRedirectsArrivalsAndChargesCost) {
   }
   ASSERT_GE(model, 0);
 
-  EXPECT_TRUE(dispatcher.MigrateModel(model, from, to));
+  EXPECT_TRUE(dispatcher.MoveReplica(model, from, to));
   EXPECT_EQ(dispatcher.migrations(), 1u);
   EXPECT_EQ(dispatcher.placer().ReplicaNodes(model), std::vector<int>{to});
   // Checkpoint charged on the source, restore on the destination.
@@ -171,7 +187,7 @@ TEST(MigrationTest, MigrateModelRedirectsArrivalsAndChargesCost) {
 
   // A move from a node that no longer hosts the replica is refused free.
   const double out_from = dispatcher.outstanding_ms()[from];
-  EXPECT_FALSE(dispatcher.MigrateModel(model, from, to));
+  EXPECT_FALSE(dispatcher.MoveReplica(model, from, to));
   EXPECT_EQ(dispatcher.migrations(), 1u);
   EXPECT_DOUBLE_EQ(dispatcher.outstanding_ms()[from], out_from);
 
@@ -179,6 +195,125 @@ TEST(MigrationTest, MigrateModelRedirectsArrivalsAndChargesCost) {
   sim.RunToCompletion();
   for (double ms : dispatcher.outstanding_ms()) {
     EXPECT_NEAR(ms, 0.0, 1e-9);
+  }
+}
+
+// One row per case of ClusterDispatcher::MoveReplica: what the source's
+// state makes a change charge, count, trace and log.
+TEST(MigrationTest, MoveReplicaCasesFollowTheSourceState) {
+  enum class Source { kReachable, kCrashed, kPartitioned };
+  const struct {
+    const char* name;
+    bool from_node;  // false: from = -1
+    bool to_node;    // false: to = -1
+    Source source;
+    bool charges_from;
+    bool charges_to;
+    uint64_t migrations;
+    uint64_t recoveries;
+    std::vector<TraceKind> traced;  // cluster-layer records, in order
+    const char* log;                // recovery-log action, "" for none
+  } rows[] = {
+      {"migrate", true, true, Source::kReachable, true, true, 1, 0, {TraceKind::kMigration}, ""},
+      {"recover crashed", true, true, Source::kCrashed, false, true, 0, 1,
+       {TraceKind::kRecoverReplica}, "recover"},
+      {"recover partitioned", true, true, Source::kPartitioned, false, true, 0, 1,
+       {TraceKind::kRecoverReplica}, "recover"},
+      {"clone", false, true, Source::kReachable, false, true, 0, 0, {}, ""},
+      {"retire", true, false, Source::kReachable, true, false, 0, 0, {}, ""},
+      {"drop crashed", true, false, Source::kCrashed, false, false, 0, 0,
+       {TraceKind::kDropLostReplica}, "drop"},
+      {"drop partitioned", true, false, Source::kPartitioned, false, false, 0, 0,
+       {TraceKind::kDropLostReplica}, "drop"},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
+    Simulator sim;
+    ClusterConfig config;
+    config.policy = PlacementPolicy::kModelAffinity;
+    config.system = SystemKind::kMps;
+    config.num_nodes = 4;
+    config.aggregate_rps = 300.0;
+    config.seed = 7;
+    ClusterDispatcher dispatcher(&sim, config);
+
+    // A single-replica model on `a`; `b` and `c` host none of it.
+    int model = -1;
+    for (int m = 0; m < static_cast<int>(dispatcher.models().size()) && model < 0; ++m) {
+      if (dispatcher.placer().ReplicaNodes(m).size() == 1) {
+        model = m;
+      }
+    }
+    ASSERT_GE(model, 0);
+    const int a = dispatcher.placer().ReplicaNodes(model)[0];
+    const int b = (a + 1) % config.num_nodes;
+    const int c = (a + 2) % config.num_nodes;
+    // A second replica on `c`, so a retire or drop off `a` is allowed; its
+    // restore drains before the row's change.
+    ASSERT_TRUE(dispatcher.MoveReplica(model, -1, c));
+    sim.RunToCompletion();
+    if (row.source == Source::kCrashed) {
+      dispatcher.FailNode(a);
+    } else if (row.source == Source::kPartitioned) {
+      dispatcher.PartitionNode(a);
+    }
+
+    TraceRecorder trace;
+    trace.SetLayerMask(TraceRecorder::LayerBit(TraceLayer::kCluster));
+    dispatcher.SetTrace(&trace);
+    const int from = row.from_node ? a : -1;
+    const int to = row.to_node ? b : -1;
+    const std::vector<double> before = dispatcher.outstanding_ms();
+    ASSERT_TRUE(dispatcher.MoveReplica(model, from, to));
+
+    const std::vector<double>& after = dispatcher.outstanding_ms();
+    EXPECT_EQ(after[a] > before[a], row.charges_from);
+    EXPECT_EQ(after[b] > before[b], row.charges_to);
+    EXPECT_EQ(after[c], before[c]);
+    EXPECT_EQ(dispatcher.migrations(), row.migrations);
+    EXPECT_EQ(dispatcher.recoveries(), row.recoveries);
+    std::vector<TraceKind> traced;
+    for (const TraceRecord& r : trace.Records()) {
+      traced.push_back(static_cast<TraceKind>(r.kind));
+    }
+    EXPECT_EQ(traced, row.traced);
+    if (row.log[0] == '\0') {
+      EXPECT_TRUE(dispatcher.recovery_log().empty());
+    } else {
+      ASSERT_EQ(dispatcher.recovery_log().size(), 1u);
+      const std::string& line = dispatcher.recovery_log()[0];
+      EXPECT_NE(line.find(std::string(" ") + row.log + " "), std::string::npos) << line;
+      const int logged_to = row.to_node ? b : a;
+      EXPECT_NE(line.find(std::to_string(a) + "->" + std::to_string(logged_to)),
+                std::string::npos)
+          << line;
+    }
+    std::vector<int> expected = {c};
+    if (row.to_node) {
+      expected.push_back(b);
+    }
+    if (!row.from_node) {
+      expected.push_back(a);
+    }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(dispatcher.placer().ReplicaNodes(model), expected);
+
+    // The same change again is refused (the source no longer hosts the
+    // replica, or the destination already does) and charges nothing.
+    const std::vector<double> settled = dispatcher.outstanding_ms();
+    const size_t log_size = dispatcher.recovery_log().size();
+    EXPECT_FALSE(dispatcher.MoveReplica(model, from, to));
+    EXPECT_EQ(dispatcher.outstanding_ms(), settled);
+    EXPECT_EQ(dispatcher.migrations(), row.migrations);
+    EXPECT_EQ(dispatcher.recoveries(), row.recoveries);
+    EXPECT_EQ(dispatcher.recovery_log().size(), log_size);
+    EXPECT_EQ(trace.size(), row.traced.size());
+
+    dispatcher.SetTrace(nullptr);
+    sim.RunToCompletion();
+    for (double ms : dispatcher.outstanding_ms()) {
+      EXPECT_NEAR(ms, 0.0, 1e-9);
+    }
   }
 }
 

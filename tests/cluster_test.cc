@@ -164,10 +164,10 @@ void RandomPlacerStep(Rng& rng, Placer& placer, std::vector<double>& outstanding
       placer.MoveReplica(model, a, b);
       break;
     case 1:
-      placer.AddReplica(model, a);
+      placer.MoveReplica(model, -1, a);  // add
       break;
     default:
-      placer.RemoveReplica(model, a);
+      placer.MoveReplica(model, a, -1);  // remove
       break;
   }
 }

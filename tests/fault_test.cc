@@ -188,7 +188,7 @@ TEST(FaultTest, RecoverModelReplicaChargesRestoreOnly) {
 
   fleet.FailNode(0);
   const double before = fleet.outstanding_ms()[3];
-  ASSERT_TRUE(fleet.RecoverModelReplica(model, 0, 3));
+  ASSERT_TRUE(fleet.MoveReplica(model, 0, 3));  // crashed source: recovery
   // The survivor was charged the restore kernel; the dead node nothing.
   EXPECT_GT(fleet.outstanding_ms()[3], before);
   EXPECT_EQ(fleet.outstanding_ms()[0], 0.0);
@@ -545,6 +545,25 @@ TEST(ResilienceTest, HedgeFirstCompletionWinsWithoutDoubleCounting) {
   for (const MetricsRegistry::PhaseSnapshot& phase : r.phases) {
     EXPECT_LE(phase.Count("fleet/latency_ms/count"), phase.Count("fleet/dispatched") + 25)
         << phase.name;
+  }
+}
+
+TEST(ResilienceTest, HedgedDrainLeavesNoCompletionMarkerLive) {
+  // Every completion marker is freed exactly once — when it fires, or when a
+  // settled request cancels its losing attempt — so a drained fleet holds
+  // none, and no attempt's GPU-ms stays on a node's books.
+  Simulator sim;
+  ClusterConfig cc = ResilienceScenario(true).cluster;
+  cc.resilience.hedge = true;
+  cc.resilience.hedge_delay = FromMillis(2);
+  ClusterDispatcher fleet(&sim, cc);
+  fleet.StartArrivals(FromSeconds(1));
+  sim.RunToCompletion();
+
+  EXPECT_GT(fleet.metrics().counter("fleet/hedges").value(), 0u);
+  EXPECT_EQ(fleet.live_markers(), 0u);
+  for (double ms : fleet.outstanding_ms()) {
+    EXPECT_NEAR(ms, 0.0, 1e-9);
   }
 }
 

@@ -1,9 +1,12 @@
 // Observability layer: TraceRecorder (format, ring wraparound, masks,
-// serialization, disabled-path no-op) and MetricsRegistry (instruments,
+// serialization, file read-back and rejection, disabled-path no-op) and MetricsRegistry (instruments,
 // phases), plus the determinism contract — byte-identical traces across
 // repeated runs and across SweepRunner worker counts for both the stacking
 // harness and a zoned fault scenario.
+#include <cstddef>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -128,6 +131,79 @@ TEST(TraceRecorderTest, ClearKeepsModeAndMask) {
   EXPECT_EQ(trace.total(), 0u);
   AppendN(trace, 6);
   EXPECT_EQ(trace.size(), 4u) << "still a 4-record ring";
+}
+
+// --- Trace file reader -------------------------------------------------------
+
+// Writes `bytes` to a file under the test temp dir and returns its path.
+std::string WriteBytes(const std::string& name, const std::vector<uint8_t>& bytes) {
+  const std::string path = ::testing::TempDir() + "lithos_obs_test_" + name + ".bin";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f != nullptr) {
+    std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
+  }
+  return path;
+}
+
+TEST(TraceFileTest, ReadBackMatchesSerialize) {
+  TraceRecorder trace(4);
+  AppendN(trace, 6);
+  const std::string path = WriteBytes("roundtrip", trace.Serialize());
+  TraceFile file;
+  std::string error;
+  ASSERT_TRUE(ReadTraceFile(path, &file, &error)) << error;
+  std::remove(path.c_str());
+  EXPECT_EQ(file.header.record_count, 4u);
+  EXPECT_EQ(file.header.total, 6u);
+  EXPECT_EQ(file.header.dropped, 2u);
+  const std::vector<TraceRecord> expected = trace.Records();
+  ASSERT_EQ(file.records.size(), expected.size());
+  EXPECT_EQ(std::memcmp(file.records.data(), expected.data(),
+                        expected.size() * sizeof(TraceRecord)),
+            0);
+}
+
+TEST(TraceFileTest, RejectsBadMagicTruncationAndInflatedCount) {
+  TraceRecorder trace;
+  AppendN(trace, 3);
+  const std::vector<uint8_t> good = trace.Serialize();
+  std::vector<uint8_t> bad_magic = good;
+  bad_magic[0] = 'X';
+  // Two and a half of the three records the header claims.
+  const std::vector<uint8_t> truncated(good.begin(), good.end() - sizeof(TraceRecord) / 2);
+  // 104 bytes — a header and two records — claiming 2^40 records (32 TiB).
+  std::vector<uint8_t> inflated(good.begin(),
+                                good.begin() + sizeof(TraceFileHeader) + 2 * sizeof(TraceRecord));
+  const uint64_t huge = uint64_t{1} << 40;
+  std::memcpy(inflated.data() + offsetof(TraceFileHeader, record_count), &huge, sizeof(huge));
+
+  const struct {
+    const char* name;
+    const std::vector<uint8_t>& bytes;
+    const char* reason;
+  } cases[] = {
+      {"bad_magic", bad_magic, "bad magic"},
+      {"truncated", truncated, "header claims 3 records, file holds 2"},
+      {"inflated", inflated, "header claims 1099511627776 records, file holds 2"},
+  };
+  for (const auto& c : cases) {
+    const std::string path = WriteBytes(c.name, c.bytes);
+    TraceFile file;
+    std::string error;
+    EXPECT_FALSE(ReadTraceFile(path, &file, &error)) << c.name;
+    std::remove(path.c_str());
+    EXPECT_NE(error.find(c.reason), std::string::npos) << c.name << ": " << error;
+    EXPECT_NE(error.find(path), std::string::npos) << "the reason names the file";
+    EXPECT_EQ(file.records.capacity(), 0u) << c.name << ": rejected before allocating";
+  }
+
+  TraceFile file;
+  std::string error;
+  EXPECT_FALSE(ReadTraceFile(::testing::TempDir() + "lithos_obs_test_missing.bin", &file,
+                             &error));
+  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }
 
 // --- Simulator integration ---------------------------------------------------

@@ -175,15 +175,16 @@ TEST(SweepRunnerTest, CollectsInDeclarationOrderUnderShuffledCompletion) {
   EXPECT_TRUE(any_out_of_order);
 }
 
-TEST(SweepRunnerTest, StealsAcrossStripes) {
-  // One stripe owns all the slow points; the others must steal them. With 4
-  // workers and stripe 0 holding 10 x 20ms of work, a no-stealing pool would
-  // take >= 200ms; stealing caps the critical path near 60ms. Use a loose
-  // 150ms bound to stay robust on slow CI.
+TEST(SweepRunnerTest, SpreadsSlowPointsAcrossWorkers) {
+  // Every fourth point is slow: 10 x 20ms of work. A pool that dealt points
+  // out in fixed stripes (i mod 4) would hand all of it to one worker and
+  // take >= 200ms; claiming from the shared counter spreads it and caps the
+  // critical path near 60ms. Use a loose 150ms bound to stay robust on slow
+  // CI.
   constexpr size_t kWorkers = 4;
   std::vector<SweepPoint<int>> points;
   for (size_t i = 0; i < 40; ++i) {
-    const bool slow = i % kWorkers == 0;  // stripe 0 under 4 workers
+    const bool slow = i % kWorkers == 0;
     points.push_back({"p", [slow] {
                         std::this_thread::sleep_for(
                             std::chrono::milliseconds(slow ? 20 : 0));

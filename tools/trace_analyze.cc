@@ -26,46 +26,6 @@
 namespace lithos {
 namespace {
 
-struct LoadedTrace {
-  TraceFileHeader header;
-  std::vector<TraceRecord> records;
-};
-
-bool LoadTrace(const char* path, LoadedTrace* out) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot open %s\n", path);
-    return false;
-  }
-  if (std::fread(&out->header, sizeof(out->header), 1, f) != 1) {
-    std::fprintf(stderr, "error: %s: short read on header\n", path);
-    std::fclose(f);
-    return false;
-  }
-  const TraceFileHeader& h = out->header;
-  if (std::memcmp(h.magic, kTraceMagic, sizeof(kTraceMagic)) != 0) {
-    std::fprintf(stderr, "error: %s: bad magic (not a LithOS trace)\n", path);
-    std::fclose(f);
-    return false;
-  }
-  if (h.version != kTraceFormatVersion || h.record_size != sizeof(TraceRecord)) {
-    std::fprintf(stderr, "error: %s: unsupported version %u / record size %u\n", path,
-                 h.version, h.record_size);
-    std::fclose(f);
-    return false;
-  }
-  out->records.resize(h.record_count);
-  if (h.record_count > 0 &&
-      std::fread(out->records.data(), sizeof(TraceRecord), h.record_count, f) !=
-          h.record_count) {
-    std::fprintf(stderr, "error: %s: short read on records\n", path);
-    std::fclose(f);
-    return false;
-  }
-  std::fclose(f);
-  return true;
-}
-
 void DumpSpans(const std::vector<RequestSpan>& spans) {
   for (const RequestSpan& s : spans) {
     std::printf("req=%" PRIu64 " model=%d %s arrival=%" PRId64 "ns settle=%" PRId64
@@ -98,8 +58,10 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  LoadedTrace trace;
-  if (!LoadTrace(positional[0], &trace)) {
+  TraceFile trace;
+  std::string error;
+  if (!ReadTraceFile(positional[0], &trace, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
   const TraceFileHeader& h = trace.header;

@@ -25,47 +25,7 @@
 namespace lithos {
 namespace {
 
-struct LoadedTrace {
-  TraceFileHeader header;
-  std::vector<TraceRecord> records;
-};
-
-bool LoadTrace(const char* path, LoadedTrace* out) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot open %s\n", path);
-    return false;
-  }
-  if (std::fread(&out->header, sizeof(out->header), 1, f) != 1) {
-    std::fprintf(stderr, "error: %s: short read on header\n", path);
-    std::fclose(f);
-    return false;
-  }
-  const TraceFileHeader& h = out->header;
-  if (std::memcmp(h.magic, kTraceMagic, sizeof(kTraceMagic)) != 0) {
-    std::fprintf(stderr, "error: %s: bad magic (not a LithOS trace)\n", path);
-    std::fclose(f);
-    return false;
-  }
-  if (h.version != kTraceFormatVersion || h.record_size != sizeof(TraceRecord)) {
-    std::fprintf(stderr, "error: %s: unsupported version %u / record size %u\n", path,
-                 h.version, h.record_size);
-    std::fclose(f);
-    return false;
-  }
-  out->records.resize(h.record_count);
-  if (h.record_count > 0 &&
-      std::fread(out->records.data(), sizeof(TraceRecord), h.record_count, f) !=
-          h.record_count) {
-    std::fprintf(stderr, "error: %s: short read on records\n", path);
-    std::fclose(f);
-    return false;
-  }
-  std::fclose(f);
-  return true;
-}
-
-int ExportText(const LoadedTrace& trace) {
+int ExportText(const TraceFile& trace) {
   const TraceFileHeader& h = trace.header;
   std::printf("# lithos trace v%u: %" PRIu64 " records (%" PRIu64 " appended, %" PRIu64
               " dropped)\n",
@@ -104,7 +64,7 @@ bool SpanDurationNs(const TraceRecord& r, int64_t* duration_ns, const char** nam
   }
 }
 
-int ExportChrome(const LoadedTrace& trace, std::FILE* out) {
+int ExportChrome(const TraceFile& trace, std::FILE* out) {
   std::fprintf(out, "{\"traceEvents\":[");
   bool first = true;
   auto sep = [&first, out] {
@@ -199,8 +159,10 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  LoadedTrace trace;
-  if (!LoadTrace(positional[0], &trace)) {
+  TraceFile trace;
+  std::string error;
+  if (!ReadTraceFile(positional[0], &trace, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
   if (!chrome) {
