@@ -2,26 +2,30 @@
 
 namespace lithos {
 
-LineFit FitLine(const std::vector<double>& xs, const std::vector<double>& ys) {
-  LITHOS_CHECK_EQ(xs.size(), ys.size());
+namespace {
+
+// Ordinary least squares over n points (x(i), ys[i]). x is evaluated on
+// demand, so a fit over transformed abscissae needs no temporary vector.
+template <typename X>
+LineFit FitLineOver(size_t size, X x, const std::vector<double>& ys) {
   LineFit fit;
-  fit.n = xs.size();
-  if (xs.empty()) {
+  fit.n = size;
+  if (size == 0) {
     return fit;
   }
 
   double sx = 0, sy = 0;
-  for (size_t i = 0; i < xs.size(); ++i) {
-    sx += xs[i];
+  for (size_t i = 0; i < size; ++i) {
+    sx += x(i);
     sy += ys[i];
   }
-  const double n = static_cast<double>(xs.size());
+  const double n = static_cast<double>(size);
   const double mx = sx / n;
   const double my = sy / n;
 
   double sxx = 0, sxy = 0, syy = 0;
-  for (size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
+  for (size_t i = 0; i < size; ++i) {
+    const double dx = x(i) - mx;
     const double dy = ys[i] - my;
     sxx += dx * dx;
     sxy += dx * dy;
@@ -43,8 +47,8 @@ LineFit FitLine(const std::vector<double>& xs, const std::vector<double>& ys) {
     fit.r_squared = 1.0;
   } else {
     double ss_res = 0;
-    for (size_t i = 0; i < xs.size(); ++i) {
-      const double pred = fit.slope * xs[i] + fit.intercept;
+    for (size_t i = 0; i < size; ++i) {
+      const double pred = fit.slope * x(i) + fit.intercept;
       ss_res += (ys[i] - pred) * (ys[i] - pred);
     }
     fit.r_squared = 1.0 - ss_res / syy;
@@ -52,14 +56,20 @@ LineFit FitLine(const std::vector<double>& xs, const std::vector<double>& ys) {
   return fit;
 }
 
+}  // namespace
+
+LineFit FitLine(const std::vector<double>& xs, const std::vector<double>& ys) {
+  LITHOS_CHECK_EQ(xs.size(), ys.size());
+  return FitLineOver(xs.size(), [&xs](size_t i) { return xs[i]; }, ys);
+}
+
 ScalingFit FitInverseScaling(const std::vector<double>& tpcs, const std::vector<double>& latency) {
   LITHOS_CHECK_EQ(tpcs.size(), latency.size());
-  std::vector<double> inv(tpcs.size());
-  for (size_t i = 0; i < tpcs.size(); ++i) {
-    LITHOS_CHECK_GT(tpcs[i], 0);
-    inv[i] = 1.0 / tpcs[i];
+  for (double t : tpcs) {
+    LITHOS_CHECK_GT(t, 0);
   }
-  const LineFit line = FitLine(inv, latency);
+  const LineFit line =
+      FitLineOver(tpcs.size(), [&tpcs](size_t i) { return 1.0 / tpcs[i]; }, latency);
   ScalingFit fit;
   fit.n = line.n;
   fit.r_squared = line.r_squared;

@@ -16,18 +16,36 @@ constexpr DurationNs kMinAtomizeDuration = FromMillis(2.0);
 // exceeds this fraction, its atom duration is doubled (§4.4,
 // "Performance Optimizations").
 constexpr double kMaxOverheadFraction = 0.10;
-// Plain (non-atomized) kernel dispatch overhead through the interposition
-// layer.
-constexpr DurationNs kLaunchOverhead = FromMicros(2.0);
+
+// Each prelude instance launches the full grid; blocks outside the atom's
+// range exit early but still consume dispatch slots.
+DurationNs PreludeOverheadNs(uint32_t grid_blocks, uint32_t atom_blocks) {
+  const uint32_t skipped = grid_blocks - atom_blocks;
+  return KernelAtomizer::kPreludeLaunchOverhead +
+         static_cast<DurationNs>(KernelAtomizer::kEarlyExitNsPerBlock *
+                                 static_cast<double>(skipped));
+}
 
 }  // namespace
 
+Atom AtomPlan::At(size_t i) const {
+  LITHOS_CHECK_LT(i, static_cast<size_t>(count));
+  if (!atomized) {
+    return Atom{0, blocks, KernelAtomizer::kLaunchOverhead};
+  }
+  // Near-equal contiguous ranges; the first (blocks % count) atoms take one
+  // extra block, so atom i starts after i base-sized atoms plus the extra
+  // blocks of those before it.
+  const uint32_t idx = static_cast<uint32_t>(i);
+  const uint32_t base = blocks / count;
+  const uint32_t extra = blocks % count;
+  const uint32_t size = base + (idx < extra ? 1 : 0);
+  const uint32_t lo = idx * base + std::min(idx, extra);
+  return Atom{lo, lo + size, PreludeOverheadNs(blocks, size)};
+}
+
 DurationNs KernelAtomizer::AtomOverheadNs(const KernelDesc& kernel, uint32_t atom_blocks) const {
-  // Each prelude instance launches the full grid; blocks outside the atom's
-  // range exit early but still consume dispatch slots.
-  const uint32_t skipped = kernel.NumBlocks() - atom_blocks;
-  return kPreludeLaunchOverhead +
-         static_cast<DurationNs>(kEarlyExitNsPerBlock * static_cast<double>(skipped));
+  return PreludeOverheadNs(kernel.NumBlocks(), atom_blocks);
 }
 
 DurationNs KernelAtomizer::EffectiveAtomDuration(uint64_t kernel_signature) const {
@@ -40,49 +58,26 @@ AtomPlan KernelAtomizer::Plan(const KernelDesc& kernel, uint64_t kernel_signatur
                               DurationNs predicted_duration, int granted_tpcs,
                               const GpuSpec& spec) const {
   AtomPlan plan;
-  const uint32_t blocks = kernel.NumBlocks();
-  LITHOS_CHECK_GT(blocks, 0u);
+  plan.blocks = kernel.NumBlocks();
+  LITHOS_CHECK_GT(plan.blocks, 0u);
 
-  const DurationNs atom_duration = EffectiveAtomDuration(kernel_signature);
-
-  if (!config_.enable_atomization || blocks < 2 ||
+  if (!config_.enable_atomization || plan.blocks < 2 ||
       predicted_duration < kMinAtomizeDuration) {
-    plan.atomized = false;
-    plan.atoms.push_back(Atom{0, blocks, kLaunchOverhead});
     return plan;
   }
 
+  const DurationNs atom_duration = EffectiveAtomDuration(kernel_signature);
   int n = static_cast<int>(predicted_duration / std::max<DurationNs>(atom_duration, 1));
   n = std::clamp(n, 1, kMaxAtomsPerKernel);
-  n = std::min(n, static_cast<int>(blocks));
+  n = std::min(n, static_cast<int>(plan.blocks));
   // Wave floor: an atom smaller than one wave over the granted TPCs cannot
   // keep the allocation busy.
   const int wave_blocks = std::max(1, granted_tpcs) * kernel.BlocksPerTpc(spec);
-  n = std::min(n, std::max(1, static_cast<int>(blocks) / wave_blocks));
-  if (n <= 1) {
-    plan.atomized = false;
-    plan.atoms.push_back(Atom{0, blocks, kLaunchOverhead});
-    return plan;
+  n = std::min(n, std::max(1, static_cast<int>(plan.blocks) / wave_blocks));
+  if (n > 1) {
+    plan.count = static_cast<uint32_t>(n);
+    plan.atomized = true;
   }
-
-  plan.atomized = true;
-  plan.atoms.reserve(static_cast<size_t>(n));
-  // Near-equal contiguous ranges; the first (blocks % n) atoms take one extra
-  // block. Union of ranges == [0, blocks), pairwise disjoint — the
-  // correctness invariant of Algorithm 1.
-  const uint32_t base = blocks / static_cast<uint32_t>(n);
-  const uint32_t extra = blocks % static_cast<uint32_t>(n);
-  uint32_t lo = 0;
-  for (uint32_t i = 0; i < static_cast<uint32_t>(n); ++i) {
-    const uint32_t size = base + (i < extra ? 1 : 0);
-    Atom atom;
-    atom.block_lo = lo;
-    atom.block_hi = lo + size;
-    atom.overhead_ns = AtomOverheadNs(kernel, size);
-    plan.atoms.push_back(atom);
-    lo += size;
-  }
-  LITHOS_CHECK_EQ(lo, blocks);
   return plan;
 }
 

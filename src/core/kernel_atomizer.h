@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "src/common/time.h"
 #include "src/core/config.h"
@@ -34,11 +33,18 @@ struct Atom {
   uint32_t NumBlocks() const { return block_hi - block_lo; }
 };
 
+// The plan for one kernel: `count` near-equal contiguous ranges over
+// [0, blocks), the first (blocks % count) one block larger. Atoms are computed
+// on demand, so a plan is three fields and building one allocates nothing.
 struct AtomPlan {
-  std::vector<Atom> atoms;
+  uint32_t blocks = 0;
+  uint32_t count = 1;
   bool atomized = false;  // false => single whole-kernel launch
 
-  size_t NumAtoms() const { return atoms.size(); }
+  size_t NumAtoms() const { return count; }
+  // The i-th atom; i < count. Pairwise disjoint, and together [0, blocks) —
+  // the correctness invariant of Algorithm 1.
+  Atom At(size_t i) const;
 };
 
 class KernelAtomizer {
@@ -50,6 +56,9 @@ class KernelAtomizer {
   // early-exit tax per skipped thread block.
   static constexpr DurationNs kPreludeLaunchOverhead = FromMicros(3.0);
   static constexpr double kEarlyExitNsPerBlock = 12.0;
+  // Plain (non-atomized) kernel dispatch overhead through the interposition
+  // layer.
+  static constexpr DurationNs kLaunchOverhead = FromMicros(2.0);
 
   explicit KernelAtomizer(const LithosConfig& config) : config_(config) {}
 

@@ -22,11 +22,21 @@ double LatencyPredictor::FreqFactor(int freq_mhz, double sensitivity) const {
   return 1.0 + sensitivity * (ratio - 1.0);
 }
 
-DurationNs LatencyPredictor::Predict(const OperatorKey& key, const ExecConditions& cond) const {
+LatencyPredictor::OperatorModel* LatencyPredictor::Find(const OperatorKey& key) {
+  auto it = ops_.find(key);
+  return it == ops_.end() ? nullptr : &it->second;
+}
+
+const LatencyPredictor::OperatorModel* LatencyPredictor::Find(const OperatorKey& key) const {
+  auto it = ops_.find(key);
+  return it == ops_.end() ? nullptr : &it->second;
+}
+
+DurationNs LatencyPredictor::Predict(const OperatorKey& key, const OperatorModel* model,
+                                     const ExecConditions& cond) const {
   const double frac = std::clamp(cond.block_fraction, 1e-9, 1.0);
 
-  auto it = ops_.find(key);
-  if (it == ops_.end()) {
+  if (model == nullptr) {
     // Unseen operator: queue-wide mean, else the fixed default. The
     // prior is deliberately rough; it only has to be good enough to decide
     // whether a first execution is worth atomizing.
@@ -38,7 +48,7 @@ DurationNs LatencyPredictor::Predict(const OperatorKey& key, const ExecCondition
     return static_cast<DurationNs>(base * frac * FreqFactor(cond.freq_mhz, 1.0));
   }
 
-  const OperatorModel& m = it->second;
+  const OperatorModel& m = *model;
   const double ff = FreqFactor(cond.freq_mhz, m.freq_sensitivity);
 
   if (m.by_tpcs.size() >= 2) {
@@ -54,12 +64,18 @@ DurationNs LatencyPredictor::Predict(const OperatorKey& key, const ExecCondition
   return static_cast<DurationNs>(std::max(1.0, canonical * scale * frac * ff));
 }
 
-void LatencyPredictor::Record(const OperatorKey& key, const ExecConditions& cond,
-                              DurationNs observed, DurationNs predicted) {
+LatencyPredictor::OperatorModel* LatencyPredictor::Record(const OperatorKey& key,
+                                                          OperatorModel* model,
+                                                          const ExecConditions& cond,
+                                                          DurationNs observed,
+                                                          DurationNs predicted) {
   LITHOS_CHECK_GT(observed, 0);
   const double frac = std::clamp(cond.block_fraction, 1e-9, 1.0);
 
-  OperatorModel& m = ops_[key];
+  if (model == nullptr) {
+    model = &ops_[key];
+  }
+  OperatorModel& m = *model;
 
   // Estimate frequency sensitivity when the same allocation has been seen at
   // f_max: s = (l_f / l_fmax - 1) / (f_max/f - 1).
@@ -93,14 +109,13 @@ void LatencyPredictor::Record(const OperatorKey& key, const ExecConditions& cond
   ++m.observations;
   if (m.by_tpcs.size() >= 2) {
     // Refit l = m/t + b over the canonical points, in allocation order.
-    std::vector<double> ts, ls;
-    ts.reserve(m.by_tpcs.size());
-    ls.reserve(m.by_tpcs.size());
+    fit_tpcs_.clear();
+    fit_latency_.clear();
     for (const auto& [t, l] : m.by_tpcs) {
-      ts.push_back(static_cast<double>(t));
-      ls.push_back(l);
+      fit_tpcs_.push_back(static_cast<double>(t));
+      fit_latency_.push_back(l);
     }
-    m.fit = FitInverseScaling(ts, ls);
+    m.fit = FitInverseScaling(fit_tpcs_, fit_latency_);
   }
 
   // Queue-wide running mean prior.
@@ -124,28 +139,26 @@ void LatencyPredictor::Record(const OperatorKey& key, const ExecConditions& cond
       ++stats_.mispredictions;
     }
   }
+  return model;
 }
 
-bool LatencyPredictor::GetScalingFit(const OperatorKey& key, ScalingFit* fit) const {
-  auto it = ops_.find(key);
-  if (it == ops_.end() || it->second.by_tpcs.size() < 2) {
+bool LatencyPredictor::GetScalingFit(const OperatorModel* model, ScalingFit* fit) {
+  if (model == nullptr || model->by_tpcs.size() < 2) {
     return false;
   }
-  *fit = it->second.fit;
+  *fit = model->fit;
   return true;
 }
 
-int LatencyPredictor::DistinctTpcPoints(const OperatorKey& key) const {
-  auto it = ops_.find(key);
-  return it == ops_.end() ? 0 : static_cast<int>(it->second.by_tpcs.size());
+int LatencyPredictor::DistinctTpcPoints(const OperatorModel* model) {
+  return model == nullptr ? 0 : static_cast<int>(model->by_tpcs.size());
 }
 
-double LatencyPredictor::FreqSensitivity(const OperatorKey& key) const {
-  auto it = ops_.find(key);
-  if (it == ops_.end() || !it->second.sensitivity_known) {
+double LatencyPredictor::FreqSensitivity(const OperatorModel* model) {
+  if (model == nullptr || !model->sensitivity_known) {
     return -1.0;
   }
-  return it->second.freq_sensitivity;
+  return model->freq_sensitivity;
 }
 
 }  // namespace lithos

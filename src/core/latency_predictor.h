@@ -16,6 +16,11 @@
 // fits the scaling law l = m/t + b and uses it instead. The fit is cached per
 // operator and refitted in Record, the only place its points change, so
 // Predict and GetScalingFit read it without refitting.
+//
+// Every per-operator call comes in two forms: keyed, and on the operator's
+// model as returned by Find. The keyed form is Find plus the model form, so
+// both give the same answer bit for bit; the dispatcher looks each stream
+// head up once and uses the model form for all of its atoms.
 #ifndef LITHOS_CORE_LATENCY_PREDICTOR_H_
 #define LITHOS_CORE_LATENCY_PREDICTOR_H_
 
@@ -70,44 +75,11 @@ struct PredictionStats {
 
 class LatencyPredictor {
  public:
-  // Prior for never-seen operators.
-  static constexpr DurationNs kDefaultLatency = FromMicros(100);
-
-  explicit LatencyPredictor(const GpuSpec& spec) : spec_(spec) {}
-
-  // Predicts operator latency under `cond`. Falls back to the queue-wide
-  // running mean, then kDefaultLatency, when the operator is unseen.
-  DurationNs Predict(const OperatorKey& key, const ExecConditions& cond) const;
-
-  // True if at least one observation exists for this operator.
-  bool HasSeen(const OperatorKey& key) const { return ops_.count(key) > 0; }
-
-  // Records an observed execution. `predicted` is what the caller used for
-  // scheduling (pass 0 to skip accuracy accounting).
-  void Record(const OperatorKey& key, const ExecConditions& cond, DurationNs observed,
-              DurationNs predicted = 0);
-
-  // Fitted scaling curve for an operator, if enough distinct TPC points have
-  // been observed (used by the right-sizer). Returns false otherwise.
-  bool GetScalingFit(const OperatorKey& key, ScalingFit* fit) const;
-
-  // Distinct TPC allocations observed for the operator.
-  int DistinctTpcPoints(const OperatorKey& key) const;
-
-  // Learned frequency sensitivity s in [0,1]; negative when no cross-
-  // frequency evidence exists yet (the DVFS manager then assumes s = 1).
-  double FreqSensitivity(const OperatorKey& key) const;
-
-  // Accuracy accounting: mispredictions are absolute errors > 50us (§7.4).
-  const PredictionStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = PredictionStats{}; }
-  // Sorts the error digest; call once recording is done, before reading
-  // error percentiles through stats().
-  void FinalizeStats() { stats_.abs_error_us.Finalize(); }
-
-  static constexpr double kMispredictionThresholdUs = 50.0;
-
- private:
+  // What the predictor has learned about one operator. Callers on the
+  // per-kernel path look an operator up once with Find and pass the pointer
+  // to the calls below; models are never erased and the map's nodes do not
+  // move, so a pointer stays valid for the predictor's lifetime. Read it only
+  // through the predictor.
   struct OperatorModel {
     // EWMA latency per distinct TPC allocation, normalised to full grid
     // fraction and max frequency with the operator's estimated sensitivity.
@@ -121,6 +93,65 @@ class LatencyPredictor {
     uint64_t observations = 0;
   };
 
+  // Prior for never-seen operators.
+  static constexpr DurationNs kDefaultLatency = FromMicros(100);
+
+  explicit LatencyPredictor(const GpuSpec& spec) : spec_(spec) {}
+
+  // The operator's model, or nullptr while it has no observation.
+  OperatorModel* Find(const OperatorKey& key);
+  const OperatorModel* Find(const OperatorKey& key) const;
+
+  // Predicts operator latency under `cond`. Falls back to the queue-wide
+  // running mean, then kDefaultLatency, when the operator is unseen.
+  DurationNs Predict(const OperatorKey& key, const ExecConditions& cond) const {
+    return Predict(key, Find(key), cond);
+  }
+  // The same for the operator whose model is `model` (Find(key)).
+  DurationNs Predict(const OperatorKey& key, const OperatorModel* model,
+                     const ExecConditions& cond) const;
+
+  // True if at least one observation exists for this operator.
+  bool HasSeen(const OperatorKey& key) const { return Find(key) != nullptr; }
+
+  // Records an observed execution. `predicted` is what the caller used for
+  // scheduling (pass 0 to skip accuracy accounting).
+  void Record(const OperatorKey& key, const ExecConditions& cond, DurationNs observed,
+              DurationNs predicted = 0) {
+    Record(key, Find(key), cond, observed, predicted);
+  }
+  // The same for the operator whose model is `model` (Find(key), so nullptr
+  // before the first observation). Returns the operator's model, created on
+  // its first observation.
+  OperatorModel* Record(const OperatorKey& key, OperatorModel* model, const ExecConditions& cond,
+                        DurationNs observed, DurationNs predicted);
+
+  // Fitted scaling curve for an operator, if enough distinct TPC points have
+  // been observed (used by the right-sizer). Returns false otherwise.
+  bool GetScalingFit(const OperatorKey& key, ScalingFit* fit) const {
+    return GetScalingFit(Find(key), fit);
+  }
+  static bool GetScalingFit(const OperatorModel* model, ScalingFit* fit);
+
+  // Distinct TPC allocations observed for the operator.
+  int DistinctTpcPoints(const OperatorKey& key) const { return DistinctTpcPoints(Find(key)); }
+  static int DistinctTpcPoints(const OperatorModel* model);
+
+  // Learned frequency sensitivity s in [0,1]; negative when no cross-
+  // frequency evidence exists yet (the DVFS manager then assumes s = 1).
+  double FreqSensitivity(const OperatorKey& key) const { return FreqSensitivity(Find(key)); }
+  static double FreqSensitivity(const OperatorModel* model);
+
+  // Accuracy accounting: mispredictions are absolute errors > 50us (§7.4).
+  const PredictionStats& stats() const { return stats_; }
+  void ResetStats() { stats_ = PredictionStats{}; }
+  // Sorts the error digest; call once recording is done, before reading
+  // error percentiles through stats().
+  void FinalizeStats() { stats_.abs_error_us.Finalize(); }
+
+  static constexpr double kMispredictionThresholdUs = 50.0;
+
+ private:
   double FreqFactor(int freq_mhz, double sensitivity) const;
 
   GpuSpec spec_;
@@ -129,6 +160,11 @@ class LatencyPredictor {
   // queue (stream) id; a queue with count 0 has no prior yet.
   std::vector<double> queue_mean_;
   std::vector<uint64_t> queue_count_;
+  // Refit scratch: an operator's (tpcs, canonical ns) points in allocation
+  // order. Every Record reuses it, so a refit allocates only while the most
+  // points seen so far grows.
+  std::vector<double> fit_tpcs_;
+  std::vector<double> fit_latency_;
   PredictionStats stats_;
 };
 

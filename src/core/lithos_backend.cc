@@ -29,6 +29,8 @@ void LithosBackend::OnClientRegistered(const Client& client) {
   LITHOS_CHECK_GE(client.id, 0);
   if (client.id >= static_cast<int>(clients_.size())) {
     clients_.resize(client.id + 1);
+    // A client is listed at most once, so publishing never allocates.
+    waiting_changed_.reserve(clients_.size());
   }
   ClientState& state = clients_[client.id];
   state.priority = client.priority;
@@ -68,20 +70,32 @@ int LithosBackend::BaseAllocation(int client_id, const KernelDesc& kernel) const
   return useful;
 }
 
+LithosBackend::HeadExec& LithosBackend::Head(Stream* stream) {
+  const size_t sid = static_cast<size_t>(stream->id());
+  if (sid >= heads_.size()) {
+    heads_.resize(sid + 1);
+  }
+  return heads_[sid];
+}
+
 void LithosBackend::OnStreamReady(Stream* stream) {
-  if (waiting_set_.count(stream) > 0 || inflight_.count(stream) > 0) {
+  HeadExec& head = Head(stream);
+  if (head.parked || head.inflight) {
     return;
   }
+  head.stream = stream;
   Park(stream, /*mid_kernel=*/false);
   Pump();
 }
 
 void LithosBackend::Park(Stream* stream, bool mid_kernel) {
-  if (!waiting_set_.insert(stream).second) {
+  HeadExec& head = Head(stream);
+  if (head.parked) {
     return;
   }
+  head.parked = true;
   const int client = stream->client_id();
-  ++State(client).parked;
+  CountParked(client, +1);
   if (!IsHighPriority(client)) {
     waiting_be_.push_back(stream);
   } else if (mid_kernel) {
@@ -91,26 +105,57 @@ void LithosBackend::Park(Stream* stream, bool mid_kernel) {
   }
 }
 
+void LithosBackend::CountParked(int client_id, int delta) {
+  ClientState& state = State(client_id);
+  const bool was_parked = state.parked > 0;
+  state.parked += delta;
+  if ((state.parked > 0) != was_parked && !state.waiting_changed) {
+    state.waiting_changed = true;
+    waiting_changed_.push_back(client_id);
+  }
+}
+
 void LithosBackend::UpdateWaitingFlags() {
   // Tell the TPC scheduler which clients currently have parked work; steal
   // eligibility depends on it. Flags are published only here (pass start and
   // after each dispatch), never when a stream parks, so a re-entrant
-  // OnStreamReady during a pump does not change steal eligibility early.
+  // OnStreamReady during a pump does not change steal eligibility early. A
+  // client whose parked count did not cross zero since the last publication
+  // already has the right flag.
+  for (const int id : waiting_changed_) {
+    ClientState& state = clients_[static_cast<size_t>(id)];
+    state.waiting_changed = false;
+    tpc_scheduler_.SetClientWaiting(id, state.parked > 0);
+  }
+  waiting_changed_.clear();
 #ifndef NDEBUG
+  CheckInvariants();
+#endif
+}
+
+void LithosBackend::CheckInvariants() const {
   std::vector<int> parked(clients_.size(), 0);
+  size_t queued = 0;
   for (const auto* queue : {&waiting_hp_, &waiting_be_}) {
     for (const Stream* s : *queue) {
-      ++parked[s->client_id()];
+      ++parked[static_cast<size_t>(s->client_id())];
+      LITHOS_CHECK(heads_[static_cast<size_t>(s->id())].parked);
+      ++queued;
     }
   }
+  size_t flagged = 0;
+  for (const HeadExec& head : heads_) {
+    flagged += head.parked ? 1 : 0;
+    if (head.stream != nullptr) {
+      LITHOS_CHECK_EQ(head.inflight, head.stream->HeadInFlight());
+    }
+  }
+  LITHOS_CHECK_EQ(flagged, queued);  // each parked stream is queued once
   for (size_t id = 0; id < clients_.size(); ++id) {
     LITHOS_CHECK_EQ(parked[id], clients_[id].parked);
+    LITHOS_CHECK_EQ(tpc_scheduler_.IsClientWaiting(static_cast<int>(id)), parked[id] > 0);
   }
   tpc_scheduler_.CheckInvariants();
-#endif
-  for (int id = 0; id < static_cast<int>(clients_.size()); ++id) {
-    tpc_scheduler_.SetClientWaiting(id, clients_[id].parked > 0);
-  }
 }
 
 void LithosBackend::Pump() {
@@ -128,8 +173,8 @@ void LithosBackend::Pump() {
         Stream* s = (*queue)[i];
         if (TryDispatch(s)) {
           queue->erase(queue->begin() + static_cast<long>(i));
-          waiting_set_.erase(s);
-          --State(s->client_id()).parked;
+          Head(s).parked = false;
+          CountParked(s->client_id(), -1);
           progress = true;
           UpdateWaitingFlags();
         } else {
@@ -142,10 +187,10 @@ void LithosBackend::Pump() {
 }
 
 bool LithosBackend::TryDispatch(Stream* stream) {
+  HeadExec& head = Head(stream);
   // A parked mid-kernel head (TPCs ran out between atoms) resumes here.
-  auto parked = inflight_.find(stream);
-  if (parked != inflight_.end()) {
-    return LaunchNextAtom(&parked->second);
+  if (head.inflight) {
+    return LaunchNextAtom(&head);
   }
 
   if (!stream->HasDispatchableKernel()) {
@@ -164,30 +209,27 @@ bool LithosBackend::TryDispatch(Stream* stream) {
   key.queue_id = stream->id();
   key.ordinal = rec.batch_ordinal;
   key.signature = kernel.LaunchSignature();
+  LatencyPredictor::OperatorModel* model = predictor_.Find(key);
 
   // Batch-boundary detection for the DVFS learning period: ordinal reset
   // means a synchronization event passed.
-  const size_t sid = static_cast<size_t>(stream->id());
-  if (sid >= last_ordinal_.size()) {
-    last_ordinal_.resize(sid + 1, -1);
-  }
-  if (static_cast<int64_t>(rec.batch_ordinal) <= last_ordinal_[sid]) {
+  if (static_cast<int64_t>(rec.batch_ordinal) <= head.last_ordinal) {
     dvfs_.OnBatchBoundary(stream->id());
   }
-  last_ordinal_[sid] = rec.batch_ordinal;
+  head.last_ordinal = rec.batch_ordinal;
 
   // Desired allocation: without right-sizing, a kernel occupies the client's
   // full guaranteed region (quota), like a dedicated deployment — the waste
   // the right-sizer then reclaims per kernel (Fig. 17's baseline). Quota-less
   // best-effort clients ask for the kernel's occupancy bound.
-  const int desired = right_sizer_.ChooseTpcs(key, kernel, BaseAllocation(client, kernel));
+  const int desired = right_sizer_.ChooseTpcs(model, kernel, BaseAllocation(client, kernel));
 
   // Coarse duration estimate for the busy-until timers.
   ExecConditions probe_cond;
   probe_cond.tpcs = desired;
   probe_cond.freq_mhz = engine_->CurrentFrequencyMhz();
   probe_cond.block_fraction = 1.0;
-  const DurationNs coarse_pred = predictor_.Predict(key, probe_cond);
+  const DurationNs coarse_pred = predictor_.Predict(key, model, probe_cond);
 
   const TpcMask mask =
       tpc_scheduler_.Acquire(client, desired, sim_->Now(), coarse_pred);
@@ -201,45 +243,43 @@ bool LithosBackend::TryDispatch(Stream* stream) {
   // Refine the prediction with the actual grant and build the atom plan.
   ExecConditions cond = probe_cond;
   cond.tpcs = static_cast<double>(mask.count());
-  const DurationNs predicted = predictor_.Predict(key, cond);
+  const DurationNs predicted = predictor_.Predict(key, model, cond);
 
-  HeadExec exec;
-  exec.stream = stream;
-  exec.kernel = &kernel;
-  exec.key = key;
-  exec.plan =
-      atomizer_.Plan(kernel, key.signature, predicted, static_cast<int>(mask.count()),
-                     engine_->spec());
-
+  head.inflight = true;
+  head.kernel = &kernel;
+  head.key = key;
+  head.model = model;
+  head.plan = atomizer_.Plan(kernel, key.signature, predicted, static_cast<int>(mask.count()),
+                             engine_->spec());
+  head.next_atom = 0;
+  head.work_ns = 0;
+  head.overhead_ns = 0;
   stream->BeginHead();
-  auto [it, inserted] = inflight_.emplace(stream, std::move(exec));
-  LITHOS_CHECK(inserted);
 
   // The probe grant only sized the plan; LaunchNextAtom re-acquires. Both
   // happen at the same instant, so the TPCs cannot escape in between.
   tpc_scheduler_.Release(mask, sim_->Now());
-  const bool launched = LaunchNextAtom(&it->second);
+  const bool launched = LaunchNextAtom(&head);
   LITHOS_CHECK(launched);
   return true;
 }
 
 bool LithosBackend::LaunchNextAtom(HeadExec* exec) {
-  LITHOS_CHECK_LT(exec->next_atom, exec->plan.atoms.size());
-  const Atom& atom = exec->plan.atoms[exec->next_atom];
+  const Atom atom = exec->plan.At(exec->next_atom);
   const int client = exec->stream->client_id();
 
   // Re-acquire TPCs: allocations may shrink (reclaim took effect) or grow
   // (new idle TPCs appeared) between atoms — the paper's mid-kernel
   // reallocation.
   const int desired =
-      right_sizer_.ChooseTpcs(exec->key, *exec->kernel, BaseAllocation(client, *exec->kernel));
+      right_sizer_.ChooseTpcs(exec->model, *exec->kernel, BaseAllocation(client, *exec->kernel));
 
   ExecConditions cond;
   cond.tpcs = desired;
   cond.freq_mhz = engine_->CurrentFrequencyMhz();
   cond.block_fraction =
       static_cast<double>(atom.NumBlocks()) / static_cast<double>(exec->kernel->NumBlocks());
-  const DurationNs coarse = predictor_.Predict(exec->key, cond) + atom.overhead_ns;
+  const DurationNs coarse = predictor_.Predict(exec->key, exec->model, cond) + atom.overhead_ns;
 
   const TpcMask mask = tpc_scheduler_.Acquire(client, desired, sim_->Now(), coarse);
   if (mask.none()) {
@@ -250,7 +290,7 @@ bool LithosBackend::LaunchNextAtom(HeadExec* exec) {
   }
 
   cond.tpcs = static_cast<double>(mask.count());
-  exec->predicted_atom = predictor_.Predict(exec->key, cond) + atom.overhead_ns;
+  exec->predicted_atom = predictor_.Predict(exec->key, exec->model, cond) + atom.overhead_ns;
   exec->mask = mask;
 
   WorkItem item;
@@ -272,9 +312,8 @@ bool LithosBackend::LaunchNextAtom(HeadExec* exec) {
 }
 
 void LithosBackend::OnAtomComplete(Stream* stream, const GrantInfo& info) {
-  auto it = inflight_.find(stream);
-  LITHOS_CHECK(it != inflight_.end());
-  HeadExec& exec = it->second;
+  HeadExec& exec = Head(stream);
+  LITHOS_CHECK(exec.inflight);
   const int client = stream->client_id();
 
   if (--State(client).outstanding == 0) {
@@ -283,22 +322,22 @@ void LithosBackend::OnAtomComplete(Stream* stream, const GrantInfo& info) {
   tpc_scheduler_.Release(exec.mask, sim_->Now());
 
   // Tracker duties: feed the predictor, DVFS weights, and atomizer feedback.
-  const Atom& atom = exec.plan.atoms[exec.next_atom - 1];
+  const Atom atom = exec.plan.At(exec.next_atom - 1);
   ExecConditions cond;
   cond.tpcs = static_cast<double>(info.allocated_tpcs);
   cond.freq_mhz = info.freq_mhz_at_start;
   cond.block_fraction =
       static_cast<double>(atom.NumBlocks()) / static_cast<double>(exec.kernel->NumBlocks());
   const DurationNs observed = info.Duration();
-  predictor_.Record(exec.key, cond, observed, exec.predicted_atom);
+  exec.model = predictor_.Record(exec.key, exec.model, cond, observed, exec.predicted_atom);
 
   exec.work_ns += std::max<DurationNs>(0, observed - atom.overhead_ns);
   exec.overhead_ns += atom.overhead_ns;
 
-  if (exec.next_atom < exec.plan.atoms.size()) {
+  if (exec.next_atom < exec.plan.NumAtoms()) {
     if (!LaunchNextAtom(&exec)) {
       // No TPCs right now: park the head mid-kernel; the pump loop resumes
-      // it (via the inflight_ lookup in TryDispatch) when capacity frees.
+      // it when capacity frees (TryDispatch sees the head in flight).
       exec.mask.reset();
       Park(stream, /*mid_kernel=*/true);
     }
@@ -308,10 +347,12 @@ void LithosBackend::OnAtomComplete(Stream* stream, const GrantInfo& info) {
 
   // Head complete.
   dvfs_.RecordKernel(stream->id(), exec.work_ns + exec.overhead_ns,
-                     predictor_.FreqSensitivity(exec.key));
+                     LatencyPredictor::FreqSensitivity(exec.model));
   atomizer_.RecordOverhead(exec.key.signature, exec.work_ns, exec.overhead_ns);
-  inflight_.erase(it);
-  stream->CompleteHead();  // May synchronously re-notify OnStreamReady.
+  exec.inflight = false;
+  // May synchronously re-notify OnStreamReady and grow heads_; `exec` is not
+  // used past this point.
+  stream->CompleteHead();
   Pump();
 }
 

@@ -6,7 +6,8 @@
 // Dispatch pipeline for one kernel (Fig. 8):
 //   1. The stream's head kernel arrives via OnStreamReady (launch queues).
 //   2. The dispatcher checks the client's outstanding-atom budget (sync-queue
-//      throttling) and asks the right-sizer how many TPCs the kernel needs.
+//      throttling), looks the operator up in the predictor once, and asks the
+//      right-sizer how many TPCs the kernel needs.
 //   3. The TPC Scheduler grants a mask: home region first, then free pool,
 //      then stolen idle TPCs. An empty grant parks the stream and flags the
 //      client's stolen home TPCs for reclaim.
@@ -18,13 +19,17 @@
 //   6. Completions feed the predictor (a Tracker in the paper), the DVFS
 //      manager, and the atomizer's overhead feedback, then pump the waiting
 //      queues, HP before BE.
+//
+// Per-stream state (the in-flight head, its parked flag, its last batch
+// ordinal) lives in one table indexed by stream id, and per-client state in
+// one indexed by client id; both id spaces are dense. A head looks its
+// operator up in the predictor once and keeps the model and an arithmetic
+// atom plan, so its atoms do no hash lookup and a kernel allocates no map
+// node or plan vector.
 #ifndef LITHOS_CORE_LITHOS_BACKEND_H_
 #define LITHOS_CORE_LITHOS_BACKEND_H_
 
 #include <deque>
-#include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/core/config.h"
@@ -59,13 +64,24 @@ class LithosBackend : public Backend {
   uint64_t atoms_dispatched() const { return atoms_dispatched_; }
 
  private:
-  // State of an in-flight stream-head kernel.
+  // Dispatcher state of one stream, indexed by stream id (dense from 1): its
+  // in-flight head kernel, if any, and whether it waits in a queue. A
+  // mid-kernel head that ran out of TPCs between atoms is both.
   struct HeadExec {
     Stream* stream = nullptr;
+    bool inflight = false;  // a head is claimed (BeginHead) and not complete
+    bool parked = false;    // queued in waiting_hp_ or waiting_be_
+    // Ordinal of the last dispatched head, -1 before the first
+    // (batch-boundary detection).
+    int64_t last_ordinal = -1;
+    // The in-flight head; set when it is dispatched.
     const KernelDesc* kernel = nullptr;
     OperatorKey key;
+    // predictor_.Find(key); filled by Record on the operator's first
+    // observation.
+    LatencyPredictor::OperatorModel* model = nullptr;
     AtomPlan plan;
-    size_t next_atom = 0;
+    uint32_t next_atom = 0;
     TpcMask mask;                 // TPCs held by the currently running atom
     DurationNs predicted_atom = 0;  // prediction for the in-flight atom
     DurationNs work_ns = 0;       // accumulated execution time (all atoms)
@@ -80,8 +96,12 @@ class LithosBackend : public Backend {
     int tpc_quota = 0;
     int outstanding = 0;  // atoms in flight
     int parked = 0;       // streams queued in waiting_hp_/waiting_be_
+    // `parked` crossed zero since the flags were last published.
+    bool waiting_changed = false;
   };
 
+  // The stream's slot, grown on first contact.
+  HeadExec& Head(Stream* stream);
   ClientState& State(int client_id);
   const ClientState& State(int client_id) const;
   bool IsHighPriority(int client_id) const;
@@ -100,8 +120,14 @@ class LithosBackend : public Backend {
   void OnAtomComplete(Stream* stream, const GrantInfo& info);
   // Queues a stream on the HP or BE waiting queue and counts it as parked.
   void Park(Stream* stream, bool mid_kernel);
-  // Publishes each client's "has a parked stream" flag to the TPC scheduler.
+  // Adds `delta` to the client's parked count and notes a zero crossing.
+  void CountParked(int client_id, int delta);
+  // Publishes to the TPC scheduler the "has a parked stream" flag of each
+  // client whose parked count crossed zero since the last publication.
   void UpdateWaitingFlags();
+  // Aborts unless the parked counts, the streams' flags and the published
+  // waiting flags agree with the queues (debug cross-check).
+  void CheckInvariants() const;
 
   LithosConfig config_;
   TpcScheduler tpc_scheduler_;
@@ -111,13 +137,14 @@ class LithosBackend : public Backend {
   DvfsManager dvfs_;
 
   std::vector<ClientState> clients_;  // indexed by client id
+  // Indexed by stream id. Growing it (OnStreamReady for a new stream) moves
+  // the heads, so no reference into it is held across a call that can
+  // re-enter OnStreamReady: Stream::CompleteHead runs marker callbacks, which
+  // may create streams and launch on them.
+  std::vector<HeadExec> heads_;
   std::deque<Stream*> waiting_hp_;
   std::deque<Stream*> waiting_be_;
-  std::unordered_set<Stream*> waiting_set_;
-  std::unordered_map<Stream*, HeadExec> inflight_;
-  // Stream id -> ordinal of its last dispatched head, -1 before the first
-  // (batch-boundary detection).
-  std::vector<int64_t> last_ordinal_;
+  std::vector<int> waiting_changed_;  // clients with waiting_changed set
   uint64_t atoms_dispatched_ = 0;
   bool pumping_ = false;
 };

@@ -14,8 +14,8 @@ constexpr int kMinObservations = 2;
 
 }  // namespace
 
-int RightSizer::ChooseTpcs(const OperatorKey& key, const KernelDesc& kernel,
-                           int available_tpcs) const {
+int RightSizer::ChooseTpcs(const LatencyPredictor::OperatorModel* model,
+                           const KernelDesc& kernel, int available_tpcs) const {
   LITHOS_CHECK_GT(available_tpcs, 0);
   if (!config_.enable_rightsizing) {
     return available_tpcs;
@@ -31,8 +31,8 @@ int RightSizer::ChooseTpcs(const OperatorKey& key, const KernelDesc& kernel,
 
   // Step 2: model-based minimisation once the scaling curve is known.
   ScalingFit fit;
-  if (predictor_->GetScalingFit(key, &fit) &&
-      predictor_->DistinctTpcPoints(key) >= kMinObservations) {
+  if (LatencyPredictor::GetScalingFit(model, &fit) &&
+      LatencyPredictor::DistinctTpcPoints(model) >= kMinObservations) {
     const double l_full = fit.Latency(static_cast<double>(bound));
     const double budget = config_.rightsizing_slip * l_full;
     // l(t) = m/t + b <= budget  =>  t >= m / (budget - b).
@@ -46,7 +46,7 @@ int RightSizer::ChooseTpcs(const OperatorKey& key, const KernelDesc& kernel,
   // Step 3: exploration. One observation exists at some allocation; grant a
   // reduced allocation once to obtain the second curve point. The probe
   // factor bounds the worst-case slip of the probing run itself.
-  if (predictor_->DistinctTpcPoints(key) == 1) {
+  if (LatencyPredictor::DistinctTpcPoints(model) == 1) {
     const int probe = std::max(
         1, static_cast<int>(std::lround(static_cast<double>(bound) *
                                         kProbeFactor)));

@@ -32,7 +32,12 @@ class RightSizer {
 
   // Returns the TPC count to grant `kernel` out of an available allocation of
   // `available_tpcs`. Always in [1, available_tpcs].
-  int ChooseTpcs(const OperatorKey& key, const KernelDesc& kernel, int available_tpcs) const;
+  int ChooseTpcs(const OperatorKey& key, const KernelDesc& kernel, int available_tpcs) const {
+    return ChooseTpcs(predictor_->Find(key), kernel, available_tpcs);
+  }
+  // The same for the operator whose predictor model is `model` (Find(key)).
+  int ChooseTpcs(const LatencyPredictor::OperatorModel* model, const KernelDesc& kernel,
+                 int available_tpcs) const;
 
   // The occupancy filter alone (public for tests and the Fig. 17 harness).
   int OccupancyUpperBound(const KernelDesc& kernel) const {

@@ -3,6 +3,9 @@
 // prelude cost model, and the adaptive atom-duration control.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/core/kernel_atomizer.h"
 
 namespace lithos {
@@ -30,8 +33,8 @@ TEST_F(AtomizerTest, ShortKernelNotAtomized) {
   const AtomPlan plan = atomizer_.Plan(k, k.LaunchSignature(), FromMicros(500), 54, spec_);
   EXPECT_FALSE(plan.atomized);
   ASSERT_EQ(plan.NumAtoms(), 1u);
-  EXPECT_EQ(plan.atoms[0].block_lo, 0u);
-  EXPECT_EQ(plan.atoms[0].block_hi, 5000u);
+  EXPECT_EQ(plan.At(0).block_lo, 0u);
+  EXPECT_EQ(plan.At(0).block_hi, 5000u);
 }
 
 TEST_F(AtomizerTest, SingleBlockKernelNeverAtomized) {
@@ -133,7 +136,8 @@ TEST_P(AtomPartitionTest, RangesPartitionGrid) {
 
   ASSERT_GE(plan.NumAtoms(), 1u);
   uint32_t expect_lo = 0;
-  for (const Atom& atom : plan.atoms) {
+  for (size_t i = 0; i < plan.NumAtoms(); ++i) {
+    const Atom atom = plan.At(i);
     ASSERT_EQ(atom.block_lo, expect_lo);
     ASSERT_GT(atom.block_hi, atom.block_lo);  // non-empty
     expect_lo = atom.block_hi;
@@ -142,9 +146,9 @@ TEST_P(AtomPartitionTest, RangesPartitionGrid) {
 
   // Atom sizes are balanced within one block.
   uint32_t mn = UINT32_MAX, mx = 0;
-  for (const Atom& atom : plan.atoms) {
-    mn = std::min(mn, atom.NumBlocks());
-    mx = std::max(mx, atom.NumBlocks());
+  for (size_t i = 0; i < plan.NumAtoms(); ++i) {
+    mn = std::min(mn, plan.At(i).NumBlocks());
+    mx = std::max(mx, plan.At(i).NumBlocks());
   }
   EXPECT_LE(mx - mn, 1u);
 }
@@ -155,6 +159,71 @@ INSTANTIATE_TEST_SUITE_P(
                       AtomCase{64, 8, 2}, AtomCase{1000, 20, 4}, AtomCase{3360, 12, 11},
                       AtomCase{100000, 500, 54}, AtomCase{7, 1000, 1},
                       AtomCase{999983, 64, 27}));
+
+// Differential test: AtomPlan::At(i) computes each atom arithmetically; the
+// reference builds the atoms one by one into a vector, as Plan once did. Every
+// atom of every plan over blocks 1..4096 plus larger primes and powers of two,
+// times every atom count 1..32 (capped at the block count as Plan caps it),
+// must match in range and overhead.
+std::vector<Atom> ReferenceAtoms(const KernelAtomizer& atomizer, const KernelDesc& kernel,
+                                 uint32_t n) {
+  const uint32_t blocks = kernel.NumBlocks();
+  std::vector<Atom> atoms;
+  if (n <= 1) {
+    atoms.push_back(Atom{0, blocks, KernelAtomizer::kLaunchOverhead});
+    return atoms;
+  }
+  const uint32_t base = blocks / n;
+  const uint32_t extra = blocks % n;
+  uint32_t lo = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint32_t size = base + (i < extra ? 1 : 0);
+    Atom atom;
+    atom.block_lo = lo;
+    atom.block_hi = lo + size;
+    atom.overhead_ns = atomizer.AtomOverheadNs(kernel, size);
+    atoms.push_back(atom);
+    lo += size;
+  }
+  return atoms;
+}
+
+TEST(AtomPlanDifferentialTest, AtMatchesVectorBuildingLoop) {
+  LithosConfig cfg;
+  const KernelAtomizer atomizer(cfg);
+  std::vector<uint32_t> grid;
+  for (uint32_t b = 1; b <= 4096; ++b) {
+    grid.push_back(b);
+  }
+  for (uint32_t b : {4099u, 8191u, 65521u, 131071u, 999983u, 2147483647u, 4294967291u}) {
+    grid.push_back(b);  // primes
+  }
+  for (uint32_t shift = 13; shift <= 31; ++shift) {
+    grid.push_back(1u << shift);
+  }
+  size_t compared = 0;
+  for (uint32_t blocks : grid) {
+    const KernelDesc k = Kernel(blocks);
+    for (uint32_t n = 1; n <= static_cast<uint32_t>(KernelAtomizer::kMaxAtomsPerKernel) && n <= blocks;
+         ++n) {
+      AtomPlan plan;
+      plan.blocks = blocks;
+      plan.count = n;
+      plan.atomized = n > 1;
+      const std::vector<Atom> expected = ReferenceAtoms(atomizer, k, n);
+      ASSERT_EQ(plan.NumAtoms(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        const Atom got = plan.At(i);
+        ASSERT_EQ(got.block_lo, expected[i].block_lo) << blocks << " blocks, " << n << " atoms, #" << i;
+        ASSERT_EQ(got.block_hi, expected[i].block_hi) << blocks << " blocks, " << n << " atoms, #" << i;
+        ASSERT_EQ(got.overhead_ns, expected[i].overhead_ns)
+            << blocks << " blocks, " << n << " atoms, #" << i;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 2000000u);
+}
 
 }  // namespace
 }  // namespace lithos

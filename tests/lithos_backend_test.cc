@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -223,6 +224,42 @@ TEST_F(LithosBackendTest, WaitingFlagsTrackParkedStreams) {
   EXPECT_GT(parked_mid_kernel, 0);
   EXPECT_GT(hp_parked_states, 0);
   EXPECT_GT(backend->tpc_scheduler().stats().tpcs_stolen, 0u);
+}
+
+// A completion callback that creates a stream and launches on it re-enters
+// the backend (OnStreamReady for a new stream id) from inside another head's
+// completion, growing the per-stream table while best-effort atoms are in
+// flight and parked. Every chained kernel must still run.
+TEST_F(LithosBackendTest, StreamsCreatedFromCompletionCallbacksRun) {
+  LithosBackend* backend = Install();
+  Client* hp = driver_.CuCtxCreate("hp", PriorityClass::kHighPriority, 27);
+  Client* be = driver_.CuCtxCreate("be", PriorityClass::kBestEffort, 0);
+  const KernelDesc k = MakeKernel("k", 8000, FromMillis(4), 1.0, 0.5, engine_.spec(), 64);
+  Stream* be_stream = driver_.CuStreamCreate(be);
+  for (int i = 0; i < 20; ++i) {
+    driver_.CuLaunchKernel(be_stream, &k);
+    driver_.CuStreamAddCallback(be_stream, [] {});
+  }
+  constexpr int kChain = 40;
+  int completed = 0;
+  std::function<void(int)> launch_on_new_stream = [&](int depth) {
+    Stream* s = driver_.CuStreamCreate(hp);
+    driver_.CuLaunchKernel(s, &k);
+    driver_.CuStreamAddCallback(s, [&, depth] {
+      ++completed;
+      if (depth < kChain) {
+        launch_on_new_stream(depth + 1);
+      }
+    });
+  };
+  launch_on_new_stream(0);
+  sim_.RunUntil(FromSeconds(5));
+  EXPECT_EQ(completed, kChain + 1);
+  EXPECT_EQ(be_stream->QueueDepth(), 0u);
+  EXPECT_GE(backend->atoms_dispatched(), static_cast<uint64_t>(kChain + 21));
+  for (int id = 0; id <= be->id; ++id) {
+    EXPECT_FALSE(backend->tpc_scheduler().IsClientWaiting(id));
+  }
 }
 
 TEST_F(LithosBackendTest, OutstandingThrottleLimitsConcurrentAtoms) {

@@ -4,7 +4,11 @@
 // accounting used in §7.4.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/core/latency_predictor.h"
+#include "src/core/right_sizer.h"
 
 namespace lithos {
 namespace {
@@ -184,6 +188,99 @@ TEST_P(PredictorMonotoneTest, NonIncreasingInTpcs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PointCounts, PredictorMonotoneTest, ::testing::Values(1, 2, 3, 5, 10));
+
+// The per-kernel path looks each operator up once (Find) and then calls the
+// model forms. Over seeded random observation streams (TPC allocations that
+// share and split buckets, clocks below the maximum, partial-grid atoms) a
+// predictor fed through held models must predict, right-size and report
+// sensitivity bit for bit like one fed through keys.
+TEST(PredictorHandleTest, ModelCallsMatchKeyedCalls) {
+  const GpuSpec spec = GpuSpec::A100();
+  LithosConfig cfg;
+  cfg.enable_rightsizing = true;
+  KernelDesc kernel;
+  kernel.name = "k";
+  kernel.grid_x = 20000;
+  kernel.threads_per_block = 256;
+  const int freqs[] = {spec.max_mhz, 1200, 900, 705};
+  const double fractions[] = {1.0, 0.5, 0.25, 1.0 / 3.0};
+  int fitted = 0;
+  int sensitive = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    LatencyPredictor keyed(spec);
+    LatencyPredictor held(spec);
+    const RightSizer keyed_sizer(spec, cfg, &keyed);
+    const RightSizer held_sizer(spec, cfg, &held);
+    std::vector<OperatorKey> keys;
+    for (int queue = 1; queue <= 3; ++queue) {
+      for (uint32_t ordinal = 0; ordinal < 4; ++ordinal) {
+        keys.push_back(OperatorKey{queue, ordinal, 0x5eed0000u + ordinal});
+      }
+    }
+    std::vector<LatencyPredictor::OperatorModel*> models(keys.size(), nullptr);
+    Rng rng(seed);
+    auto random_cond = [&] {
+      ExecConditions c;
+      c.tpcs = static_cast<double>(rng.UniformInt(1, 54)) + (rng.NextDouble() < 0.3 ? 0.4 : 0.0);
+      c.freq_mhz = freqs[rng.UniformInt(0, 3)];
+      c.block_fraction = fractions[rng.UniformInt(0, 3)];
+      return c;
+    };
+    for (int step = 0; step < 3000; ++step) {
+      const size_t i = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(keys.size()) - 1));
+      const OperatorKey& key = keys[i];
+      ASSERT_EQ(held.Find(key), models[i]);
+      const ExecConditions probe = random_cond();
+      ASSERT_EQ(keyed.Predict(key, probe), held.Predict(key, models[i], probe)) << "step " << step;
+      const int available = static_cast<int>(rng.UniformInt(1, 54));
+      ASSERT_EQ(keyed_sizer.ChooseTpcs(key, kernel, available),
+                held_sizer.ChooseTpcs(models[i], kernel, available))
+          << "step " << step;
+      ASSERT_EQ(keyed.FreqSensitivity(key), LatencyPredictor::FreqSensitivity(models[i]))
+          << "step " << step;
+
+      const ExecConditions cond = random_cond();
+      const DurationNs observed = rng.UniformInt(FromMicros(20), FromMillis(9));
+      const DurationNs predicted = rng.NextDouble() < 0.8 ? rng.UniformInt(1, FromMillis(9)) : 0;
+      keyed.Record(key, cond, observed, predicted);
+      models[i] = held.Record(key, models[i], cond, observed, predicted);
+    }
+    for (size_t i = 0; i < keys.size(); ++i) {
+      fitted += LatencyPredictor::DistinctTpcPoints(models[i]) >= 2 ? 1 : 0;
+      sensitive += LatencyPredictor::FreqSensitivity(models[i]) >= 0 ? 1 : 0;
+    }
+    EXPECT_EQ(keyed.stats().predictions, held.stats().predictions);
+    EXPECT_EQ(keyed.stats().mispredictions, held.stats().mispredictions);
+  }
+  // The streams exercised the fitted curve and learned sensitivities.
+  EXPECT_GT(fitted, 0);
+  EXPECT_GT(sensitive, 0);
+}
+
+// A held model stays valid while thousands of other operators are inserted
+// (the map rehashes several times): models are never erased or moved.
+TEST(PredictorHandleTest, HeldModelSurvivesRehash) {
+  const GpuSpec spec = GpuSpec::A100();
+  LatencyPredictor predictor(spec);
+  ExecConditions full;
+  full.tpcs = 54;
+  full.freq_mhz = spec.max_mhz;
+  const OperatorKey key{1, 0, 0xfeed};
+  LatencyPredictor::OperatorModel* model =
+      predictor.Record(key, nullptr, full, FromMillis(1), /*predicted=*/0);
+  ASSERT_NE(model, nullptr);
+  ASSERT_EQ(predictor.Find(key), model);
+  for (uint32_t i = 0; i < 4096; ++i) {
+    predictor.Record(OperatorKey{2 + static_cast<int>(i % 7), i, 0xbeef + i}, full,
+                     FromMicros(100) + i);
+  }
+  EXPECT_EQ(predictor.Find(key), model);
+  ExecConditions half = full;
+  half.tpcs = 27;
+  EXPECT_EQ(predictor.Record(key, model, half, FromMillis(2), /*predicted=*/0), model);
+  EXPECT_EQ(LatencyPredictor::DistinctTpcPoints(model), 2);
+  EXPECT_EQ(predictor.Predict(key, model, half), predictor.Predict(key, half));
+}
 
 }  // namespace
 }  // namespace lithos
