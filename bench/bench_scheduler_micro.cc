@@ -13,11 +13,14 @@
 namespace lithos {
 namespace {
 
+// Args: desired TPCs, then client 1's quota. Quota 0 is a fleet node's
+// client: every TPC is in the free pool and a 54-TPC request takes the whole
+// device from it.
 void BM_TpcAcquireRelease(benchmark::State& state) {
   const GpuSpec spec = GpuSpec::A100();
   LithosConfig cfg;
   TpcScheduler sched(spec, cfg);
-  sched.RegisterClient(1, PriorityClass::kHighPriority, 40);
+  sched.RegisterClient(1, PriorityClass::kHighPriority, static_cast<int>(state.range(1)));
   sched.RegisterClient(2, PriorityClass::kBestEffort, 0);
   TimeNs now = 0;
   for (auto _ : state) {
@@ -26,7 +29,7 @@ void BM_TpcAcquireRelease(benchmark::State& state) {
     ++now;
   }
 }
-BENCHMARK(BM_TpcAcquireRelease)->Arg(8)->Arg(32)->Arg(54);
+BENCHMARK(BM_TpcAcquireRelease)->Args({8, 40})->Args({32, 40})->Args({54, 40})->Args({54, 0});
 
 void BM_AtomizerPlan(benchmark::State& state) {
   const GpuSpec spec = GpuSpec::A100();

@@ -2,8 +2,8 @@
 // (events/sec, new slab/d-ary-heap core vs the pre-PR priority_queue +
 // unordered_map core), a timer-churn micro of constant-delay timers on FIFO
 // lanes vs the heap, a whole-GPU MPS churn micro of the execution engine's
-// hot path, a LithOS dispatch micro of the per-GPU OS hot path, plus
-// end-to-end wall-clock of the two scenario
+// hot path, two LithOS dispatch micros (stacking mix, fleet node) of the
+// per-GPU OS hot path, plus end-to-end wall-clock of the two scenario
 // families every figure rides on — single-GPU inference stacking and the
 // fleet-autoscale day. Emits BENCH_sim_core.json so CI can gate event-core
 // regressions (scripts/check_bench_regression.py against
@@ -349,19 +349,38 @@ class MpsChurn {
 };
 
 // --- Micro 4: LithOS dispatch ----------------------------------------------
-// One A100 under LithosBackend with the stacking mix's shape: two HP clients
-// at 75/25 quotas and a quota-less BE client, each a closed loop that
-// launches its next kernel a think time after the previous one completes
-// (none for BE). The kernels are long enough to atomize, and the BE loop
-// steals the HP regions while the HP loops think, so atoms go through the
-// TPC Scheduler grant with stealing and reclaim, the atom plan, the
-// right-size choice and the predictor update.
+// One A100 under LithosBackend, each client a closed loop that launches its
+// next kernel a think time after the previous one completes. Two mixes:
+//  * kStacking has the stacking mix's shape: two HP clients at 75/25 quotas
+//    and a quota-less BE client (no think time). The kernels are long enough
+//    to atomize, and the BE loop steals the HP regions while the HP loops
+//    think, so atoms go through the TPC Scheduler grant with stealing and
+//    reclaim, the atom plan, the right-size choice and the predictor update.
+//  * kFleetNode has a fleet LithOS node's shape: three quota-0 HP clients,
+//    as the cluster dispatcher registers them, whose kernels can fill the
+//    device. Every TPC is in the free pool, so each head's probe grant and
+//    each atom's grant and release covers whatever part of the device is
+//    free, most often all of it.
 class LithosDispatch {
  public:
-  explicit LithosDispatch(TimeNs horizon)
-      : engine_(&sim_, spec_), driver_(&sim_, &engine_), backend_(&sim_, &engine_), horizon_(horizon) {
+  enum class Mix { kStacking, kFleetNode };
+
+  LithosDispatch(Mix mix, TimeNs horizon)
+      : engine_(&sim_, spec_),
+        driver_(&sim_, &engine_),
+        backend_(&sim_, &engine_),
+        horizon_(horizon) {
     driver_.SetBackend(&backend_);
     const int total = spec_.TotalTpcs();
+    if (mix == Mix::kFleetNode) {
+      AddLoop(PriorityClass::kHighPriority, 0, FromMicros(500),
+              MakeKernel("fleet_a", 4000, FromMicros(800), 0.95, 0.7, spec_, 64));
+      AddLoop(PriorityClass::kHighPriority, 0, FromMillis(1),
+              MakeKernel("fleet_b", 6000, FromMillis(2), 0.9, 0.5, spec_, 64));
+      AddLoop(PriorityClass::kHighPriority, 0, FromMillis(2),
+              MakeKernel("fleet_c", 8000, FromMillis(3), 0.98, 0.8, spec_, 64));
+      return;
+    }
     const int hp_a_quota = total * 3 / 4;
     AddLoop(PriorityClass::kHighPriority, hp_a_quota, FromMillis(3),
             MakeKernel("hp_a", 4000, FromMicros(2500), 0.95, 0.7, spec_, 64));
@@ -521,9 +540,13 @@ int main(int argc, char** argv) {
   }
   MpsChurn(kMpsChurnGrants / 10, kMpsChurnConcurrency).GrantsPerSec();  // warm-up
   const double mps_churn = MpsChurn(kMpsChurnGrants, kMpsChurnConcurrency).GrantsPerSec();
-  LithosDispatch(kLithosDispatchHorizon / 10).AtomsPerSec();  // warm-up
-  LithosDispatch lithos_dispatch(kLithosDispatchHorizon);
+  using Mix = LithosDispatch::Mix;
+  LithosDispatch(Mix::kStacking, kLithosDispatchHorizon / 10).AtomsPerSec();  // warm-up
+  LithosDispatch lithos_dispatch(Mix::kStacking, kLithosDispatchHorizon);
   const double lithos_atoms = lithos_dispatch.AtomsPerSec();
+  LithosDispatch(Mix::kFleetNode, kLithosDispatchHorizon / 10).AtomsPerSec();  // warm-up
+  LithosDispatch whole_gpu_dispatch(Mix::kFleetNode, kLithosDispatchHorizon);
+  const double whole_gpu_atoms = whole_gpu_dispatch.AtomsPerSec();
 
   Table micro({"micro", "legacy Mev/s", "new Mev/s", "speedup"});
   const double ring_speedup = ring_new / ring_legacy;
@@ -552,6 +575,11 @@ int main(int argc, char** argv) {
               "%.3f M atoms/s\n",
               static_cast<unsigned long long>(lithos_dispatch.atoms()),
               static_cast<unsigned long long>(lithos_dispatch.tpcs_stolen()), lithos_atoms / 1e6);
+  std::printf("LithOS whole-GPU dispatch (3 quota-0 HP clients; %llu atoms, %llu TPCs "
+              "stolen): %.3f M atoms/s\n",
+              static_cast<unsigned long long>(whole_gpu_dispatch.atoms()),
+              static_cast<unsigned long long>(whole_gpu_dispatch.tpcs_stolen()),
+              whole_gpu_atoms / 1e6);
 
   // Throughput numbers depend on the machine's wall clock, so they go in the
   // jobs-gated wall_metrics section (this bench is always a jobs=1 run).
@@ -570,6 +598,7 @@ int main(int argc, char** argv) {
   json.WallMetric("timer_churn_speedup", timer_churn_speedup);
   json.WallMetric("mps_churn_grants_per_sec", mps_churn);
   json.WallMetric("lithos_dispatch_atoms_per_sec", lithos_atoms);
+  json.WallMetric("lithos_whole_gpu_atoms_per_sec", whole_gpu_atoms);
 
   // --- End-to-end ------------------------------------------------------------
   std::printf("\nEnd-to-end scenario wall-clock (same seed run twice; metrics must be identical)\n");

@@ -7,15 +7,42 @@
 #include "src/common/check.h"
 
 namespace lithos {
+namespace {
+
+TpcMask MaskOfWords(uint64_t lo, uint64_t hi) {
+  static_assert(kTpcWords == 2, "a mask is exactly two words");
+  return (TpcMask(hi) << kTpcWordBits) | TpcMask(lo);
+}
+
+// The lowest `n` set TPCs of `mask`, or all of them when it has fewer; `n`
+// drops by the number taken. Whole words are counted, and only the one word
+// that holds more than the rest of the request is cut bit by bit.
+TpcMask TakeLowest(const TpcMask& mask, int& n) {
+  uint64_t words[kTpcWords] = {};
+  for (int w = 0; w < kTpcWords && n > 0; ++w) {
+    uint64_t bits = TpcWord(mask, w);
+    if (__builtin_popcountll(bits) > n) {
+      uint64_t kept = 0;
+      for (int i = 0; i < n; ++i, bits &= bits - 1) {
+        kept |= bits & -bits;
+      }
+      bits = kept;
+    }
+    words[w] = bits;
+    n -= __builtin_popcountll(bits);
+  }
+  return MaskOfWords(words[0], words[1]);
+}
+
+}  // namespace
 
 TpcScheduler::TpcScheduler(const GpuSpec& spec, const LithosConfig& config)
-    : config_(config), total_tpcs_(spec.TotalTpcs()) {
+    : config_(config), total_tpcs_(spec.TotalTpcs()), device_(TpcRange(0, total_tpcs_)) {
   home_owner_.fill(-1);
   occupant_.fill(-1);
   busy_until_.fill(0);
-  reclaim_.fill(false);
-  free_ = TpcRange(0, total_tpcs_);
-  unowned_ = free_;
+  free_ = device_;
+  unowned_ = device_;
 }
 
 const TpcScheduler::ClientState* TpcScheduler::Find(int client_id) const {
@@ -55,36 +82,15 @@ TpcMask TpcScheduler::Acquire(int client_id, int desired, TimeNs now, DurationNs
     client->demand = std::max<double>(desired, client->demand * 0.98);
   }
   const TpcMask home = client == nullptr ? TpcMask{} : client->home;
-  TpcMask granted;
   int remaining = desired;
-  uint64_t stolen = 0;
 
-  auto take = [&](int t, bool is_steal) {
-    granted.set(t);
-    free_.reset(t);
-    occupant_[t] = client_id;
-    busy_until_[t] = now + predicted;
-    if (home_owner_[t] == client_id) {
-      reclaim_[t] = false;  // Owner is back; the flag served its purpose.
-    }
-    if (is_steal) {
-      ++stolen;
-    }
-    --remaining;
-  };
-  // Visits the TPCs of `mask` in ascending order until the request is met.
-  auto walk = [&](const TpcMask& mask, auto&& visit) {
-    for (int w = 0; w < kTpcWords && remaining > 0; ++w) {
-      for (uint64_t bits = TpcWord(mask, w); bits != 0 && remaining > 0; bits &= bits - 1) {
-        visit(w * kTpcWordBits + __builtin_ctzll(bits));
-      }
-    }
-  };
+  // Pass 1: own home region. Pass 2: free pool (unowned TPCs).
+  TpcMask granted = TakeLowest(home & free_, remaining);
+  if (remaining > 0) {
+    granted |= TakeLowest(unowned_ & free_, remaining);
+  }
+  reclaim_ &= ~(granted & home);  // Owner is back; the flags served their purpose.
 
-  // Pass 1: own home region.
-  walk(home & free_, [&](int t) { take(t, false); });
-  // Pass 2: free pool (unowned TPCs).
-  walk(unowned_ & free_, [&](int t) { take(t, false); });
   // Pass 3: TPC Stealing — idle foreign home TPCs (busy-until timer already
   // expired), subject to policy and each active owner's headroom: an owner
   // mid-job keeps enough free home TPCs for its next kernel (its recent
@@ -92,33 +98,53 @@ TpcMask TpcScheduler::Acquire(int client_id, int desired, TimeNs now, DurationNs
   // Best-effort work never steals while a high-priority client waits, which
   // would invert priorities.
   const bool thief_is_be = client == nullptr || client->priority == PriorityClass::kBestEffort;
-  if (config_.enable_stealing && !(thief_is_be && hp_waiting_ > 0)) {
+  uint64_t stolen = 0;
+  if (remaining > 0 && config_.enable_stealing && !(thief_is_be && hp_waiting_ > 0)) {
     ++acquire_epoch_;
-    walk(free_ & ~unowned_ & ~home, [&](int t) {
-      ClientState& owner = clients_[home_owner_[t]];
-      // Skip TPCs that look busy, that the owner asked back, or whose owner
-      // has work parked right now.
-      if (busy_until_[t] > now || reclaim_[t] || owner.waiting) {
-        return;
-      }
-      if (owner.active) {
-        if (owner.spare_epoch != acquire_epoch_) {
-          // Free home TPCs beyond the owner's recent per-kernel demand.
-          owner.spare_epoch = acquire_epoch_;
-          owner.spare = static_cast<int>((owner.home & free_).count()) -
-                        static_cast<int>(std::ceil(owner.demand));
+    // A free TPC's busy-until is its last release time, so while no release
+    // lies after `now`, no candidate can look busy.
+    const bool check_busy = last_release_ > now;
+    if (check_busy) {
+      Flush();
+    }
+    // Passes 1-2 took only home and unowned TPCs, so `free_` still holds
+    // every candidate, and each owner's `home & free_` below is unchanged.
+    const TpcMask candidates = free_ & ~unowned_ & ~home & ~reclaim_;
+    uint64_t taken[kTpcWords] = {};
+    for (int w = 0; w < kTpcWords && remaining > 0; ++w) {
+      for (uint64_t bits = TpcWord(candidates, w); bits != 0 && remaining > 0; bits &= bits - 1) {
+        const int t = w * kTpcWordBits + __builtin_ctzll(bits);
+        ClientState& owner = clients_[home_owner_[t]];
+        // Skip TPCs that look busy or whose owner has work parked right now.
+        if ((check_busy && busy_until_[t] > now) || owner.waiting) {
+          continue;
         }
-        if (owner.spare <= 0) {
-          return;
+        if (owner.active) {
+          if (owner.spare_epoch != acquire_epoch_) {
+            // Free home TPCs beyond the owner's recent per-kernel demand.
+            owner.spare_epoch = acquire_epoch_;
+            owner.spare = static_cast<int>((owner.home & free_).count()) -
+                          static_cast<int>(std::ceil(owner.demand));
+          }
+          if (owner.spare <= 0) {
+            continue;
+          }
+          --owner.spare;
         }
-        --owner.spare;
+        taken[w] |= bits & -bits;
+        ++stolen;
+        --remaining;
       }
-      take(t, true);
-    });
+    }
+    granted |= MaskOfWords(taken[0], taken[1]);
   }
 
+  free_ &= ~granted;
+  if (granted.any()) {
+    Append(granted, client_id, now + predicted);
+  }
   ++stats_.acquisitions;
-  stats_.tpcs_granted += granted.count();
+  stats_.tpcs_granted += desired - remaining;
   stats_.tpcs_stolen += stolen;
   if (granted.none()) {
     ++stats_.failed_acquisitions;
@@ -127,12 +153,55 @@ TpcMask TpcScheduler::Acquire(int client_id, int desired, TimeNs now, DurationNs
 }
 
 void TpcScheduler::Release(const TpcMask& mask, TimeNs now) {
-  ForEachTpc(mask, [&](int t) {
-    LITHOS_CHECK_NE(occupant_[t], -1);
-    occupant_[t] = -1;
-    busy_until_[t] = now;
-  });
+  // Every released TPC must be on the device and occupied.
+  LITHOS_CHECK((mask & (free_ | ~device_)).none());
   free_ |= mask;
+  last_release_ = std::max(last_release_, now);
+  Append(mask, -1, now);
+}
+
+void TpcScheduler::Append(const TpcMask& mask, int occupant, TimeNs busy_until) {
+  if (journal_size_ == kJournalCapacity) {
+    Flush();
+  }
+  journal_[journal_size_++] = {{TpcWord(mask, 0), TpcWord(mask, 1)}, occupant, busy_until};
+}
+
+void TpcScheduler::Flush() {
+  ApplyJournal(occupant_, busy_until_);
+  journal_size_ = 0;
+}
+
+void TpcScheduler::ApplyJournal(OccupantArray& occupant, BusyUntilArray& busy_until) const {
+  TpcMask covered;
+  for (int i = journal_size_ - 1; i >= 0 && (device_ & ~covered).any(); --i) {
+    const JournalEntry& entry = journal_[i];
+    const TpcMask mask = MaskOfWords(entry.words[0], entry.words[1]);
+    ForEachTpc(mask & ~covered, [&](int t) {
+      occupant[t] = entry.occupant;
+      busy_until[t] = entry.busy_until;
+    });
+    covered |= mask;
+  }
+}
+
+const TpcScheduler::JournalEntry* TpcScheduler::LatestEntry(int tpc) const {
+  for (int i = journal_size_ - 1; i >= 0; --i) {
+    if ((journal_[i].words[tpc / kTpcWordBits] >> (tpc % kTpcWordBits)) & 1) {
+      return &journal_[i];
+    }
+  }
+  return nullptr;
+}
+
+int TpcScheduler::OccupantOf(int tpc) const {
+  const JournalEntry* entry = LatestEntry(tpc);
+  return entry == nullptr ? occupant_[tpc] : entry->occupant;
+}
+
+TimeNs TpcScheduler::BusyUntil(int tpc) const {
+  const JournalEntry* entry = LatestEntry(tpc);
+  return entry == nullptr ? busy_until_[tpc] : entry->busy_until;
 }
 
 void TpcScheduler::RequestReclaim(int client_id) {
@@ -141,9 +210,10 @@ void TpcScheduler::RequestReclaim(int client_id) {
     return;
   }
   ++stats_.reclaim_requests;
+  Flush();
   ForEachTpc(c->home & ~free_, [&](int t) {
     if (occupant_[t] != client_id) {
-      reclaim_[t] = true;
+      reclaim_.set(t);
     }
   });
 }
@@ -198,10 +268,19 @@ void TpcScheduler::CheckInvariants() const {
     hp_waiting += c.waiting && c.priority == PriorityClass::kHighPriority ? 1 : 0;
   }
   LITHOS_CHECK_EQ(hp_waiting, hp_waiting_);
+  LITHOS_CHECK_GE(journal_size_, 0);
+  LITHOS_CHECK_LE(journal_size_, kJournalCapacity);
+  OccupantArray occupant = occupant_;
+  BusyUntilArray busy_until = busy_until_;
+  ApplyJournal(occupant, busy_until);
   for (int t = 0; t < kMaxTpcs; ++t) {
     const bool on_device = t < total_tpcs_;
-    LITHOS_CHECK_EQ(free_.test(t), on_device && occupant_[t] == -1);
+    LITHOS_CHECK_EQ(free_.test(t), on_device && occupant[t] == -1);
     LITHOS_CHECK_EQ(unowned_.test(t), on_device && home_owner_[t] == -1);
+    // The steal pass's fast path skips the timer check on this bound.
+    if (free_.test(t)) {
+      LITHOS_CHECK_LE(busy_until[t], last_release_);
+    }
   }
 }
 

@@ -15,14 +15,27 @@
 //   * best-effort clients may steal only when no high-priority client is
 //     waiting, preventing priority inversion.
 //
-// Allocation state is kept as TPC masks: `free_` (no occupant) and
-// `unowned_` (free pool, no home owner) beside each client's home mask, so an
-// Acquire walks `home & free`, then `unowned & free`, then the remaining free
-// foreign home TPCs, word by word. Every pass grants in ascending TPC order,
-// so a grant is the same set of TPCs a per-TPC scan would pick. Per-client
-// state lives in a vector indexed by client id (the driver hands out dense
-// ids from 1); ids that were never registered are ignored. The count of
-// waiting high-priority clients is kept as flags flip, so refusing a BE
+// Allocation state is kept as TPC masks: `free_` (no occupant), `unowned_`
+// (free pool, no home owner) and `reclaim_` beside each client's home mask.
+// Acquire takes the lowest set bits of `home & free`, then of `unowned & free`,
+// a whole 64-bit word at a time, and walks TPC by TPC only over the steal
+// candidates (free foreign home TPCs not flagged for reclaim), because each
+// owner there has its own spare budget. Every pass grants in ascending TPC
+// order, so a grant is the same set of TPCs a per-TPC scan would pick; a
+// Release is one mask check and one OR. Grants and releases therefore cost
+// O(words), plus one step per steal candidate visited.
+//
+// Per-TPC occupant and busy-until values are written behind a short journal:
+// each grant and release appends one whole-mask assignment, and a flush (when
+// the journal is full, before a reclaim, or before a busy check) stores the
+// newest value of each TPC into the per-TPC arrays once. Introspection reads
+// the journal first, then the arrays. A free TPC's busy-until is the time it
+// was last released, so while no release lies after `now` no free TPC can
+// look busy and the steal pass skips the timer check.
+//
+// Per-client state lives in a vector indexed by client id (the driver hands
+// out dense ids from 1); ids that were never registered are ignored. The count
+// of waiting high-priority clients is kept as flags flip, so refusing a BE
 // steal is one check per Acquire.
 //
 // This class is pure allocation bookkeeping (no simulation callbacks), which
@@ -93,14 +106,19 @@ class TpcScheduler {
   int FreeTpcs() const;                      // TPCs with no occupant
   int FreeHomeTpcs(int client_id) const;     // idle TPCs in own home region
   bool IsClientWaiting(int client_id) const;  // last SetClientWaiting value
-  int OccupantOf(int tpc) const { return occupant_[tpc]; }
-  TimeNs BusyUntil(int tpc) const { return busy_until_[tpc]; }
-  bool IsReclaimFlagged(int tpc) const { return reclaim_[tpc]; }
+  int OccupantOf(int tpc) const;            // -1 = idle
+  TimeNs BusyUntil(int tpc) const;
+  bool IsReclaimFlagged(int tpc) const { return reclaim_.test(tpc); }
   const TpcSchedulerStats& stats() const { return stats_; }
 
-  // Aborts unless the free/unowned masks and the waiting-HP count agree with
-  // the per-TPC arrays and client flags they summarise (debug cross-check).
+  // Aborts unless the free/unowned masks agree with the per-TPC occupant and
+  // home-owner state, every free TPC's busy-until lies at or before the
+  // latest release, and the waiting-HP count agrees with the client flags
+  // (debug cross-check).
   void CheckInvariants() const;
+
+  // Grants and releases buffered before the per-TPC arrays are written.
+  static constexpr int kJournalCapacity = 16;
 
  private:
   struct ClientState {
@@ -115,17 +133,42 @@ class TpcScheduler {
     uint64_t spare_epoch = 0;
   };
 
+  // Sets occupant and busy-until of every TPC in the mask held as `words`.
+  // Entries at or past journal_size_ are never read, so they are left
+  // uninitialised and constructing a scheduler writes no journal.
+  struct JournalEntry {
+    uint64_t words[kTpcWords];
+    int occupant;
+    TimeNs busy_until;
+  };
+  using OccupantArray = std::array<int, kMaxTpcs>;
+  using BusyUntilArray = std::array<TimeNs, kMaxTpcs>;
+
   ClientState* Find(int client_id);
   const ClientState* Find(int client_id) const;
 
+  void Append(const TpcMask& mask, int occupant, TimeNs busy_until);
+  // Writes the journal into the per-TPC arrays and empties it.
+  void Flush();
+  // Stores each journalled TPC's newest values into the arrays, walking the
+  // journal newest first so every TPC is written at most once, and stopping
+  // once every TPC on the device has been written.
+  void ApplyJournal(OccupantArray& occupant, BusyUntilArray& busy_until) const;
+  // Newest journal entry covering `tpc`, or nullptr when the arrays hold it.
+  const JournalEntry* LatestEntry(int tpc) const;
+
   LithosConfig config_;
   int total_tpcs_;
+  TpcMask device_;                         // TPCs [0, total_tpcs_)
   std::array<int, kMaxTpcs> home_owner_;   // -1 = free pool
-  std::array<int, kMaxTpcs> occupant_;     // -1 = idle
-  std::array<TimeNs, kMaxTpcs> busy_until_;
-  std::array<bool, kMaxTpcs> reclaim_;
-  TpcMask free_;      // occupant_ == -1
+  OccupantArray occupant_;                 // -1 = idle; stale under the journal
+  BusyUntilArray busy_until_;              // stale under the journal
+  std::array<JournalEntry, kJournalCapacity> journal_;
+  int journal_size_ = 0;
+  TimeNs last_release_ = 0;  // latest release time; >= every free busy-until
+  TpcMask free_;      // no occupant
   TpcMask unowned_;   // home_owner_ == -1
+  TpcMask reclaim_;   // stolen home TPCs their owner asked back
   std::vector<ClientState> clients_;  // indexed by client id
   int hp_waiting_ = 0;                // registered HP clients with waiting set
   uint64_t acquire_epoch_ = 0;

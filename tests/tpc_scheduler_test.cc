@@ -1,7 +1,9 @@
 // Tests for the TPC Scheduler allocation state (paper §4.3): quota carving,
 // acquire/release bookkeeping, TPC Stealing policy (idle owners, headroom,
-// priority-inversion protection), reclaim flags, and busy-until timers; and a
-// differential test of the mask-based Acquire against a per-TPC scan.
+// priority-inversion protection), reclaim flags, busy-until timers and the
+// journal behind them; and a differential test of the mask-based scheduler
+// against a per-TPC scan, on random call sequences and on the fleet-node
+// shape.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -185,6 +187,58 @@ TEST_F(TpcSchedulerTest, TimerMarginBlocksStealOfBusyLookingTpcs) {
   EXPECT_EQ(early.count(), 0u);
   const TpcMask late = sched.Acquire(2, 10, FromMillis(10), FromMillis(1));
   EXPECT_EQ(late.count(), 10u);
+}
+
+// More grant/release pairs than the journal holds force flushes; the
+// per-TPC view must still read each TPC's newest occupant and busy-until,
+// both from the journal and, after a reclaim flushes it, from the arrays.
+TEST_F(TpcSchedulerTest, PerTpcStateSurvivesJournalFlushes) {
+  sched_.RegisterClient(1, PriorityClass::kHighPriority, 20);  // home TPCs 0..19
+  sched_.RegisterClient(2, PriorityClass::kBestEffort, 0);
+  const int pairs = TpcScheduler::kJournalCapacity + 5;
+  for (int i = 0; i < pairs; ++i) {
+    const TimeNs at = FromMicros(10 * i);
+    // The pool (20..53), then the idle owner's whole home region.
+    const TpcMask got = sched_.Acquire(2, 54, at, FromMicros(3));
+    ASSERT_EQ(got.count(), 54u);
+    sched_.Release(got, at + FromMicros(5));
+  }
+  const TimeNs last_release = FromMicros(10 * (pairs - 1) + 5);
+  const TimeNs now = FromMicros(10 * pairs);
+  EXPECT_EQ(sched_.Acquire(2, 30, now, FromMicros(7)), TpcRange(20, 50));
+  EXPECT_EQ(sched_.Acquire(1, 5, now, FromMicros(9)), TpcRange(0, 5));
+  // The rest of the pool, then six stolen home TPCs.
+  EXPECT_EQ(sched_.Acquire(2, 10, now, FromMicros(11)), TpcRange(5, 11) | TpcRange(50, 54));
+
+  auto expect_state = [&](bool reclaimed) {
+    for (int t = 0; t < 54; ++t) {
+      SCOPED_TRACE(testing::Message() << "tpc " << t << (reclaimed ? " after reclaim" : ""));
+      int occupant = 2;
+      TimeNs busy_until = now + FromMicros(11);
+      bool flagged = false;
+      if (t < 5) {
+        occupant = 1;
+        busy_until = now + FromMicros(9);
+      } else if (t < 11) {
+        flagged = reclaimed;  // stolen from the owner
+      } else if (t < 20) {
+        occupant = -1;
+        busy_until = last_release;
+      } else if (t < 50) {
+        busy_until = now + FromMicros(7);
+      }
+      EXPECT_EQ(sched_.OccupantOf(t), occupant);
+      EXPECT_EQ(sched_.BusyUntil(t), busy_until);
+      EXPECT_EQ(sched_.IsReclaimFlagged(t), flagged);
+    }
+    EXPECT_EQ(sched_.FreeHomeTpcs(1), 9);
+    EXPECT_EQ(sched_.FreeTpcs(), 9);
+    sched_.CheckInvariants();
+  };
+  expect_state(/*reclaimed=*/false);
+  sched_.RequestReclaim(1);
+  expect_state(/*reclaimed=*/true);
+  EXPECT_EQ(sched_.stats().tpcs_stolen, 20u * pairs + 6);
 }
 
 TEST_F(TpcSchedulerTest, StatsAccumulate) {
@@ -512,6 +566,119 @@ void ExpectMatchesReference(const GpuSpec& spec, uint64_t seed) {
   EXPECT_GT(ref.stats().reclaim_requests, 0u);
 }
 
+// The fleet-node shape (ClusterDispatcher::StreamFor): every client is a
+// quota-0 HP client whose kernels mostly ask for the whole device, and a head's
+// probe grant is released at once, before its first atom re-acquires. All
+// releases happen at `now`. Grants and stats are compared after every step,
+// but the per-TPC observables only every kReadEvery steps, so the journal
+// fills and flushes several times between two reads.
+void ExpectMatchesReferenceOnFleetNode(const GpuSpec& spec, uint64_t seed) {
+  constexpr int kClients = 4;
+  constexpr int kSteps = 4000;
+  constexpr int kReadEvery = 50;
+  LithosConfig cfg;
+  cfg.enable_stealing = true;
+  TpcScheduler sched(spec, cfg);
+  ReferenceScheduler ref(spec, cfg);
+  Rng rng(seed);
+  const int total = spec.TotalTpcs();
+  for (int id = 1; id <= kClients; ++id) {
+    sched.RegisterClient(id, PriorityClass::kHighPriority, 0);
+    ref.RegisterClient(id, PriorityClass::kHighPriority, 0);
+  }
+
+  std::vector<TpcMask> held;  // running atoms' grants
+  TimeNs now = 0;
+  int partial_grants = 0;     // a head got only part of the device
+  bool grants_match = true;
+  auto acquire = [&](int client) {
+    // Most kernels fill the device; the rest have smaller grids.
+    const int desired =
+        rng.UniformInt(0, 1) == 0 ? total : static_cast<int>(rng.UniformInt(1, total));
+    const DurationNs predicted = static_cast<DurationNs>(rng.UniformInt(0, FromMillis(1)));
+    const TpcMask got = sched.Acquire(client, desired, now, predicted);
+    grants_match = grants_match && got == ref.Acquire(client, desired, now, predicted);
+    if (got.none()) {
+      sched.RequestReclaim(client);
+      ref.RequestReclaim(client);
+    }
+    partial_grants += got.any() && static_cast<int>(got.count()) < desired ? 1 : 0;
+    return got;
+  };
+  auto launch_atom = [&](int client) {
+    if (const TpcMask got = acquire(client); got.any()) {
+      held.push_back(got);
+    }
+  };
+  auto release = [&](const TpcMask& mask) {
+    sched.Release(mask, now);
+    ref.Release(mask, now);
+  };
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed << " step " << step);
+    now += static_cast<TimeNs>(rng.UniformInt(0, FromMicros(200)));
+    const int client = static_cast<int>(rng.UniformInt(1, kClients));
+    switch (rng.UniformInt(0, 7)) {
+      case 0:
+      case 1:
+        // A new head: the probe grant sizes the plan, then the first atom.
+        if (const TpcMask probe = acquire(client); probe.any()) {
+          release(probe);
+          launch_atom(client);
+        }
+        break;
+      case 2:
+        launch_atom(client);  // the next atom of a running head
+        break;
+      case 3:
+      case 4:
+      case 5:
+        if (!held.empty()) {
+          const size_t i = static_cast<size_t>(rng.UniformInt(0, held.size() - 1));
+          release(held[i]);
+          held.erase(held.begin() + static_cast<long>(i));
+        }
+        break;
+      case 6: {
+        const bool waiting = rng.UniformInt(0, 1) == 1;
+        sched.SetClientWaiting(client, waiting);
+        ref.SetClientWaiting(client, waiting);
+        break;
+      }
+      default: {
+        const bool active = rng.UniformInt(0, 1) == 1;
+        sched.SetClientActive(client, active);
+        ref.SetClientActive(client, active);
+        break;
+      }
+    }
+    ASSERT_TRUE(grants_match);
+
+    ASSERT_EQ(sched.stats().acquisitions, ref.stats().acquisitions);
+    ASSERT_EQ(sched.stats().tpcs_granted, ref.stats().tpcs_granted);
+    ASSERT_EQ(sched.stats().tpcs_stolen, ref.stats().tpcs_stolen);
+    ASSERT_EQ(sched.stats().reclaim_requests, ref.stats().reclaim_requests);
+    ASSERT_EQ(sched.stats().failed_acquisitions, ref.stats().failed_acquisitions);
+    ASSERT_EQ(sched.FreeTpcs(), ref.FreeTpcs());
+    if (step % kReadEvery != kReadEvery - 1) {
+      continue;
+    }
+    sched.CheckInvariants();
+    for (int id = 0; id <= kClients; ++id) {
+      ASSERT_EQ(sched.FreeHomeTpcs(id), ref.FreeHomeTpcs(id)) << "client " << id;
+      ASSERT_EQ(sched.ClientDemand(id), ref.ClientDemand(id)) << "client " << id;
+    }
+    for (int t = 0; t < total; ++t) {
+      ASSERT_EQ(sched.OccupantOf(t), ref.OccupantOf(t)) << "tpc " << t;
+      ASSERT_EQ(sched.BusyUntil(t), ref.BusyUntil(t)) << "tpc " << t;
+      ASSERT_EQ(sched.IsReclaimFlagged(t), ref.IsReclaimFlagged(t)) << "tpc " << t;
+    }
+  }
+  // Heads found the device full, and heads got part of what they asked for.
+  EXPECT_GT(ref.stats().failed_acquisitions, 0u);
+  EXPECT_GT(partial_grants, 0);
+}
+
 TEST(TpcSchedulerDifferentialTest, MatchesPerTpcScanOnA100) {
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     ExpectMatchesReference(GpuSpec::A100(), seed);
@@ -522,6 +689,19 @@ TEST(TpcSchedulerDifferentialTest, MatchesPerTpcScanOnA100) {
 TEST(TpcSchedulerDifferentialTest, MatchesPerTpcScanOnH100) {
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     ExpectMatchesReference(GpuSpec::H100(), seed);
+  }
+}
+
+TEST(TpcSchedulerDifferentialTest, MatchesPerTpcScanOnFleetNodeA100) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    ExpectMatchesReferenceOnFleetNode(GpuSpec::A100(), seed);
+  }
+}
+
+// 68 TPCs: a whole-device grant spans both words of TpcMask.
+TEST(TpcSchedulerDifferentialTest, MatchesPerTpcScanOnFleetNodeH100) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    ExpectMatchesReferenceOnFleetNode(GpuSpec::H100(), seed);
   }
 }
 
