@@ -42,7 +42,7 @@ AutoscaleConfig BaseConfig(ScalingPolicyKind scaling) {
 void AddRow(Table& table, const AutoscaleResult& r) {
   table.AddRow({ScalingPolicyName(r.scaling), Table::Num(r.gpu_hours_per_day, 1),
                 Table::Num(r.joules_per_day / 1000.0, 1), Table::Num(r.cluster.p99_ms, 1),
-                Table::Num(r.mean_powered_on, 2), std::to_string(r.migrations),
+                Table::Num(r.mean_powered_on, 2), std::to_string(r.cluster.migrations),
                 std::to_string(r.power_ons + r.power_offs),
                 Table::Num(100 * r.provisioned_utilization, 1)});
 }
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
     json.Metric(prefix + "gpu_hours_per_day", r.gpu_hours_per_day);
     json.Metric(prefix + "joules_per_day", r.joules_per_day);
     json.Metric(prefix + "p99_ms", r.cluster.p99_ms);
-    json.Metric(prefix + "migrations", static_cast<double>(r.migrations));
+    json.Metric(prefix + "migrations", static_cast<double>(r.cluster.migrations));
     json.Metric(prefix + "mean_powered_on", r.mean_powered_on);
     json.Metric(prefix + "provisioned_utilization", r.provisioned_utilization);
   }
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
     const AutoscaleResult& r = results[policies.size() + i];
     periods.AddRow({Table::Num(periods_ms[i], 0), Table::Num(r.gpu_hours_per_day, 1),
                     Table::Num(r.joules_per_day / 1000.0, 1), Table::Num(r.cluster.p99_ms, 1),
-                    std::to_string(r.migrations),
+                    std::to_string(r.cluster.migrations),
                     std::to_string(r.power_ons + r.power_offs)});
   }
   periods.Print();

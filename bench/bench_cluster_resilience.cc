@@ -61,20 +61,11 @@ const char* PolicyName(Policy p) {
 }
 
 ResilienceConfig MakePolicy(Policy p) {
-  ResilienceConfig rc;
-  if (p == Policy::kWriteOff) {
-    return rc;  // disabled
-  }
-  rc.enabled = true;
-  rc.max_attempts = 3;
-  rc.attempt_timeout = FromMillis(250);
-  rc.backoff_base = FromMillis(20);
-  rc.backoff_cap = FromMillis(160);
   if (p == Policy::kFull) {
-    rc.hedge = true;
-    rc.hedge_delay = FromMillis(75);
-    rc.shed_watermark_ms = 60.0;  // ~4x the healthy per-node backlog
+    return bench::FullResilience();
   }
+  ResilienceConfig rc;
+  rc.enabled = p == Policy::kRetry;  // write-off: disabled
   return rc;
 }
 

@@ -47,19 +47,6 @@ constexpr double kFaultBegin = 2.0;
 constexpr double kFaultEnd = 5.0;
 constexpr double kPostEnd = 6.5;
 
-ResilienceConfig FullPolicy() {
-  ResilienceConfig rc;
-  rc.enabled = true;
-  rc.max_attempts = 3;
-  rc.attempt_timeout = FromMillis(250);
-  rc.backoff_base = FromMillis(20);
-  rc.backoff_cap = FromMillis(160);
-  rc.hedge = true;
-  rc.hedge_delay = FromMillis(75);
-  rc.shed_watermark_ms = 60.0;
-  return rc;
-}
-
 FleetFaultConfig BaseConfig() {
   FleetFaultConfig config;
   config.cluster.num_nodes = kNodes;
@@ -69,7 +56,7 @@ FleetFaultConfig BaseConfig() {
   config.cluster.system = SystemKind::kMps;
   config.cluster.aggregate_rps = kRps;
   config.cluster.seed = 2026;
-  config.cluster.resilience = FullPolicy();
+  config.cluster.resilience = bench::FullResilience();
   config.scaling = ScalingPolicyKind::kStaticPeak;
   config.max_migrations_per_period = 8;
   config.phases = {{"pre", FromSeconds(kPreBegin), FromSeconds(kFaultBegin)},

@@ -22,11 +22,8 @@ void BM_TpcAcquireRelease(benchmark::State& state) {
   TpcScheduler sched(spec, cfg);
   sched.RegisterClient(1, PriorityClass::kHighPriority, static_cast<int>(state.range(1)));
   sched.RegisterClient(2, PriorityClass::kBestEffort, 0);
-  TimeNs now = 0;
   for (auto _ : state) {
-    const TpcMask mask = sched.Acquire(1, static_cast<int>(state.range(0)), now, FromMillis(1));
-    sched.Release(mask, now);
-    ++now;
+    sched.Release(sched.Acquire(1, static_cast<int>(state.range(0))));
   }
 }
 BENCHMARK(BM_TpcAcquireRelease)->Args({8, 40})->Args({32, 40})->Args({54, 40})->Args({54, 0});

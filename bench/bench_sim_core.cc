@@ -435,6 +435,26 @@ class LithosDispatch {
   std::vector<Loop> loops_;
 };
 
+struct LithosDispatchRun {
+  double atoms_per_sec = 0;  // best of the runs
+  uint64_t atoms = 0;        // deterministic: the same in every run
+  uint64_t tpcs_stolen = 0;
+};
+
+// A warm-up, then the best of `reps` fresh runs of the mix, so a burst of
+// host load during one run does not read as a regression.
+LithosDispatchRun BestLithosDispatch(LithosDispatch::Mix mix, TimeNs horizon, int reps) {
+  LithosDispatch(mix, horizon / 10).AtomsPerSec();
+  LithosDispatchRun best;
+  for (int rep = 0; rep < reps; ++rep) {
+    LithosDispatch run(mix, horizon);
+    best.atoms_per_sec = std::max(best.atoms_per_sec, run.AtomsPerSec());
+    best.atoms = run.atoms();
+    best.tpcs_stolen = run.tpcs_stolen();
+  }
+  return best;
+}
+
 // --- End-to-end scenarios ----------------------------------------------------
 
 FleetStackingResult RunStackingScenario() {
@@ -486,7 +506,7 @@ bool SameStacking(const StackingResult& x, const StackingResult& y) {
 bool SameAutoscale(const AutoscaleResult& x, const AutoscaleResult& y) {
   return x.gpu_hours_per_day == y.gpu_hours_per_day &&
          x.joules_per_day == y.joules_per_day &&
-         x.cluster.p99_ms == y.cluster.p99_ms && x.migrations == y.migrations &&
+         x.cluster.p99_ms == y.cluster.p99_ms && x.cluster.migrations == y.cluster.migrations &&
          x.mean_powered_on == y.mean_powered_on;
 }
 
@@ -510,6 +530,7 @@ int main(int argc, char** argv) {
   constexpr int64_t kMpsChurnGrants = 400'000;
   constexpr int kMpsChurnConcurrency = 8;
   constexpr TimeNs kLithosDispatchHorizon = FromSeconds(300);
+  constexpr int kLithosDispatchReps = 3;
 
   // Warm both allocators once, then measure.
   RingEventsPerSec<Simulator>(kRingTotal / 10, kRingSize);
@@ -540,13 +561,10 @@ int main(int argc, char** argv) {
   }
   MpsChurn(kMpsChurnGrants / 10, kMpsChurnConcurrency).GrantsPerSec();  // warm-up
   const double mps_churn = MpsChurn(kMpsChurnGrants, kMpsChurnConcurrency).GrantsPerSec();
-  using Mix = LithosDispatch::Mix;
-  LithosDispatch(Mix::kStacking, kLithosDispatchHorizon / 10).AtomsPerSec();  // warm-up
-  LithosDispatch lithos_dispatch(Mix::kStacking, kLithosDispatchHorizon);
-  const double lithos_atoms = lithos_dispatch.AtomsPerSec();
-  LithosDispatch(Mix::kFleetNode, kLithosDispatchHorizon / 10).AtomsPerSec();  // warm-up
-  LithosDispatch whole_gpu_dispatch(Mix::kFleetNode, kLithosDispatchHorizon);
-  const double whole_gpu_atoms = whole_gpu_dispatch.AtomsPerSec();
+  const LithosDispatchRun lithos_dispatch = BestLithosDispatch(
+      LithosDispatch::Mix::kStacking, kLithosDispatchHorizon, kLithosDispatchReps);
+  const LithosDispatchRun whole_gpu_dispatch = BestLithosDispatch(
+      LithosDispatch::Mix::kFleetNode, kLithosDispatchHorizon, kLithosDispatchReps);
 
   Table micro({"micro", "legacy Mev/s", "new Mev/s", "speedup"});
   const double ring_speedup = ring_new / ring_legacy;
@@ -573,13 +591,14 @@ int main(int argc, char** argv) {
               kMpsChurnConcurrency, mps_churn / 1e6);
   std::printf("LithOS dispatch (2 HP at 75/25 quotas + 1 BE; %llu atoms, %llu TPCs stolen): "
               "%.3f M atoms/s\n",
-              static_cast<unsigned long long>(lithos_dispatch.atoms()),
-              static_cast<unsigned long long>(lithos_dispatch.tpcs_stolen()), lithos_atoms / 1e6);
+              static_cast<unsigned long long>(lithos_dispatch.atoms),
+              static_cast<unsigned long long>(lithos_dispatch.tpcs_stolen),
+              lithos_dispatch.atoms_per_sec / 1e6);
   std::printf("LithOS whole-GPU dispatch (3 quota-0 HP clients; %llu atoms, %llu TPCs "
               "stolen): %.3f M atoms/s\n",
-              static_cast<unsigned long long>(whole_gpu_dispatch.atoms()),
-              static_cast<unsigned long long>(whole_gpu_dispatch.tpcs_stolen()),
-              whole_gpu_atoms / 1e6);
+              static_cast<unsigned long long>(whole_gpu_dispatch.atoms),
+              static_cast<unsigned long long>(whole_gpu_dispatch.tpcs_stolen),
+              whole_gpu_dispatch.atoms_per_sec / 1e6);
 
   // Throughput numbers depend on the machine's wall clock, so they go in the
   // jobs-gated wall_metrics section (this bench is always a jobs=1 run).
@@ -597,8 +616,8 @@ int main(int argc, char** argv) {
   json.WallMetric("timer_churn_events_per_sec_heap", timer_churn_heap);
   json.WallMetric("timer_churn_speedup", timer_churn_speedup);
   json.WallMetric("mps_churn_grants_per_sec", mps_churn);
-  json.WallMetric("lithos_dispatch_atoms_per_sec", lithos_atoms);
-  json.WallMetric("lithos_whole_gpu_atoms_per_sec", whole_gpu_atoms);
+  json.WallMetric("lithos_dispatch_atoms_per_sec", lithos_dispatch.atoms_per_sec);
+  json.WallMetric("lithos_whole_gpu_atoms_per_sec", whole_gpu_dispatch.atoms_per_sec);
 
   // --- End-to-end ------------------------------------------------------------
   std::printf("\nEnd-to-end scenario wall-clock (same seed run twice; metrics must be identical)\n");

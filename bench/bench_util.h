@@ -395,6 +395,17 @@ inline void PrintHeader(const std::string& title, const std::string& paper_ref) 
 
 // --- Fleet fault-scenario benches ---------------------------------------------
 
+// The full request-level resilience policy of the fleet benches: retries at
+// the ResilienceConfig defaults, plus hedging and load shedding at a ~60 ms
+// node backlog (~4x the healthy per-node backlog).
+inline ResilienceConfig FullResilience() {
+  ResilienceConfig rc;
+  rc.enabled = true;
+  rc.hedge = true;
+  rc.shed_watermark_ms = 60.0;
+  return rc;
+}
+
 // One grid point of a fleet bench: its sweep label, the config it runs, and
 // whether it is the one point that records --trace (and feeds the span sink).
 struct FleetRun {

@@ -31,7 +31,7 @@ int main() {
     std::printf("%-12s %11.1f %9.1f %9.1f %12.2f %8llu %12.1f\n",
                 ScalingPolicyName(scaling).c_str(), r.gpu_hours_per_day,
                 r.joules_per_day / 1000.0, r.cluster.p99_ms, r.mean_powered_on,
-                static_cast<unsigned long long>(r.migrations),
+                static_cast<unsigned long long>(r.cluster.migrations),
                 100 * r.provisioned_utilization);
   }
 

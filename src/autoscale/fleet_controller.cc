@@ -336,8 +336,6 @@ AutoscaleResult RunClusterAutoscale(const AutoscaleConfig& config) {
           : 0.0;
   const double joules = result.cluster.energy_joules;
   result.joules_per_day = result.days > 0 ? joules / result.days : joules;
-  result.migrations = result.cluster.migrations;
-  result.migration_gpu_ms = result.cluster.migration_gpu_ms;
   result.power_ons = controller.power_ons();
   result.power_offs = controller.power_offs();
   return result;

@@ -190,8 +190,6 @@ struct AutoscaleResult {
   // the fleet actually paid for. The autoscaler's reason to exist — the
   // paper's 27%-idle fleet raised by shedding the trough.
   double provisioned_utilization = 0;
-  uint64_t migrations = 0;          // replica re-homings inside the window
-  double migration_gpu_ms = 0;      // checkpoint/restore GPU-ms charged
   uint64_t power_ons = 0;
   uint64_t power_offs = 0;
 };

@@ -9,8 +9,10 @@
 //      throttling), looks the operator up in the predictor once, and asks the
 //      right-sizer how many TPCs the kernel needs.
 //   3. The TPC Scheduler grants a mask: home region first, then free pool,
-//      then stolen idle TPCs. An empty grant parks the stream and flags the
-//      client's stolen home TPCs for reclaim.
+//      then stolen idle TPCs. It decides from its TPC masks alone (an idle
+//      TPC is a free one), so the grant needs no duration estimate. An empty
+//      grant parks the stream and flags the client's stolen home TPCs for
+//      reclaim.
 //   4. The predictor estimates the kernel's duration on that mask; the
 //      Kernel Atomizer splits long kernels into atoms.
 //   5. Atoms are dispatched sequentially; the mask is re-acquired between

@@ -39,8 +39,6 @@ TpcMask TakeLowest(const TpcMask& mask, int& n) {
 TpcScheduler::TpcScheduler(const GpuSpec& spec, const LithosConfig& config)
     : config_(config), total_tpcs_(spec.TotalTpcs()), device_(TpcRange(0, total_tpcs_)) {
   home_owner_.fill(-1);
-  occupant_.fill(-1);
-  busy_until_.fill(0);
   free_ = device_;
   unowned_ = device_;
 }
@@ -65,23 +63,22 @@ void TpcScheduler::RegisterClient(int client_id, PriorityClass priority, int quo
   state.registered = true;
   state.priority = priority;
   const int granted = std::clamp(quota, 0, total_tpcs_ - next_home_tpc_);
-  for (int i = 0; i < granted; ++i) {
-    const int t = next_home_tpc_ + i;
-    home_owner_[t] = client_id;
-    state.home.set(t);
-    unowned_.reset(t);
-  }
+  state.home = TpcRange(next_home_tpc_, next_home_tpc_ + granted);
+  std::fill_n(home_owner_.begin() + next_home_tpc_, granted, client_id);
+  unowned_ &= ~state.home;
+  // This client has acquired nothing yet, so whoever holds its new home TPCs
+  // is another client.
+  stolen_ |= state.home & ~free_;
   next_home_tpc_ += granted;
 }
 
-TpcMask TpcScheduler::Acquire(int client_id, int desired, TimeNs now, DurationNs predicted) {
+TpcMask TpcScheduler::Acquire(int client_id, int desired) {
   LITHOS_CHECK_GT(desired, 0);
   ClientState* client = Find(client_id);
+  LITHOS_CHECK(client != nullptr);
   // Track the client's per-kernel demand: fast rise, slow decay.
-  if (client != nullptr) {
-    client->demand = std::max<double>(desired, client->demand * 0.98);
-  }
-  const TpcMask home = client == nullptr ? TpcMask{} : client->home;
+  client->demand = std::max<double>(desired, client->demand * 0.98);
+  const TpcMask home = client->home;
   int remaining = desired;
 
   // Pass 1: own home region. Pass 2: free pool (unowned TPCs).
@@ -91,22 +88,15 @@ TpcMask TpcScheduler::Acquire(int client_id, int desired, TimeNs now, DurationNs
   }
   reclaim_ &= ~(granted & home);  // Owner is back; the flags served their purpose.
 
-  // Pass 3: TPC Stealing — idle foreign home TPCs (busy-until timer already
-  // expired), subject to policy and each active owner's headroom: an owner
-  // mid-job keeps enough free home TPCs for its next kernel (its recent
-  // demand), so stealing never shrinks the owner's very next allocation.
+  // Pass 3: TPC Stealing — idle (free) foreign home TPCs, subject to policy
+  // and each active owner's headroom: an owner mid-job keeps enough free home
+  // TPCs for its next kernel (its recent demand), so stealing never shrinks
+  // the owner's very next allocation.
   // Best-effort work never steals while a high-priority client waits, which
   // would invert priorities.
-  const bool thief_is_be = client == nullptr || client->priority == PriorityClass::kBestEffort;
-  uint64_t stolen = 0;
+  const bool thief_is_be = client->priority == PriorityClass::kBestEffort;
   if (remaining > 0 && config_.enable_stealing && !(thief_is_be && hp_waiting_ > 0)) {
     ++acquire_epoch_;
-    // A free TPC's busy-until is its last release time, so while no release
-    // lies after `now`, no candidate can look busy.
-    const bool check_busy = last_release_ > now;
-    if (check_busy) {
-      Flush();
-    }
     // Passes 1-2 took only home and unowned TPCs, so `free_` still holds
     // every candidate, and each owner's `home & free_` below is unchanged.
     const TpcMask candidates = free_ & ~unowned_ & ~home & ~reclaim_;
@@ -115,8 +105,8 @@ TpcMask TpcScheduler::Acquire(int client_id, int desired, TimeNs now, DurationNs
       for (uint64_t bits = TpcWord(candidates, w); bits != 0 && remaining > 0; bits &= bits - 1) {
         const int t = w * kTpcWordBits + __builtin_ctzll(bits);
         ClientState& owner = clients_[home_owner_[t]];
-        // Skip TPCs that look busy or whose owner has work parked right now.
-        if ((check_busy && busy_until_[t] > now) || owner.waiting) {
+        // Skip TPCs whose owner has work parked right now.
+        if (owner.waiting) {
           continue;
         }
         if (owner.active) {
@@ -132,76 +122,29 @@ TpcMask TpcScheduler::Acquire(int client_id, int desired, TimeNs now, DurationNs
           --owner.spare;
         }
         taken[w] |= bits & -bits;
-        ++stolen;
         --remaining;
       }
     }
-    granted |= MaskOfWords(taken[0], taken[1]);
+    const TpcMask stolen = MaskOfWords(taken[0], taken[1]);
+    stolen_ |= stolen;
+    granted |= stolen;
+    stats_.tpcs_stolen += stolen.count();
   }
 
   free_ &= ~granted;
-  if (granted.any()) {
-    Append(granted, client_id, now + predicted);
-  }
   ++stats_.acquisitions;
   stats_.tpcs_granted += desired - remaining;
-  stats_.tpcs_stolen += stolen;
   if (granted.none()) {
     ++stats_.failed_acquisitions;
   }
   return granted;
 }
 
-void TpcScheduler::Release(const TpcMask& mask, TimeNs now) {
+void TpcScheduler::Release(const TpcMask& mask) {
   // Every released TPC must be on the device and occupied.
   LITHOS_CHECK((mask & (free_ | ~device_)).none());
   free_ |= mask;
-  last_release_ = std::max(last_release_, now);
-  Append(mask, -1, now);
-}
-
-void TpcScheduler::Append(const TpcMask& mask, int occupant, TimeNs busy_until) {
-  if (journal_size_ == kJournalCapacity) {
-    Flush();
-  }
-  journal_[journal_size_++] = {{TpcWord(mask, 0), TpcWord(mask, 1)}, occupant, busy_until};
-}
-
-void TpcScheduler::Flush() {
-  ApplyJournal(occupant_, busy_until_);
-  journal_size_ = 0;
-}
-
-void TpcScheduler::ApplyJournal(OccupantArray& occupant, BusyUntilArray& busy_until) const {
-  TpcMask covered;
-  for (int i = journal_size_ - 1; i >= 0 && (device_ & ~covered).any(); --i) {
-    const JournalEntry& entry = journal_[i];
-    const TpcMask mask = MaskOfWords(entry.words[0], entry.words[1]);
-    ForEachTpc(mask & ~covered, [&](int t) {
-      occupant[t] = entry.occupant;
-      busy_until[t] = entry.busy_until;
-    });
-    covered |= mask;
-  }
-}
-
-const TpcScheduler::JournalEntry* TpcScheduler::LatestEntry(int tpc) const {
-  for (int i = journal_size_ - 1; i >= 0; --i) {
-    if ((journal_[i].words[tpc / kTpcWordBits] >> (tpc % kTpcWordBits)) & 1) {
-      return &journal_[i];
-    }
-  }
-  return nullptr;
-}
-
-int TpcScheduler::OccupantOf(int tpc) const {
-  const JournalEntry* entry = LatestEntry(tpc);
-  return entry == nullptr ? occupant_[tpc] : entry->occupant;
-}
-
-TimeNs TpcScheduler::BusyUntil(int tpc) const {
-  const JournalEntry* entry = LatestEntry(tpc);
-  return entry == nullptr ? busy_until_[tpc] : entry->busy_until;
+  stolen_ &= ~mask;
 }
 
 void TpcScheduler::RequestReclaim(int client_id) {
@@ -210,12 +153,7 @@ void TpcScheduler::RequestReclaim(int client_id) {
     return;
   }
   ++stats_.reclaim_requests;
-  Flush();
-  ForEachTpc(c->home & ~free_, [&](int t) {
-    if (occupant_[t] != client_id) {
-      reclaim_.set(t);
-    }
-  });
+  reclaim_ |= c->home & stolen_;
 }
 
 void TpcScheduler::SetClientWaiting(int client_id, bool waiting) {
@@ -268,19 +206,10 @@ void TpcScheduler::CheckInvariants() const {
     hp_waiting += c.waiting && c.priority == PriorityClass::kHighPriority ? 1 : 0;
   }
   LITHOS_CHECK_EQ(hp_waiting, hp_waiting_);
-  LITHOS_CHECK_GE(journal_size_, 0);
-  LITHOS_CHECK_LE(journal_size_, kJournalCapacity);
-  OccupantArray occupant = occupant_;
-  BusyUntilArray busy_until = busy_until_;
-  ApplyJournal(occupant, busy_until);
-  for (int t = 0; t < kMaxTpcs; ++t) {
-    const bool on_device = t < total_tpcs_;
-    LITHOS_CHECK_EQ(free_.test(t), on_device && occupant[t] == -1);
-    LITHOS_CHECK_EQ(unowned_.test(t), on_device && home_owner_[t] == -1);
-    // The steal pass's fast path skips the timer check on this bound.
-    if (free_.test(t)) {
-      LITHOS_CHECK_LE(busy_until[t], last_release_);
-    }
+  LITHOS_CHECK(((free_ | unowned_ | stolen_ | reclaim_) & ~device_).none());
+  LITHOS_CHECK((stolen_ & (free_ | unowned_)).none());
+  for (int t = 0; t < total_tpcs_; ++t) {
+    LITHOS_CHECK_EQ(unowned_.test(t), home_owner_[t] == -1);
   }
 }
 

@@ -6,37 +6,35 @@
 // foreign home TPCs whose owner is not asking for them — to whoever has work,
 // raising utilization without giving up isolation:
 //
-//   * per-TPC busy-until timers (fed by the latency predictor) record when
-//     each TPC is expected to free, so the dispatcher can tell idle from
-//     long-running TPCs;
+//   * the paper keeps per-TPC busy-until timers (fed by the latency
+//     predictor) to tell idle from long-running TPCs. Here the free mask is
+//     the exact answer: a TPC is idle iff no atom holds it, and stealing
+//     only ever considers free TPCs, so no timer or predicted duration is
+//     kept;
 //   * when an owner has waiting work but finds its home TPCs stolen, it
 //     flags them for *reclaim*: thieves' subsequent atoms exclude flagged
 //     TPCs, so the owner waits at most one atom duration (Fig. 9c);
 //   * best-effort clients may steal only when no high-priority client is
 //     waiting, preventing priority inversion.
 //
-// Allocation state is kept as TPC masks: `free_` (no occupant), `unowned_`
-// (free pool, no home owner) and `reclaim_` beside each client's home mask.
-// Acquire takes the lowest set bits of `home & free`, then of `unowned & free`,
-// a whole 64-bit word at a time, and walks TPC by TPC only over the steal
-// candidates (free foreign home TPCs not flagged for reclaim), because each
-// owner there has its own spare budget. Every pass grants in ascending TPC
-// order, so a grant is the same set of TPCs a per-TPC scan would pick; a
-// Release is one mask check and one OR. Grants and releases therefore cost
-// O(words), plus one step per steal candidate visited.
-//
-// Per-TPC occupant and busy-until values are written behind a short journal:
-// each grant and release appends one whole-mask assignment, and a flush (when
-// the journal is full, before a reclaim, or before a busy check) stores the
-// newest value of each TPC into the per-TPC arrays once. Introspection reads
-// the journal first, then the arrays. A free TPC's busy-until is the time it
-// was last released, so while no release lies after `now` no free TPC can
-// look busy and the steal pass skips the timer check.
+// All state is TPC masks: `free_` (no occupant), `unowned_` (free pool, no
+// home owner), `stolen_` (home TPCs held by a client other than their owner)
+// and `reclaim_`, beside each client's home mask. Acquire takes the lowest
+// set bits of `home & free`, then of `unowned & free`, a whole 64-bit word at
+// a time, and walks TPC by TPC only over the steal candidates (free foreign
+// home TPCs not flagged for reclaim), because each owner there has its own
+// spare budget. Every pass grants in ascending TPC order, so a grant is the
+// same set of TPCs a per-TPC scan would pick. A Release is one mask check and
+// two mask ops, and a reclaim is `reclaim |= home & stolen`. Grants and
+// releases therefore cost O(words), plus one step per steal candidate
+// visited.
 //
 // Per-client state lives in a vector indexed by client id (the driver hands
-// out dense ids from 1); ids that were never registered are ignored. The count
-// of waiting high-priority clients is kept as flags flip, so refusing a BE
-// steal is one check per Acquire.
+// out dense ids from 1 and registers each client before it has a stream).
+// Acquire requires a registered id, so a client's home TPCs are stolen
+// exactly when another client holds them; the other calls ignore unknown ids.
+// The count of waiting high-priority clients is kept as flags flip, so
+// refusing a BE steal is one check per Acquire.
 //
 // This class is pure allocation bookkeeping (no simulation callbacks), which
 // keeps it independently unit-testable; LithosBackend drives it.
@@ -46,7 +44,6 @@
 #include <array>
 #include <vector>
 
-#include "src/common/time.h"
 #include "src/core/config.h"
 #include "src/driver/client.h"
 #include "src/gpu/gpu_spec.h"
@@ -66,18 +63,18 @@ class TpcScheduler {
   TpcScheduler(const GpuSpec& spec, const LithosConfig& config);
 
   // Registers a client (id >= 0) and carves its home region (next-fit from
-  // TPC 0). Quotas beyond the remaining capacity are truncated.
+  // TPC 0). Quotas beyond the remaining capacity are truncated. New home TPCs
+  // another client holds count as stolen.
   void RegisterClient(int client_id, PriorityClass priority, int quota);
 
-  // Grants up to `desired` TPCs to `client_id`, preferring its home region,
-  // then the free pool, then stealing; each pass grants in ascending TPC
-  // order. Sets busy-until timers to now + predicted for every granted TPC.
-  // May return fewer than desired, including an empty mask when nothing is
-  // available.
-  TpcMask Acquire(int client_id, int desired, TimeNs now, DurationNs predicted);
+  // Grants up to `desired` TPCs to the registered client `client_id`,
+  // preferring its home region, then the free pool, then stealing; each pass
+  // grants in ascending TPC order. May return fewer than desired, including
+  // an empty mask when nothing is available.
+  TpcMask Acquire(int client_id, int desired);
 
   // Returns TPCs to the idle state.
-  void Release(const TpcMask& mask, TimeNs now);
+  void Release(const TpcMask& mask);
 
   // The owner has waiting work: flag its stolen home TPCs so thieves vacate
   // at the next atom boundary.
@@ -92,8 +89,7 @@ class TpcScheduler {
   // headroom — home TPCs beyond the owner's recent per-kernel demand — so the
   // owner's next kernel still finds its full allocation free. An *inactive*
   // owner's whole home region is up for grabs. Together with the reclaim
-  // flags this plays the role of the paper's per-TPC busy timers:
-  // distinguishing "idle" from "between two kernels of a running job".
+  // flags this tells "idle" from "between two kernels of a running job".
   void SetClientActive(int client_id, bool active);
 
   // Recent per-kernel TPC demand of a client (fast-rising, slowly decaying
@@ -103,22 +99,17 @@ class TpcScheduler {
   // --- Introspection --------------------------------------------------------
   int HomeQuota(int client_id) const;
   TpcMask HomeMask(int client_id) const;
-  int FreeTpcs() const;                      // TPCs with no occupant
+  const TpcMask& FreeMask() const { return free_; }  // TPCs with no occupant
+  int FreeTpcs() const;
   int FreeHomeTpcs(int client_id) const;     // idle TPCs in own home region
   bool IsClientWaiting(int client_id) const;  // last SetClientWaiting value
-  int OccupantOf(int tpc) const;            // -1 = idle
-  TimeNs BusyUntil(int tpc) const;
   bool IsReclaimFlagged(int tpc) const { return reclaim_.test(tpc); }
   const TpcSchedulerStats& stats() const { return stats_; }
 
-  // Aborts unless the free/unowned masks agree with the per-TPC occupant and
-  // home-owner state, every free TPC's busy-until lies at or before the
-  // latest release, and the waiting-HP count agrees with the client flags
-  // (debug cross-check).
+  // Aborts unless the masks lie on the device, the unowned mask agrees with
+  // the home owners, stolen TPCs are neither free nor unowned, and the
+  // waiting-HP count agrees with the client flags (debug cross-check).
   void CheckInvariants() const;
-
-  // Grants and releases buffered before the per-TPC arrays are written.
-  static constexpr int kJournalCapacity = 16;
 
  private:
   struct ClientState {
@@ -133,41 +124,16 @@ class TpcScheduler {
     uint64_t spare_epoch = 0;
   };
 
-  // Sets occupant and busy-until of every TPC in the mask held as `words`.
-  // Entries at or past journal_size_ are never read, so they are left
-  // uninitialised and constructing a scheduler writes no journal.
-  struct JournalEntry {
-    uint64_t words[kTpcWords];
-    int occupant;
-    TimeNs busy_until;
-  };
-  using OccupantArray = std::array<int, kMaxTpcs>;
-  using BusyUntilArray = std::array<TimeNs, kMaxTpcs>;
-
   ClientState* Find(int client_id);
   const ClientState* Find(int client_id) const;
-
-  void Append(const TpcMask& mask, int occupant, TimeNs busy_until);
-  // Writes the journal into the per-TPC arrays and empties it.
-  void Flush();
-  // Stores each journalled TPC's newest values into the arrays, walking the
-  // journal newest first so every TPC is written at most once, and stopping
-  // once every TPC on the device has been written.
-  void ApplyJournal(OccupantArray& occupant, BusyUntilArray& busy_until) const;
-  // Newest journal entry covering `tpc`, or nullptr when the arrays hold it.
-  const JournalEntry* LatestEntry(int tpc) const;
 
   LithosConfig config_;
   int total_tpcs_;
   TpcMask device_;                         // TPCs [0, total_tpcs_)
   std::array<int, kMaxTpcs> home_owner_;   // -1 = free pool
-  OccupantArray occupant_;                 // -1 = idle; stale under the journal
-  BusyUntilArray busy_until_;              // stale under the journal
-  std::array<JournalEntry, kJournalCapacity> journal_;
-  int journal_size_ = 0;
-  TimeNs last_release_ = 0;  // latest release time; >= every free busy-until
   TpcMask free_;      // no occupant
   TpcMask unowned_;   // home_owner_ == -1
+  TpcMask stolen_;    // home TPCs held by a client other than their owner
   TpcMask reclaim_;   // stolen home TPCs their owner asked back
   std::vector<ClientState> clients_;  // indexed by client id
   int hp_waiting_ = 0;                // registered HP clients with waiting set

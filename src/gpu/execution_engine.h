@@ -165,8 +165,6 @@ class ExecutionEngine {
   // Repeated requests coalesce (the most recent target wins).
   void RequestFrequencyMhz(int mhz);
   int CurrentFrequencyMhz() const { return current_mhz_; }
-  int TargetFrequencyMhz() const { return desired_mhz_; }
-  bool FrequencySwitchInFlight() const { return switch_event_ != 0; }
 
   // --- Power gating --------------------------------------------------------
 

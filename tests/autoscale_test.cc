@@ -346,7 +346,7 @@ TEST(PowerGateTest, GatedEngineDrawsStandbyPowerAndRefusesBusyGating) {
 TEST(FleetControllerTest, StaticPeakHoldsThePoolAndNeverActs) {
   const AutoscaleResult r = RunClusterAutoscale(SmallConfig(ScalingPolicyKind::kStaticPeak));
   EXPECT_DOUBLE_EQ(r.mean_powered_on, 8.0);
-  EXPECT_EQ(r.migrations, 0u);
+  EXPECT_EQ(r.cluster.migrations, 0u);
   EXPECT_EQ(r.power_ons, 0u);
   EXPECT_EQ(r.power_offs, 0u);
   EXPECT_GT(r.cluster.completed, 0u);
@@ -359,7 +359,7 @@ TEST(FleetControllerTest, PredictiveShedsTheTroughAndMigratesMidRun) {
   EXPECT_LT(r.mean_powered_on, 8.0);
   EXPECT_GT(r.power_offs, 0u);
   EXPECT_GT(r.power_ons, 0u);
-  EXPECT_GT(r.migrations, 0u);
+  EXPECT_GT(r.cluster.migrations, 0u);
   EXPECT_GT(r.cluster.migration_gpu_ms, 0.0);
   EXPECT_GT(r.cluster.completed, 0u);
 }
@@ -468,7 +468,7 @@ TEST(FleetControllerTest, PredictiveBeatsStaticPeakAtEqualP99) {
   EXPECT_LT(scaled.gpu_hours_per_day, fixed.gpu_hours_per_day);
   EXPECT_LT(scaled.joules_per_day, fixed.joules_per_day);
   EXPECT_LE(scaled.cluster.p99_ms, fixed.cluster.p99_ms * 1.10);
-  EXPECT_GT(scaled.migrations, 0u);
+  EXPECT_GT(scaled.cluster.migrations, 0u);
   // Shedding the trough raises the utilization of what the fleet pays for.
   EXPECT_GT(scaled.provisioned_utilization, fixed.provisioned_utilization);
 }
@@ -479,7 +479,7 @@ TEST(FleetControllerTest, RunClusterAutoscaleIsDeterministic) {
   const AutoscaleResult b = RunClusterAutoscale(config);
   EXPECT_EQ(a.cluster.dispatched, b.cluster.dispatched);
   EXPECT_EQ(a.cluster.completed, b.cluster.completed);
-  EXPECT_EQ(a.migrations, b.migrations);
+  EXPECT_EQ(a.cluster.migrations, b.cluster.migrations);
   EXPECT_EQ(a.power_ons, b.power_ons);
   EXPECT_EQ(a.power_offs, b.power_offs);
   EXPECT_DOUBLE_EQ(a.gpu_hours_per_day, b.gpu_hours_per_day);

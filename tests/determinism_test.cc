@@ -101,7 +101,7 @@ TEST(DeterminismTest, AutoscaleFleetDayByteIdentical) {
   EXPECT_EQ(x.joules_per_day, y.joules_per_day);
   EXPECT_EQ(x.mean_powered_on, y.mean_powered_on);
   EXPECT_EQ(x.provisioned_utilization, y.provisioned_utilization);
-  EXPECT_EQ(x.migrations, y.migrations);
+  EXPECT_EQ(x.cluster.migrations, y.cluster.migrations);
   EXPECT_EQ(x.power_ons, y.power_ons);
   EXPECT_EQ(x.power_offs, y.power_offs);
   EXPECT_EQ(x.cluster.p99_ms, y.cluster.p99_ms);
@@ -109,7 +109,7 @@ TEST(DeterminismTest, AutoscaleFleetDayByteIdentical) {
   EXPECT_EQ(x.cluster.completed_request_gpu_ms, y.cluster.completed_request_gpu_ms);
   // The scenario actually exercised the control plane: nodes cycled power and
   // replicas migrated, so the identity above covers those paths too.
-  EXPECT_GT(x.migrations, 0);
+  EXPECT_GT(x.cluster.migrations, 0);
   EXPECT_GT(x.power_offs, 0);
 }
 

@@ -212,12 +212,8 @@ TEST_F(LithosBackendTest, WaitingFlagsTrackParkedStreams) {
       // must be refused.
       TpcScheduler probe = backend->tpc_scheduler();
       ASSERT_TRUE(probe.AnyHighPriorityWaiting());
-      TpcMask occupied;
-      for (int t = 0; t < engine_.spec().TotalTpcs(); ++t) {
-        occupied.set(static_cast<size_t>(t), probe.OccupantOf(t) != -1);
-      }
-      probe.Release(occupied, sim_.Now());
-      ASSERT_TRUE(probe.Acquire(be->id, engine_.spec().TotalTpcs(), sim_.Now(), 1).none());
+      probe.Release(engine_.AllTpcs() & ~probe.FreeMask());
+      ASSERT_TRUE(probe.Acquire(be->id, engine_.spec().TotalTpcs()).none());
     }
   }
   EXPECT_GT(hp_parked_on_arrival, 0);
