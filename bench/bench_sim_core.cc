@@ -457,7 +457,7 @@ LithosDispatchRun BestLithosDispatch(LithosDispatch::Mix mix, TimeNs horizon, in
 
 // --- End-to-end scenarios ----------------------------------------------------
 
-FleetStackingResult RunStackingScenario() {
+StackingResult RunStackingScenario() {
   StackingConfig cfg;
   cfg.system = SystemKind::kLithos;
   cfg.warmup = bench::kWarmup;
@@ -467,7 +467,7 @@ FleetStackingResult RunStackingScenario() {
   AppSpec b = bench::MakeHpApp("Llama 3", AppRole::kHpThroughput);
   AppSpec be = bench::MakeBeInferenceApp("GPT-J");
   AssignInferenceOnlyQuotas(cfg.system, spec, &a, &b, &be);
-  return RunStackingFleet(cfg, {a, b, be}, /*num_nodes=*/1);
+  return RunStacking(cfg, {a, b, be});
 }
 
 AutoscaleResult RunAutoscaleScenario() {
@@ -623,12 +623,12 @@ int main(int argc, char** argv) {
   std::printf("\nEnd-to-end scenario wall-clock (same seed run twice; metrics must be identical)\n");
 
   auto t0 = std::chrono::steady_clock::now();
-  const FleetStackingResult stack1 = RunStackingScenario();
+  const StackingResult stack1 = RunStackingScenario();
   const double stack_ms_1 = SecondsSince(t0) * 1e3;
   t0 = std::chrono::steady_clock::now();
-  const FleetStackingResult stack2 = RunStackingScenario();
+  const StackingResult stack2 = RunStackingScenario();
   const double stack_ms = std::min(stack_ms_1, SecondsSince(t0) * 1e3);
-  const bool stack_same = SameStacking(stack1.per_node[0], stack2.per_node[0]);
+  const bool stack_same = SameStacking(stack1, stack2);
 
   t0 = std::chrono::steady_clock::now();
   const AutoscaleResult fleet1 = RunAutoscaleScenario();
@@ -641,7 +641,7 @@ int main(int argc, char** argv) {
   Table e2e({"scenario", "wall ms", "deterministic", "headline"});
   char headline[96];
   std::snprintf(headline, sizeof(headline), "HP A p99 %.2f ms",
-                stack1.per_node[0].apps[0].p99_ms);
+                stack1.apps[0].p99_ms);
   e2e.AddRow({"inference stacking (LithOS)", Table::Num(stack_ms, 1),
               stack_same ? "yes" : "NO", headline});
   std::snprintf(headline, sizeof(headline), "%.1f GPU-h/day, p99 %.2f ms",
@@ -652,7 +652,7 @@ int main(int argc, char** argv) {
 
   json.WallMetric("stacking_wall_ms", stack_ms);
   json.Metric("stacking_deterministic", stack_same ? 1 : 0);
-  json.Metric("stacking_hp_a_p99_ms", stack1.per_node[0].apps[0].p99_ms);
+  json.Metric("stacking_hp_a_p99_ms", stack1.apps[0].p99_ms);
   json.WallMetric("autoscale_wall_ms", fleet_ms);
   json.Metric("autoscale_deterministic", fleet_same ? 1 : 0);
   json.Metric("autoscale_gpu_hours_per_day", fleet1.gpu_hours_per_day);

@@ -16,18 +16,6 @@ constexpr double kDrainEpsilonMs = 0.01;
 
 }  // namespace
 
-std::string NodePowerName(NodePower state) {
-  switch (state) {
-    case NodePower::kActive:
-      return "active";
-    case NodePower::kDraining:
-      return "draining";
-    case NodePower::kPoweredOff:
-      return "powered-off";
-  }
-  return "?";
-}
-
 FleetController::FleetController(Simulator* sim, ClusterDispatcher* dispatcher,
                                  const AutoscaleConfig& config)
     : sim_(sim),

@@ -42,7 +42,6 @@
 #ifndef LITHOS_AUTOSCALE_FLEET_CONTROLLER_H_
 #define LITHOS_AUTOSCALE_FLEET_CONTROLLER_H_
 
-#include <string>
 #include <vector>
 
 #include "src/autoscale/scaling_policy.h"
@@ -58,8 +57,6 @@ enum class NodePower {
   kDraining,   // out of rotation, finishing queued work
   kPoweredOff, // drained and power-gated
 };
-
-std::string NodePowerName(NodePower state);
 
 struct AutoscaleConfig {
   // The underlying pool and traffic. `cluster.num_nodes` is the pool

@@ -34,19 +34,6 @@ ZoneTopology TopologyOf(const ClusterConfig& config) {
 
 }  // namespace
 
-// --- GpuNode -----------------------------------------------------------------
-
-GpuNode::GpuNode(Simulator* sim, int id, const GpuSpec& spec, SystemKind system,
-                 const LithosConfig& config)
-    : sim_(sim),
-      id_(id),
-      system_(system),
-      engine_(sim, spec),
-      driver_(sim, &engine_),
-      backend_(MakeBackend(system, sim, &engine_, config)) {
-  driver_.SetBackend(backend_.get());
-}
-
 // --- ClusterDispatcher -------------------------------------------------------
 
 ClusterDispatcher::ClusterDispatcher(Simulator* sim, const ClusterConfig& config)
@@ -84,30 +71,28 @@ ClusterDispatcher::ClusterDispatcher(Simulator* sim, const ClusterConfig& config
   const std::vector<FleetModel>& models = fleet_.models();
   LITHOS_CHECK_LE(models.size(), 64u);  // NodeState::models_seen is a 64-bit mask
   model_share_ = PopularityShares(models);
+  model_kernels_.reserve(models.size());
   for (size_t i = 0; i < models.size(); ++i) {
     const FleetModel& m = models[i];
+    ModelKernels& k = model_kernels_.emplace_back();
     // Request kernel: the model's mean GPU cost per request at full device,
     // with a device-filling grid — inference batches saturate the GPU they
     // run on, so concurrent requests share TPCs and a node behaves like a
     // processor-sharing queue of ~1 GPU-second of work per second.
     const uint32_t blocks = static_cast<uint32_t>(864 + 32 * m.size);
-    request_kernels_.push_back(MakeKernel("fleet/" + m.id, blocks, FromMillis(m.cost_ms), 0.92,
-                                          0.6, config_.spec));
+    k.request = MakeKernel("fleet/" + m.id, blocks, FromMillis(m.cost_ms), 0.92, 0.6,
+                           config_.spec);
     // Switch kernel: memory-bound weight load proportional to model size;
     // weakly parallel and frequency-insensitive.
-    const double switch_ms = kSwitchCostMsPerSize * m.size;
-    switch_kernels_.push_back(
-        MakeKernel("load/" + m.id, 256, FromMillis(switch_ms), 0.6, 0.1, config_.spec));
+    k.switch_ms = kSwitchCostMsPerSize * m.size;
+    k.load = MakeKernel("load/" + m.id, 256, FromMillis(k.switch_ms), 0.6, 0.1, config_.spec);
     // Migration halves: checkpoint on the source, restore on the destination.
     // Memory-bound like the switch kernel (weight movement dominates), each
     // carrying half of the size-proportional migration cost.
-    const double half_migration_ms = 0.5 * kMigrationCostMsPerSize * m.size;
-    checkpoint_kernels_.push_back(MakeKernel("ckpt/" + m.id, 256,
-                                             FromMillis(half_migration_ms), 0.5, 0.1,
-                                             config_.spec));
-    restore_kernels_.push_back(MakeKernel("restore/" + m.id, 256,
-                                          FromMillis(half_migration_ms), 0.5, 0.1,
-                                          config_.spec));
+    k.half_migration_ms = 0.5 * kMigrationCostMsPerSize * m.size;
+    const DurationNs half = FromMillis(k.half_migration_ms);
+    k.checkpoint = MakeKernel("ckpt/" + m.id, 256, half, 0.5, 0.1, config_.spec);
+    k.restore = MakeKernel("restore/" + m.id, 256, half, 0.5, 0.1, config_.spec);
     arrival_rng_.emplace_back(config_.seed * 1315423911u + i * 2654435761u + 17);
   }
 
@@ -265,6 +250,19 @@ bool ClusterDispatcher::NodeGated(int node) const {
   return nodes_[node]->engine()->power_gated();
 }
 
+void ClusterDispatcher::LaunchTracked(int node, Stream* stream, const KernelDesc* kernel,
+                                      double ms) {
+  Driver* driver = nodes_[node]->driver();
+  driver->CuLaunchKernel(stream, kernel);
+  AddOutstanding(node, ms);
+  const uint64_t epoch = node_state_[node].epoch;
+  driver->CuStreamAddCallback(stream, [this, node, ms, epoch] {
+    if (node_state_[node].epoch == epoch) {
+      AddOutstanding(node, -ms);
+    }
+  });
+}
+
 void ClusterDispatcher::ChargeMigrationKernel(int node, int model_index,
                                               const KernelDesc* kernel) {
   // Migration kernels only ever target live, reachable nodes: MoveReplica
@@ -272,22 +270,11 @@ void ClusterDispatcher::ChargeMigrationKernel(int node, int model_index,
   // on a survivor.
   LITHOS_CHECK(!node_state_[node].failed);
   LITHOS_CHECK(!node_state_[node].partitioned);
-  const FleetModel& model = fleet_.models()[model_index];
-  const double half_ms = 0.5 * kMigrationCostMsPerSize * model.size;
-  Stream* stream = StreamFor(node, model_index);
-  Driver* driver = nodes_[node]->driver();
-  driver->CuLaunchKernel(stream, kernel);
-  AddOutstanding(node, half_ms);
+  const double half_ms = model_kernels_[model_index].half_migration_ms;
+  LaunchTracked(node, StreamFor(node, model_index), kernel, half_ms);
   if (sim_->Now() >= warmup_end_) {
     g_migration_gpu_ms_->Add(half_ms);
   }
-  const uint64_t epoch = node_state_[node].epoch;
-  driver->CuStreamAddCallback(stream, [this, node, half_ms, epoch] {
-    if (node_state_[node].epoch != epoch) {
-      return;  // the node crashed mid-migration; FailNode wrote this off
-    }
-    AddOutstanding(node, -half_ms);
-  });
 }
 
 bool ClusterDispatcher::MoveReplica(int model_index, int from, int to) {
@@ -314,10 +301,10 @@ bool ClusterDispatcher::MoveReplica(int model_index, int from, int to) {
                    ZoneOfNode(from), model_index, 0);
   }
   if (from >= 0 && !lost) {
-    ChargeMigrationKernel(from, model_index, &checkpoint_kernels_[model_index]);
+    ChargeMigrationKernel(from, model_index, &model_kernels_[model_index].checkpoint);
   }
   if (to >= 0) {
-    ChargeMigrationKernel(to, model_index, &restore_kernels_[model_index]);
+    ChargeMigrationKernel(to, model_index, &model_kernels_[model_index].restore);
   }
   if (lost) {
     AppendRecoveryLog(to >= 0 ? "recover" : "drop", model_index, from, to >= 0 ? to : from);

@@ -1,19 +1,20 @@
 // Multi-GPU fleet serving layer.
 //
-// A GpuNode bundles one ExecutionEngine + Driver + scheduling backend — a
-// complete single-GPU LithOS (or baseline) stack — on the shared
-// discrete-event Simulator, so an entire fleet advances on one clock. The
-// ClusterDispatcher instantiates N nodes and routes the thirteen-model
-// diurnal traffic of FleetTelemetry (Section 3's production study) through a
-// pluggable placement policy (src/cluster/placement.h).
+// The ClusterDispatcher instantiates N GpuNodes — each a complete single-GPU
+// LithOS (or baseline) stack, the same unit the experiment harness runs
+// alone (src/experiments/harness.h) — on the shared discrete-event
+// Simulator, so an entire fleet advances on one clock. It routes the
+// thirteen-model diurnal traffic of FleetTelemetry (Section 3's production
+// study) through a pluggable placement policy (src/cluster/placement.h).
 //
 // Serving model: each fleet model gets one client + one stream per node it
-// lands on (a tenant per model, CUDA stream semantics per node). Routing a
-// request to a node whose previous request was for a different model charges
-// a memory-bound model-switch kernel (weight load / cache refill) before the
-// request kernel — the cost that makes consolidation a placement problem
-// rather than a free-for-all, and the reason model-affinity packing beats
-// load-oblivious spraying.
+// lands on (a tenant per model, CUDA stream semantics per node), and one
+// record of synthetic kernels — request, model switch, checkpoint, restore —
+// built once from its per-request cost and size. Routing a request to a node
+// whose previous request was for a different model charges the switch
+// kernel (weight load / cache refill) before the request kernel — the cost
+// that makes consolidation a placement problem rather than a free-for-all,
+// and the reason model-affinity packing beats load-oblivious spraying.
 //
 // At region scale the pool splits into contiguous failure-domain zones
 // (ClusterConfig::num_zones, described by one ZoneTopology that the placer
@@ -47,33 +48,6 @@
 namespace lithos {
 
 class SpanBuilder;
-
-// --- GpuNode -----------------------------------------------------------------
-
-// One GPU's worth of stack on a shared simulator. Usable both by the cluster
-// dispatcher and by the experiment harness's fleet mode (RunStackingFleet).
-class GpuNode {
- public:
-  GpuNode(Simulator* sim, int id, const GpuSpec& spec, SystemKind system,
-          const LithosConfig& config);
-  GpuNode(const GpuNode&) = delete;
-  GpuNode& operator=(const GpuNode&) = delete;
-
-  int id() const { return id_; }
-  Simulator* sim() const { return sim_; }
-  ExecutionEngine* engine() { return &engine_; }
-  Driver* driver() { return &driver_; }
-  Backend* backend() { return backend_.get(); }
-  SystemKind system() const { return system_; }
-
- private:
-  Simulator* sim_;
-  int id_;
-  SystemKind system_;
-  ExecutionEngine engine_;
-  Driver driver_;
-  std::unique_ptr<Backend> backend_;
-};
 
 // --- Cluster serving ---------------------------------------------------------
 
@@ -512,6 +486,10 @@ class ClusterDispatcher {
   // Launches one half of a migration (checkpoint or restore kernel) on the
   // node's stream for the model and tracks its outstanding GPU time.
   void ChargeMigrationKernel(int node, int model_index, const KernelDesc* kernel);
+  // Launches `kernel` on `stream` and counts `ms` as outstanding on `node`
+  // until a marker queued behind it fires, unless the node crashed (its
+  // epoch moved) in between: FailNode already wrote the work off.
+  void LaunchTracked(int node, Stream* stream, const KernelDesc* kernel, double ms);
   // Adjusts a node's outstanding-work estimate (clamped at zero) and keeps
   // the per-zone and fleet-total aggregates in sync.
   void AddOutstanding(int node, double delta_ms);
@@ -567,12 +545,19 @@ class ClusterDispatcher {
   std::vector<std::unique_ptr<GpuNode>> nodes_;
   Placer placer_;
 
-  // Per-model request, switch, and migration kernels (hidden ground-truth
-  // timing built from the fleet study's per-request cost and model size).
-  std::vector<KernelDesc> request_kernels_;
-  std::vector<KernelDesc> switch_kernels_;
-  std::vector<KernelDesc> checkpoint_kernels_;
-  std::vector<KernelDesc> restore_kernels_;
+  // One model's synthetic kernels (hidden ground-truth timing built from the
+  // fleet study's per-request cost and model size) and the GPU-ms each
+  // charges to a node's outstanding work. Checkpoint and restore differ only
+  // in name, which LithOS's predictor keys on.
+  struct ModelKernels {
+    KernelDesc request;
+    KernelDesc load;        // model switch: weight load / cache refill
+    KernelDesc checkpoint;  // migration half on the source
+    KernelDesc restore;     // migration half on the destination
+    double switch_ms = 0;
+    double half_migration_ms = 0;
+  };
+  std::vector<ModelKernels> model_kernels_;  // index by model
   std::vector<double> model_share_;      // popularity share, sums to 1
 
   std::vector<NodeState> node_state_;

@@ -153,7 +153,7 @@ int ClusterDispatcher::PickAttemptNode(int model_index, const RequestState& req,
   const double timeout_ms =
       static_cast<double>(config_.resilience.attempt_timeout) / 1e6;
   const FleetModel& model = fleet_.models()[model_index];
-  const double switch_ms = kSwitchCostMsPerSize * model.size;
+  const double switch_ms = model_kernels_[model_index].switch_ms;
   auto doomed = [&](int n) {
     if (node_quarantine_until_[static_cast<size_t>(n)] > sim_->Now()) {
       return true;  // remediation quarantined the whole node
@@ -241,20 +241,14 @@ void ClusterDispatcher::LaunchAttempt(uint32_t slot, int node, bool is_hedge) {
   // attempt: a marker resets the stream's batch ordinal, which LithOS's
   // predictor keys on, and takes a launch id.
   const ResilienceConfig& rc = config_.resilience;
+  const ModelKernels& kernels = model_kernels_[req.model];
   double cost_ms = model.cost_ms;
   if (state.last_model != req.model) {
-    const double switch_ms = kSwitchCostMsPerSize * model.size;
-    driver->CuLaunchKernel(stream, &switch_kernels_[req.model]);
     if (rc.attempt_timeout > 0 || rc.hedge) {
-      AddOutstanding(node, switch_ms);
-      const uint64_t switch_epoch = state.epoch;
-      driver->CuStreamAddCallback(stream, [this, node, switch_ms, switch_epoch] {
-        if (node_state_[node].epoch == switch_epoch) {
-          AddOutstanding(node, -switch_ms);
-        }
-      });
+      LaunchTracked(node, stream, &kernels.load, kernels.switch_ms);
     } else {
-      cost_ms += switch_ms;
+      driver->CuLaunchKernel(stream, &kernels.load);
+      cost_ms += kernels.switch_ms;
     }
     if (measured) {
       ++window_switches_;
@@ -265,7 +259,7 @@ void ClusterDispatcher::LaunchAttempt(uint32_t slot, int node, bool is_hedge) {
   AttemptState attempt;
   attempt.node = node;
   attempt.stream = stream;
-  attempt.kernel_id = driver->CuLaunchKernel(stream, &request_kernels_[req.model]);
+  attempt.kernel_id = driver->CuLaunchKernel(stream, &kernels.request);
   attempt.cost_ms = cost_ms;
   attempt.epoch = state.epoch;
   attempt.launch = sim_->Now();

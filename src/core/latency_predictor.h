@@ -1,9 +1,10 @@
 // Online latency prediction (paper Section 4.7).
 //
 // The predictor learns per-operator execution times entirely online — no
-// offline profiling — and feeds every other LithOS component: the TPC
-// Scheduler's per-TPC busy timers, the Kernel Atomizer's split counts, the
-// right-sizer's scaling curves, and the DVFS manager's sensitivity estimates.
+// offline profiling — and feeds the Kernel Atomizer's split counts, the
+// right-sizer's scaling curves, and the DVFS manager's sensitivity
+// estimates. The TPC Scheduler does not read it: its grants come from its
+// free and ownership masks alone.
 //
 // Operators are identified by (launch queue, batch ordinal, launch signature):
 // a single kernel function reused across layers with different tensor shapes

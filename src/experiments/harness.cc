@@ -5,10 +5,8 @@
 #include "src/baselines/concurrent_backends.h"
 #include "src/baselines/partition_backend.h"
 #include "src/baselines/timeslice_backend.h"
-#include "src/cluster/cluster.h"
 #include "src/common/check.h"
 #include "src/core/lithos_backend.h"
-#include "src/driver/driver.h"
 
 namespace lithos {
 
@@ -42,11 +40,6 @@ std::vector<SystemKind> AllSystems() {
           SystemKind::kTgs,    SystemKind::kOrion,     SystemKind::kLithos};
 }
 
-std::vector<SystemKind> SystemsWithBestEffort() {
-  return {SystemKind::kMps, SystemKind::kTimeslice, SystemKind::kPriority, SystemKind::kReef,
-          SystemKind::kTgs, SystemKind::kOrion,     SystemKind::kLithos};
-}
-
 std::unique_ptr<Backend> MakeBackend(SystemKind kind, Simulator* sim, ExecutionEngine* engine,
                                      const LithosConfig& lithos_config) {
   switch (kind) {
@@ -70,6 +63,17 @@ std::unique_ptr<Backend> MakeBackend(SystemKind kind, Simulator* sim, ExecutionE
       return std::make_unique<LithosBackend>(sim, engine, lithos_config);
   }
   return nullptr;
+}
+
+GpuNode::GpuNode(Simulator* sim, int id, const GpuSpec& spec, SystemKind system,
+                 const LithosConfig& config)
+    : sim_(sim),
+      id_(id),
+      system_(system),
+      engine_(sim, spec),
+      driver_(sim, &engine_),
+      backend_(MakeBackend(system, sim, &engine_, config)) {
+  driver_.SetBackend(backend_.get());
 }
 
 namespace {
@@ -151,29 +155,18 @@ AppResult CollectOpenLoop(const AppSpec& app, const RequestRecorder& rec, TimeNs
 }  // namespace
 
 StackingResult RunStacking(const StackingConfig& config, const std::vector<AppSpec>& apps) {
-  return RunStackingFleet(config, apps, /*num_nodes=*/1).per_node[0];
-}
-
-FleetStackingResult RunStackingFleet(const StackingConfig& config,
-                                     const std::vector<AppSpec>& apps, int num_nodes) {
-  LITHOS_CHECK_GT(num_nodes, 0);
   Simulator sim;
   sim.SetTrace(config.trace);
   const TimeNs horizon = config.warmup + config.duration;
-
-  // One full per-GPU stack per node; app i lands on node i % num_nodes.
-  std::vector<std::unique_ptr<GpuNode>> nodes;
-  for (int n = 0; n < num_nodes; ++n) {
-    nodes.push_back(std::make_unique<GpuNode>(&sim, n, config.spec, config.system, config.lithos));
-    nodes.back()->engine()->SetTrace(config.trace, n, /*zone=*/-1);
-  }
+  GpuNode node(&sim, /*id=*/0, config.spec, config.system, config.lithos);
+  node.engine()->SetTrace(config.trace, /*node=*/0, /*zone=*/-1);
+  Driver* driver = node.driver();
 
   std::vector<ServingApp> serving(apps.size());
   std::vector<std::unique_ptr<ClosedLoopRunner>> runners(apps.size());
 
   for (size_t i = 0; i < apps.size(); ++i) {
     const AppSpec& app = apps[i];
-    Driver* driver = nodes[i % num_nodes]->driver();
     Client* client = driver->CuCtxCreate(
         app.model + "/" + std::to_string(i),
         app.IsHighPriority() ? PriorityClass::kHighPriority : PriorityClass::kBestEffort,
@@ -189,12 +182,8 @@ FleetStackingResult RunStackingFleet(const StackingConfig& config,
     }
   }
 
-  // Drop warm-up effects from every engine's power/capacity integrals too.
-  sim.ScheduleAt(config.warmup, [&nodes] {
-    for (auto& node : nodes) {
-      node->engine()->ResetStats();
-    }
-  });
+  // Drop warm-up effects from the engine's power/capacity integrals too.
+  sim.ScheduleAt(config.warmup, [&node] { node.engine()->ResetStats(); });
 
   sim.RunUntil(horizon);
   // Stop closed loops so the final drain terminates.
@@ -204,47 +193,38 @@ FleetStackingResult RunStackingFleet(const StackingConfig& config,
     }
   }
 
-  FleetStackingResult fleet;
-  double busy = 0;
-  double capacity = 0;
-  for (int n = 0; n < num_nodes; ++n) {
-    StackingResult result;
-    result.system = config.system;
-    result.measured_seconds = ToSeconds(config.duration);
-    result.engine = nodes[n]->engine()->Stats();
-    busy += result.engine.busy_tpc_seconds;
-    capacity += result.engine.elapsed_seconds * config.spec.TotalTpcs();
+  StackingResult result;
+  result.system = config.system;
+  result.measured_seconds = ToSeconds(config.duration);
+  result.engine = node.engine()->Stats();
+  result.sim = sim.counters();
 
-    if (auto* lithos = dynamic_cast<LithosBackend*>(nodes[n]->backend())) {
-      lithos->predictor().FinalizeStats();
-      const PredictionStats& pstats = lithos->predictor().stats();
-      result.predictor_predictions = pstats.predictions;
-      result.predictor_mispred_rate = pstats.MispredictionRate();
-      result.predictor_err_p99_us = pstats.abs_error_us.P99();
-      result.atoms_dispatched = lithos->atoms_dispatched();
-      result.tpcs_stolen = lithos->tpc_scheduler().stats().tpcs_stolen;
-    }
-
-    for (size_t i = n; i < apps.size(); i += num_nodes) {
-      const AppSpec& app = apps[i];
-      if (app.IsOpenLoop()) {
-        serving[i].recorder->Finalize();
-        result.apps.push_back(CollectOpenLoop(app, *serving[i].recorder, horizon));
-      } else {
-        AppResult r;
-        r.model = app.model;
-        r.role = app.role;
-        r.iterations_per_s = runners[i]->FractionalIterations() / ToSeconds(config.duration);
-        runners[i]->Finalize();
-        r.iteration_p50_ms = runners[i]->iteration_ms().Percentile(50);
-        result.apps.push_back(r);
-      }
-    }
-    fleet.per_node.push_back(std::move(result));
+  if (auto* lithos = dynamic_cast<LithosBackend*>(node.backend())) {
+    lithos->predictor().FinalizeStats();
+    const PredictionStats& pstats = lithos->predictor().stats();
+    result.predictor_predictions = pstats.predictions;
+    result.predictor_mispred_rate = pstats.MispredictionRate();
+    result.predictor_err_p99_us = pstats.abs_error_us.P99();
+    result.atoms_dispatched = lithos->atoms_dispatched();
+    result.tpcs_stolen = lithos->tpc_scheduler().stats().tpcs_stolen;
   }
-  fleet.fleet_utilization = capacity > 0 ? busy / capacity : 0.0;
-  fleet.sim = sim.counters();
-  return fleet;
+
+  for (size_t i = 0; i < apps.size(); ++i) {
+    const AppSpec& app = apps[i];
+    if (app.IsOpenLoop()) {
+      serving[i].recorder->Finalize();
+      result.apps.push_back(CollectOpenLoop(app, *serving[i].recorder, horizon));
+    } else {
+      AppResult r;
+      r.model = app.model;
+      r.role = app.role;
+      r.iterations_per_s = runners[i]->FractionalIterations() / ToSeconds(config.duration);
+      runners[i]->Finalize();
+      r.iteration_p50_ms = runners[i]->iteration_ms().Percentile(50);
+      result.apps.push_back(r);
+    }
+  }
+  return result;
 }
 
 AppResult RunSolo(const AppSpec& app, const GpuSpec& spec, DurationNs duration, uint64_t seed) {

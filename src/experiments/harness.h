@@ -12,6 +12,7 @@
 
 #include "src/core/config.h"
 #include "src/driver/backend.h"
+#include "src/driver/driver.h"
 #include "src/gpu/execution_engine.h"
 #include "src/gpu/gpu_spec.h"
 #include "src/workloads/clients.h"
@@ -36,12 +37,37 @@ enum class SystemKind {
 std::string SystemName(SystemKind kind);
 // All nine systems in the paper's presentation order.
 std::vector<SystemKind> AllSystems();
-// The seven systems that can host a best-effort app (Fig. 15 excludes
-// MIG/Limits from the latency plot because they cannot run the BE at all).
-std::vector<SystemKind> SystemsWithBestEffort();
 
 std::unique_ptr<Backend> MakeBackend(SystemKind kind, Simulator* sim, ExecutionEngine* engine,
                                      const LithosConfig& lithos_config);
+
+// --- GpuNode -----------------------------------------------------------------
+
+// One GPU's worth of stack (engine, driver, scheduling backend) on a shared
+// simulator: the unit RunStacking runs alone and ClusterDispatcher
+// replicates across a fleet.
+class GpuNode {
+ public:
+  GpuNode(Simulator* sim, int id, const GpuSpec& spec, SystemKind system,
+          const LithosConfig& config);
+  GpuNode(const GpuNode&) = delete;
+  GpuNode& operator=(const GpuNode&) = delete;
+
+  int id() const { return id_; }
+  Simulator* sim() const { return sim_; }
+  ExecutionEngine* engine() { return &engine_; }
+  Driver* driver() { return &driver_; }
+  Backend* backend() { return backend_.get(); }
+  SystemKind system() const { return system_; }
+
+ private:
+  Simulator* sim_;
+  int id_;
+  SystemKind system_;
+  ExecutionEngine engine_;
+  Driver driver_;
+  std::unique_ptr<Backend> backend_;
+};
 
 // --- App specification ----------------------------------------------------------
 
@@ -97,6 +123,7 @@ struct StackingResult {
   std::vector<AppResult> apps;
   EngineStats engine;
   double measured_seconds = 0;
+  SimCounters sim;  // event-core work done by the whole run
 
   // LithOS-only diagnostics (zero for other systems): online latency
   // predictor accuracy (§7.4) and scheduler counters.
@@ -115,7 +142,7 @@ struct StackingConfig {
   DurationNs duration = FromSeconds(10);  // measured window after warmup
   uint64_t seed = 42;
 
-  // Optional binary trace sink: the simulator core and every node engine
+  // Optional binary trace sink: the simulator core and the engine
   // append to it (records derive only from sim state, so the bytes are
   // identical across runs and `--jobs` values for the same config).
   TraceRecorder* trace = nullptr;
@@ -123,21 +150,6 @@ struct StackingConfig {
 
 // Runs a multi-tenant stacking scenario and returns per-app metrics.
 StackingResult RunStacking(const StackingConfig& config, const std::vector<AppSpec>& apps);
-
-// --- Fleet mode --------------------------------------------------------------
-
-// A per-GPU stacking experiment replicated across a cluster of identical
-// nodes sharing one simulated clock (src/cluster). App i runs on node
-// i % num_nodes; every node gets its own engine, driver, and backend.
-struct FleetStackingResult {
-  std::vector<StackingResult> per_node;
-  // Busy TPC-seconds over capacity, summed across the whole fleet.
-  double fleet_utilization = 0;
-  SimCounters sim;  // event-core work done by the whole run
-};
-
-FleetStackingResult RunStackingFleet(const StackingConfig& config,
-                                     const std::vector<AppSpec>& apps, int num_nodes);
 
 // Runs one app alone on the device (native scheduling, no interference) to
 // obtain the normalisation baselines the paper's figures use ("ideal").

@@ -67,18 +67,6 @@ void AppendGroupTable(std::string& out, const char* key_header,
 
 }  // namespace
 
-const char* AttributionComponentName(int component) {
-  switch (component) {
-    case 0: return "queue";
-    case 1: return "service";
-    case 2: return "backoff";
-    case 3: return "recovery";
-    case 4: return "hedge_wait";
-    case 5: return "deferral";
-  }
-  return "unknown";
-}
-
 int64_t AttributionComponent(const Attribution& a, int component) {
   switch (component) {
     case 0: return a.queue;

@@ -50,9 +50,8 @@ struct Attribution {
 };
 
 inline constexpr int kNumAttributionComponents = 6;
-// Component accessors in fixed display order: queue, service, backoff,
+// Component accessor in fixed display order: queue, service, backoff,
 // recovery, hedge_wait, deferral.
-const char* AttributionComponentName(int component);
 int64_t AttributionComponent(const Attribution& a, int component);
 
 // Aggregate counts for span sets (completed/failed/shed/open/partial).

@@ -7,13 +7,8 @@
 
 namespace lithos {
 
-// Capacity consumed by a client: allocated TPC-seconds (time-weighted TPC
-// utilization integral). Fig. 17 compares this before/after right-sizing.
-inline double ClientCapacityTpcSeconds(const EngineStats& stats, int client_id) {
-  auto it = stats.allocated_tpc_seconds.find(client_id);
-  return it == stats.allocated_tpc_seconds.end() ? 0.0 : it->second;
-}
-
+// Capacity consumed by every client: allocated TPC-seconds (time-weighted
+// TPC utilization integral). Fig. 17 compares this before/after right-sizing.
 inline double TotalCapacityTpcSeconds(const EngineStats& stats) {
   double total = 0;
   for (const auto& [id, v] : stats.allocated_tpc_seconds) {

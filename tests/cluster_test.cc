@@ -1,14 +1,16 @@
 // Cluster-layer tests: placement-policy selection and determinism, the
 // placer against a flat least-outstanding oracle and against the pre-cache
 // zone walk, failover to the
-// least-loaded node under a hot model, the ranked attempt fallback, and the
-// dispatcher's window totals against the per-node routing counts.
+// least-loaded node under a hot model, the ranked attempt fallback, the
+// dispatcher's window totals against the per-node routing counts, and
+// outstanding work draining to zero under every cancellable policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <numeric>
 #include <set>
+#include <utility>
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/placement.h"
@@ -419,6 +421,46 @@ TEST(ClusterTest, RequestLaunchShapeFollowsPolicy) {
   }
 }
 
+// Every GPU-ms a launch adds to a node's outstanding work comes back off
+// once the run drains: attempts that complete, time out or lose a hedge,
+// switch kernels tracked by their own markers (the policy can cancel
+// attempts), and both migration halves.
+TEST(ClusterTest, OutstandingWorkDrainsToZeroUnderEveryCancellablePolicy) {
+  ResilienceConfig no_hedge;
+  no_hedge.enabled = true;
+  ResilienceConfig hedge_shed = no_hedge;
+  hedge_shed.hedge = true;
+  hedge_shed.shed_watermark_ms = 60;
+  ResilienceConfig short_timeout = no_hedge;
+  short_timeout.attempt_timeout = FromMillis(5);
+  const std::pair<const char*, ResilienceConfig> cases[] = {
+      {"hedge + shed", hedge_shed}, {"no hedge", no_hedge}, {"5 ms timeout", short_timeout}};
+  for (const auto& [name, rc] : cases) {
+    SCOPED_TRACE(name);
+    Simulator sim;
+    ClusterConfig config = SmallConfig(PlacementPolicy::kRoundRobin);
+    config.aggregate_rps = 1200.0;  // round-robin spraying switches models on every node
+    config.resilience = rc;
+    ClusterDispatcher dispatcher(&sim, config);
+    dispatcher.StartArrivals(config.duration);
+    // A retire (checkpoint half on node 0), then a clone back (restore half).
+    sim.ScheduleAt(FromMillis(700),
+                   [&dispatcher] { EXPECT_TRUE(dispatcher.MoveReplica(0, 0, -1)); });
+    sim.ScheduleAt(FromMillis(1300),
+                   [&dispatcher] { EXPECT_TRUE(dispatcher.MoveReplica(0, -1, 0)); });
+    sim.RunToCompletion();
+
+    const ClusterResult result = dispatcher.Collect(config.duration);
+    EXPECT_GT(dispatcher.dispatched(), 2000u);
+    EXPECT_GT(result.total_model_switches, 100u);
+    EXPECT_GT(result.migration_gpu_ms, 0.0);
+    for (int n = 0; n < config.num_nodes; ++n) {
+      EXPECT_NEAR(dispatcher.outstanding_ms()[n], 0.0, 1e-9) << "node " << n;
+    }
+    EXPECT_EQ(dispatcher.live_markers(), 0u);
+  }
+}
+
 // The per-model retry budget caps a retry storm. With every attempt timing
 // out and attempts effectively unlimited, the timeout that ends an attempt
 // admits a retry only while the model's launched retries are below
@@ -649,68 +691,6 @@ TEST(ClusterTest, AffinityUsesFewerGpusThanSpraying) {
   EXPECT_GT(affinity.used_utilization, rr.used_utilization);
   // Packing also cuts model churn per node.
   EXPECT_LT(affinity.total_model_switches, rr.total_model_switches);
-}
-
-// --- Harness fleet mode ------------------------------------------------------
-
-TEST(ClusterTest, FleetStackingDistributesAppsAcrossNodes) {
-  StackingConfig config;
-  config.system = SystemKind::kMps;
-  config.warmup = FromMillis(500);
-  config.duration = FromSeconds(2);
-
-  AppSpec a;
-  a.role = AppRole::kHpLatency;
-  a.model = "ResNet";
-  a.load_rps = 200;
-  AppSpec b = a;
-  b.model = "BERT";
-  b.load_rps = 20;
-
-  const FleetStackingResult fleet = RunStackingFleet(config, {a, b, a, b}, 2);
-  ASSERT_EQ(fleet.per_node.size(), 2u);
-  // Apps 0 and 2 land on node 0; apps 1 and 3 on node 1.
-  ASSERT_EQ(fleet.per_node[0].apps.size(), 2u);
-  ASSERT_EQ(fleet.per_node[1].apps.size(), 2u);
-  EXPECT_EQ(fleet.per_node[0].apps[0].model, "ResNet");
-  EXPECT_EQ(fleet.per_node[1].apps[0].model, "BERT");
-  for (const StackingResult& node : fleet.per_node) {
-    for (const AppResult& app : node.apps) {
-      EXPECT_GT(app.completed, 0u);
-    }
-  }
-  EXPECT_GT(fleet.fleet_utilization, 0.0);
-  EXPECT_LE(fleet.fleet_utilization, 1.0);
-}
-
-TEST(ClusterTest, IdleNodesDoNotPerturbBusyNodes) {
-  StackingConfig config;
-  config.system = SystemKind::kMps;
-  config.warmup = FromMillis(500);
-  config.duration = FromSeconds(2);
-
-  AppSpec a;
-  a.role = AppRole::kHpLatency;
-  a.model = "ResNet";
-  a.load_rps = 100;
-
-  // The single app runs on node 0 either way; extra idle nodes share the
-  // simulator but contribute no events, so node 0's results must be
-  // bit-identical — a real check that fleet wiring does not leak state
-  // between per-node stacks.
-  const StackingResult solo = RunStacking(config, {a});
-  const FleetStackingResult fleet = RunStackingFleet(config, {a}, 3);
-  ASSERT_EQ(fleet.per_node.size(), 3u);
-  ASSERT_EQ(fleet.per_node[0].apps.size(), 1u);
-  EXPECT_TRUE(fleet.per_node[1].apps.empty());
-  EXPECT_TRUE(fleet.per_node[2].apps.empty());
-  EXPECT_EQ(solo.apps[0].completed, fleet.per_node[0].apps[0].completed);
-  EXPECT_DOUBLE_EQ(solo.apps[0].p99_ms, fleet.per_node[0].apps[0].p99_ms);
-  EXPECT_DOUBLE_EQ(solo.apps[0].throughput_rps, fleet.per_node[0].apps[0].throughput_rps);
-  // Idle engines accrue no busy time, so fleet utilization is one third of
-  // the solo node's.
-  EXPECT_EQ(fleet.per_node[1].engine.grants_completed, 0u);
-  EXPECT_EQ(fleet.per_node[2].engine.grants_completed, 0u);
 }
 
 }  // namespace
