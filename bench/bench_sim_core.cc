@@ -653,6 +653,11 @@ int main(int argc, char** argv) {
   json.WallMetric("stacking_wall_ms", stack_ms);
   json.Metric("stacking_deterministic", stack_same ? 1 : 0);
   json.Metric("stacking_hp_a_p99_ms", stack1.apps[0].p99_ms);
+  // The predictor's operator count and index work, pinned exactly: a lookup
+  // that scans more than its (queue, ordinal) position changes the count.
+  json.Metric("stacking_predictor_operators", static_cast<double>(stack1.predictor_operators));
+  json.Metric("stacking_predictor_signature_compares",
+              static_cast<double>(stack1.predictor_signature_compares));
   json.WallMetric("autoscale_wall_ms", fleet_ms);
   json.Metric("autoscale_deterministic", fleet_same ? 1 : 0);
   json.Metric("autoscale_gpu_hours_per_day", fleet1.gpu_hours_per_day);

@@ -252,11 +252,14 @@ bool ClusterDispatcher::NodeGated(int node) const {
 
 void ClusterDispatcher::LaunchTracked(int node, Stream* stream, const KernelDesc* kernel,
                                       double ms) {
-  Driver* driver = nodes_[node]->driver();
-  driver->CuLaunchKernel(stream, kernel);
+  nodes_[node]->driver()->CuLaunchKernel(stream, kernel);
   AddOutstanding(node, ms);
+  AddReleaseMarker(node, stream, ms);
+}
+
+void ClusterDispatcher::AddReleaseMarker(int node, Stream* stream, double ms) {
   const uint64_t epoch = node_state_[node].epoch;
-  driver->CuStreamAddCallback(stream, [this, node, ms, epoch] {
+  nodes_[node]->driver()->CuStreamAddCallback(stream, [this, node, ms, epoch] {
     if (node_state_[node].epoch == epoch) {
       AddOutstanding(node, -ms);
     }

@@ -189,9 +189,25 @@ class ClusterDispatcher {
   static constexpr double kRetryBudgetFraction = 0.2;
   static constexpr uint64_t kRetryBudgetFloor = 32;
 
+  // One model's synthetic kernels (hidden ground-truth timing built from the
+  // fleet study's per-request cost and model size) and the GPU-ms each
+  // charges to a node's outstanding work. Checkpoint and restore differ only
+  // in name, which LithOS's predictor keys on.
+  struct ModelKernels {
+    KernelDesc request;
+    KernelDesc load;        // model switch: weight load / cache refill
+    KernelDesc checkpoint;  // migration half on the source
+    KernelDesc restore;     // migration half on the destination
+    double switch_ms = 0;
+    double half_migration_ms = 0;
+  };
+
   ClusterDispatcher(Simulator* sim, const ClusterConfig& config);
 
   const std::vector<FleetModel>& models() const { return fleet_.models(); }
+  const ModelKernels& model_kernels(int model_index) const {
+    return model_kernels_[model_index];
+  }
   const std::vector<std::unique_ptr<GpuNode>>& nodes() const { return nodes_; }
   // Read-only: replica sets change only through MoveReplica.
   const Placer& placer() const { return placer_; }
@@ -487,9 +503,12 @@ class ClusterDispatcher {
   // node's stream for the model and tracks its outstanding GPU time.
   void ChargeMigrationKernel(int node, int model_index, const KernelDesc* kernel);
   // Launches `kernel` on `stream` and counts `ms` as outstanding on `node`
-  // until a marker queued behind it fires, unless the node crashed (its
-  // epoch moved) in between: FailNode already wrote the work off.
+  // until a marker queued behind it fires (AddReleaseMarker).
   void LaunchTracked(int node, Stream* stream, const KernelDesc* kernel, double ms);
+  // Queues on `stream` a marker that takes `ms` off `node`'s outstanding work
+  // when it fires, unless the node crashed (its epoch moved) in between:
+  // FailNode already wrote the work off.
+  void AddReleaseMarker(int node, Stream* stream, double ms);
   // Adjusts a node's outstanding-work estimate (clamped at zero) and keeps
   // the per-zone and fleet-total aggregates in sync.
   void AddOutstanding(int node, double delta_ms);
@@ -545,18 +564,6 @@ class ClusterDispatcher {
   std::vector<std::unique_ptr<GpuNode>> nodes_;
   Placer placer_;
 
-  // One model's synthetic kernels (hidden ground-truth timing built from the
-  // fleet study's per-request cost and model size) and the GPU-ms each
-  // charges to a node's outstanding work. Checkpoint and restore differ only
-  // in name, which LithOS's predictor keys on.
-  struct ModelKernels {
-    KernelDesc request;
-    KernelDesc load;        // model switch: weight load / cache refill
-    KernelDesc checkpoint;  // migration half on the source
-    KernelDesc restore;     // migration half on the destination
-    double switch_ms = 0;
-    double half_migration_ms = 0;
-  };
   std::vector<ModelKernels> model_kernels_;  // index by model
   std::vector<double> model_share_;      // popularity share, sums to 1
 

@@ -380,15 +380,9 @@ bool ClusterDispatcher::TryCancelAttempt(uint32_t slot, int attempt) {
   } else {
     // The kernel is on the device and this backend cannot abort it: the work
     // burns to completion. Track its outstanding time with a replacement
-    // decrement-only marker (the result is discarded either way).
-    const int node = a.node;
-    const double cost = a.cost_ms;
-    const uint64_t epoch = a.epoch;
-    driver->CuStreamAddCallback(a.stream, [this, node, cost, epoch] {
-      if (node_state_[node].epoch == epoch) {
-        AddOutstanding(node, -cost);
-      }
-    });
+    // decrement-only marker (the result is discarded either way); the guard
+    // above makes a.epoch the node's current epoch.
+    AddReleaseMarker(a.node, a.stream, a.cost_ms);
   }
   a.open = false;
   EmitReq(TraceKind::kReqAttemptCancel, a.node, ZoneOfNode(a.node),

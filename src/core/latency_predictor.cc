@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/common/check.h"
 
@@ -23,13 +24,24 @@ double LatencyPredictor::FreqFactor(int freq_mhz, double sensitivity) const {
 }
 
 LatencyPredictor::OperatorModel* LatencyPredictor::Find(const OperatorKey& key) {
-  auto it = ops_.find(key);
-  return it == ops_.end() ? nullptr : &it->second;
+  return const_cast<OperatorModel*>(std::as_const(*this).Find(key));
 }
 
 const LatencyPredictor::OperatorModel* LatencyPredictor::Find(const OperatorKey& key) const {
-  auto it = ops_.find(key);
-  return it == ops_.end() ? nullptr : &it->second;
+  // A negative queue id wraps to a huge index and misses like an unseen one.
+  const size_t q = static_cast<size_t>(key.queue_id);
+  if (q >= index_.size() || key.ordinal >= index_[q].size()) {
+    return nullptr;
+  }
+  const std::vector<IndexEntry>& entries = index_[q][key.ordinal];
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].signature == key.signature) {
+      signature_compares_ += i + 1;
+      return entries[i].model;
+    }
+  }
+  signature_compares_ += entries.size();
+  return nullptr;
 }
 
 DurationNs LatencyPredictor::Predict(const OperatorKey& key, const OperatorModel* model,
@@ -72,8 +84,27 @@ LatencyPredictor::OperatorModel* LatencyPredictor::Record(const OperatorKey& key
   LITHOS_CHECK_GT(observed, 0);
   const double frac = std::clamp(cond.block_fraction, 1e-9, 1.0);
 
+  LITHOS_CHECK_GE(key.queue_id, 0);
+  const size_t q = static_cast<size_t>(key.queue_id);
   if (model == nullptr) {
-    model = &ops_[key];
+    if (q >= index_.size()) {
+      index_.resize(q + 1);
+    }
+    std::vector<std::vector<IndexEntry>>& by_ordinal = index_[q];
+    if (key.ordinal >= by_ordinal.size()) {
+      by_ordinal.resize(static_cast<size_t>(key.ordinal) + 1);
+    }
+    std::vector<IndexEntry>& entries = by_ordinal[key.ordinal];
+    for (const IndexEntry& e : entries) {
+      if (e.signature == key.signature) {
+        model = e.model;
+        break;
+      }
+    }
+    if (model == nullptr) {
+      model = models_.emplace_back(std::make_unique<OperatorModel>()).get();
+      entries.push_back(IndexEntry{key.signature, model});
+    }
   }
   OperatorModel& m = *model;
 
@@ -119,8 +150,6 @@ LatencyPredictor::OperatorModel* LatencyPredictor::Record(const OperatorKey& key
   }
 
   // Queue-wide running mean prior.
-  LITHOS_CHECK_GE(key.queue_id, 0);
-  const size_t q = static_cast<size_t>(key.queue_id);
   if (q >= queue_count_.size()) {
     queue_count_.resize(q + 1, 0);
     queue_mean_.resize(q + 1, 0.0);

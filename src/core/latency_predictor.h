@@ -9,6 +9,11 @@
 // Operators are identified by (launch queue, batch ordinal, launch signature):
 // a single kernel function reused across layers with different tensor shapes
 // maps to distinct operators, exactly the pitfall Section 4.7 calls out.
+// Queue ids and batch ordinals are small dense counters, so the operators are
+// indexed by them directly: queue -> ordinal -> the few signatures seen at
+// that position, in first-seen order. A lookup is two vector indexes and a
+// short scan of 64-bit signatures; only dynamic batching puts more than one
+// operator at a position (one per batch size).
 //
 // Observations are normalised to canonical conditions (full grid fraction,
 // reference frequency) assuming optimal linear scaling, the paper's stated
@@ -25,9 +30,10 @@
 #ifndef LITHOS_CORE_LATENCY_PREDICTOR_H_
 #define LITHOS_CORE_LATENCY_PREDICTOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "src/common/stats.h"
@@ -44,15 +50,6 @@ struct OperatorKey {
 
   bool operator==(const OperatorKey& o) const {
     return queue_id == o.queue_id && ordinal == o.ordinal && signature == o.signature;
-  }
-};
-
-struct OperatorKeyHash {
-  size_t operator()(const OperatorKey& k) const {
-    uint64_t h = k.signature;
-    h ^= (static_cast<uint64_t>(k.queue_id) << 32) | k.ordinal;
-    h *= 0x9e3779b97f4a7c15ULL;
-    return static_cast<size_t>(h ^ (h >> 29));
   }
 };
 
@@ -78,9 +75,9 @@ class LatencyPredictor {
  public:
   // What the predictor has learned about one operator. Callers on the
   // per-kernel path look an operator up once with Find and pass the pointer
-  // to the calls below; models are never erased and the map's nodes do not
-  // move, so a pointer stays valid for the predictor's lifetime. Read it only
-  // through the predictor.
+  // to the calls below; models are never erased and live in stable storage
+  // that the index only points into, so a pointer stays valid for the
+  // predictor's lifetime. Read it only through the predictor.
   struct OperatorModel {
     // EWMA latency per distinct TPC allocation, normalised to full grid
     // fraction and max frequency with the operator's estimated sensitivity.
@@ -99,7 +96,8 @@ class LatencyPredictor {
 
   explicit LatencyPredictor(const GpuSpec& spec) : spec_(spec) {}
 
-  // The operator's model, or nullptr while it has no observation.
+  // The operator's model, or nullptr while it has no observation (always for
+  // a negative queue id).
   OperatorModel* Find(const OperatorKey& key);
   const OperatorModel* Find(const OperatorKey& key) const;
 
@@ -123,7 +121,8 @@ class LatencyPredictor {
   }
   // The same for the operator whose model is `model` (Find(key), so nullptr
   // before the first observation). Returns the operator's model, created on
-  // its first observation.
+  // its first observation; a null `model` for a seen operator finds its
+  // model.
   OperatorModel* Record(const OperatorKey& key, OperatorModel* model, const ExecConditions& cond,
                         DurationNs observed, DurationNs predicted);
 
@@ -152,11 +151,29 @@ class LatencyPredictor {
 
   static constexpr double kMispredictionThresholdUs = 50.0;
 
+  // Operators with at least one observation.
+  size_t num_operators() const { return models_.size(); }
+  // Signature comparisons Find has made since construction: the index's
+  // work count, deterministic for a deterministic run.
+  uint64_t signature_compares() const { return signature_compares_; }
+
  private:
+  // One operator at an index position.
+  struct IndexEntry {
+    uint64_t signature;
+    OperatorModel* model;
+  };
+
   double FreqFactor(int freq_mhz, double sensitivity) const;
 
   GpuSpec spec_;
-  std::unordered_map<OperatorKey, OperatorModel, OperatorKeyHash> ops_;
+  // Operator index: queue id -> batch ordinal -> the operators seen at that
+  // position, in first-seen order. Grown only by Record.
+  std::vector<std::vector<std::vector<IndexEntry>>> index_;
+  // Owns the models the index points to, one allocation each, so none ever
+  // moves. (A std::deque would allocate even while empty, on every node.)
+  std::vector<std::unique_ptr<OperatorModel>> models_;
+  mutable uint64_t signature_compares_ = 0;
   // Per-queue running mean used as a prior for unseen operators, indexed by
   // queue (stream) id; a queue with count 0 has no prior yet.
   std::vector<double> queue_mean_;

@@ -261,6 +261,10 @@ bool LithosBackend::TryDispatch(Stream* stream) {
 bool LithosBackend::LaunchNextAtom(HeadExec* exec) {
   const Atom atom = exec->plan.At(exec->next_atom);
   const int client = exec->stream->client_id();
+#ifndef NDEBUG
+  // The model the head looked up once must still be the operator's.
+  LITHOS_CHECK(exec->model == predictor_.Find(exec->key));
+#endif
 
   // Re-acquire TPCs: allocations may shrink (reclaim took effect) or grow
   // (new idle TPCs appeared) between atoms — the paper's mid-kernel

@@ -6,8 +6,9 @@
 // Dispatch pipeline for one kernel (Fig. 8):
 //   1. The stream's head kernel arrives via OnStreamReady (launch queues).
 //   2. The dispatcher checks the client's outstanding-atom budget (sync-queue
-//      throttling), looks the operator up in the predictor once, and asks the
-//      right-sizer how many TPCs the kernel needs.
+//      throttling), looks the operator up in the predictor once (an index by
+//      stream and batch ordinal, then a scan of the few launch signatures
+//      seen there), and asks the right-sizer how many TPCs the kernel needs.
 //   3. The TPC Scheduler grants a mask: home region first, then free pool,
 //      then stolen idle TPCs. It decides from its TPC masks alone (an idle
 //      TPC is a free one), so the grant needs no duration estimate. An empty
@@ -26,8 +27,8 @@
 // ordinal) lives in one table indexed by stream id, and per-client state in
 // one indexed by client id; both id spaces are dense. A head looks its
 // operator up in the predictor once and keeps the model and an arithmetic
-// atom plan, so its atoms do no hash lookup and a kernel allocates no map
-// node or plan vector.
+// atom plan, so its atoms do no lookup and a kernel allocates no map node or
+// plan vector.
 #ifndef LITHOS_CORE_LITHOS_BACKEND_H_
 #define LITHOS_CORE_LITHOS_BACKEND_H_
 

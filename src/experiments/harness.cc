@@ -205,6 +205,8 @@ StackingResult RunStacking(const StackingConfig& config, const std::vector<AppSp
     result.predictor_predictions = pstats.predictions;
     result.predictor_mispred_rate = pstats.MispredictionRate();
     result.predictor_err_p99_us = pstats.abs_error_us.P99();
+    result.predictor_operators = lithos->predictor().num_operators();
+    result.predictor_signature_compares = lithos->predictor().signature_compares();
     result.atoms_dispatched = lithos->atoms_dispatched();
     result.tpcs_stolen = lithos->tpc_scheduler().stats().tpcs_stolen;
   }

@@ -130,6 +130,10 @@ struct StackingResult {
   uint64_t predictor_predictions = 0;
   double predictor_mispred_rate = 0;
   double predictor_err_p99_us = 0;
+  // Operators the predictor learned and the signature comparisons its
+  // lookups made over the whole run (its index's work count).
+  uint64_t predictor_operators = 0;
+  uint64_t predictor_signature_compares = 0;
   uint64_t atoms_dispatched = 0;
   uint64_t tpcs_stolen = 0;
 };

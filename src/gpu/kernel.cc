@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <string_view>
 
 #include "src/common/check.h"
 
@@ -60,23 +62,17 @@ DurationNs KernelDesc::LatencyNs(const GpuSpec& spec, double tpcs, int freq_mhz)
 }
 
 uint64_t KernelDesc::LaunchSignature() const {
-  // FNV-1a over the launch configuration; the name participates so distinct
-  // kernel functions with equal grids stay distinguishable.
-  uint64_t h = 14695981039346656037ULL;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ULL;
-    }
+  // The name's hash, then the launch configuration two 32-bit fields to a
+  // word, each word folded in with a multiply-xorshift step. The name
+  // participates so distinct kernel functions with equal grids stay
+  // distinguishable.
+  uint64_t h = std::hash<std::string_view>{}(name);
+  auto mix = [&h](uint64_t word) {
+    h = (h ^ word) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 32;
   };
-  for (char c : name) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  mix(grid_x);
-  mix(grid_y);
-  mix(grid_z);
-  mix(threads_per_block);
+  mix(grid_x | static_cast<uint64_t>(grid_y) << 32);
+  mix(grid_z | static_cast<uint64_t>(threads_per_block) << 32);
   mix(smem_per_block_bytes);
   return h;
 }

@@ -64,9 +64,11 @@ struct KernelDesc {
   // Frequency slowdown factor 1 + s*(f_max/f - 1).
   double FreqFactor(const GpuSpec& spec, int freq_mhz) const;
 
-  // A compact signature of the launch configuration; the latency predictor
+  // A compact signature of the launch configuration (name, grid, threads per
+  // block, shared memory), hashed a word at a time; the latency predictor
   // keys on it (together with the operator ordinal) to distinguish reuses of
-  // one kernel function across layers with different tensor shapes.
+  // one kernel function across layers with different tensor shapes. Only its
+  // equality matters: no output depends on its value.
   uint64_t LaunchSignature() const;
 };
 

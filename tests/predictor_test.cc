@@ -4,6 +4,10 @@
 // accounting used in §7.4.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -280,6 +284,162 @@ TEST(PredictorHandleTest, HeldModelSurvivesRehash) {
   EXPECT_EQ(predictor.Record(key, model, half, FromMillis(2), /*predicted=*/0), model);
   EXPECT_EQ(LatencyPredictor::DistinctTpcPoints(model), 2);
   EXPECT_EQ(predictor.Predict(key, model, half), predictor.Predict(key, half));
+}
+
+
+// The operator index against a hash-map oracle. Every operator the oracle
+// knows has its own one-operator predictor fed the same observations, so the
+// model the index returns for a key must be the one Record handed out and
+// must predict and fit exactly like the oracle's. Positions mix dense small
+// queues and ordinals with sparse, large ones; some hold 16 signatures.
+TEST(PredictorIndexTest, MatchesHashMapOracle) {
+  struct KeyHash {
+    size_t operator()(const OperatorKey& k) const {
+      return std::hash<uint64_t>{}(k.signature ^ (static_cast<uint64_t>(k.queue_id) << 32) ^
+                                   k.ordinal);
+    }
+  };
+  struct OracleEntry {
+    LatencyPredictor::OperatorModel* model = nullptr;
+    std::unique_ptr<LatencyPredictor> alone;
+  };
+  const GpuSpec spec = GpuSpec::A100();
+  const OperatorKey alone_key{0, 0, 0};
+  const int queues[] = {0, 1, 2, 3, 17, 4096, 60000};
+  const uint32_t ordinals[] = {0, 1, 2, 3, 4, 5, 9, 31, 4096, 50000};
+  const int freqs[] = {spec.max_mhz, 1200, 705};
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    LatencyPredictor predictor(spec);
+    std::unordered_map<OperatorKey, OracleEntry, KeyHash> oracle;
+    // The key pool: 1-4 signatures per position, 16 at about one in five.
+    std::vector<OperatorKey> keys;
+    for (const int queue : queues) {
+      for (const uint32_t ordinal : ordinals) {
+        const int64_t n = rng.UniformInt(0, 4) == 0 ? 16 : rng.UniformInt(1, 4);
+        for (int64_t i = 0; i < n; ++i) {
+          keys.push_back(OperatorKey{queue, ordinal, rng.NextU64()});
+        }
+      }
+    }
+    auto random_cond = [&] {
+      ExecConditions c;
+      c.tpcs = static_cast<double>(rng.UniformInt(1, 54));
+      c.freq_mhz = freqs[rng.UniformInt(0, 2)];
+      c.block_fraction = rng.UniformInt(0, 1) == 0 ? 1.0 : 0.5;
+      return c;
+    };
+    for (int step = 0; step < 20000; ++step) {
+      const OperatorKey& key =
+          keys[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(keys.size()) - 1))];
+      const auto it = oracle.find(key);
+      LatencyPredictor::OperatorModel* model = predictor.Find(key);
+      ScalingFit fit;
+      if (it == oracle.end()) {
+        ASSERT_EQ(model, nullptr) << "step " << step;
+        ASSERT_FALSE(predictor.GetScalingFit(key, &fit));
+      } else {
+        ASSERT_EQ(model, it->second.model) << "step " << step;
+        const ExecConditions probe = random_cond();
+        ASSERT_EQ(predictor.Predict(key, probe), it->second.alone->Predict(alone_key, probe));
+        ScalingFit want;
+        const bool fitted = it->second.alone->GetScalingFit(alone_key, &want);
+        ASSERT_EQ(predictor.GetScalingFit(key, &fit), fitted);
+        if (fitted) {
+          ASSERT_EQ(fit.m, want.m);
+          ASSERT_EQ(fit.b, want.b);
+          ASSERT_EQ(fit.n, want.n);
+        }
+      }
+      if (rng.UniformInt(0, 2) == 0) {
+        continue;  // a lookup only
+      }
+      const ExecConditions cond = random_cond();
+      const DurationNs observed = FromMicros(50) + rng.UniformInt(0, 5000) * 1000;
+      // Observations go through the held model, the key, or a null handle,
+      // which must find the operator's model when it has one.
+      switch (rng.UniformInt(0, 2)) {
+        case 0:
+          model = predictor.Record(key, model, cond, observed, /*predicted=*/0);
+          break;
+        case 1:
+          predictor.Record(key, cond, observed);
+          model = predictor.Find(key);
+          break;
+        default:
+          model = predictor.Record(key, nullptr, cond, observed, /*predicted=*/0);
+          break;
+      }
+      ASSERT_NE(model, nullptr);
+      OracleEntry& entry = oracle[key];
+      if (entry.alone == nullptr) {
+        entry.model = model;
+        entry.alone = std::make_unique<LatencyPredictor>(spec);
+      }
+      ASSERT_EQ(model, entry.model) << "step " << step;
+      entry.alone->Record(alone_key, cond, observed);
+    }
+    // Every model handed out survived the index's growth in place.
+    EXPECT_EQ(predictor.num_operators(), oracle.size());
+    for (const auto& [key, entry] : oracle) {
+      ASSERT_EQ(predictor.Find(key), entry.model);
+    }
+  }
+}
+
+// A lookup on a negative queue id, or on a queue, ordinal or signature never
+// recorded, misses; the keyed calls then fall back to the priors.
+TEST(PredictorIndexTest, NegativeAndUnseenKeysMiss) {
+  const GpuSpec spec = GpuSpec::A100();
+  LatencyPredictor predictor(spec);
+  ExecConditions full;
+  full.tpcs = 54;
+  full.freq_mhz = spec.max_mhz;
+  predictor.Record(OperatorKey{2, 3, 7}, full, FromMillis(1));
+  const OperatorKey misses[] = {
+      {-1, 3, 7}, {std::numeric_limits<int>::min(), 3, 7}, {0, 3, 7},          {3, 3, 7},
+      {2, 2, 7},  {2, 4, 7},                               {2, 0xffffffffu, 7}, {2, 3, 8},
+      {1 << 30, 0, 7}};
+  for (const OperatorKey& key : misses) {
+    EXPECT_EQ(predictor.Find(key), nullptr);
+    EXPECT_FALSE(predictor.HasSeen(key));
+    ScalingFit fit;
+    EXPECT_FALSE(predictor.GetScalingFit(key, &fit));
+  }
+  EXPECT_EQ(predictor.Predict(OperatorKey{-1, 3, 7}, full), LatencyPredictor::kDefaultLatency);
+  EXPECT_EQ(predictor.Predict(OperatorKey{2, 3, 8}, full), FromMillis(1));  // queue prior
+  EXPECT_EQ(predictor.num_operators(), 1u);
+}
+
+// Find compares signatures only at its own (queue, ordinal) position, in
+// first-seen order: a hit on the i-th costs i + 1 comparisons, a miss costs
+// the position's size, and a position past the index costs none.
+TEST(PredictorIndexTest, FindScansOnlyItsPosition) {
+  const GpuSpec spec = GpuSpec::A100();
+  LatencyPredictor predictor(spec);
+  ExecConditions full;
+  full.tpcs = 54;
+  full.freq_mhz = spec.max_mhz;
+  for (const OperatorKey& key : {OperatorKey{1, 0, 10}, OperatorKey{1, 0, 11},
+                                 OperatorKey{1, 0, 12}, OperatorKey{1, 1, 20},
+                                 OperatorKey{2, 0, 30}}) {
+    predictor.Record(key, full, FromMicros(100));
+  }
+  EXPECT_EQ(predictor.num_operators(), 5u);
+  auto compares = [&predictor](const OperatorKey& key) {
+    const uint64_t before = predictor.signature_compares();
+    predictor.Find(key);
+    return predictor.signature_compares() - before;
+  };
+  EXPECT_EQ(compares({1, 0, 10}), 1u);
+  EXPECT_EQ(compares({1, 0, 12}), 3u);
+  EXPECT_EQ(compares({1, 0, 99}), 3u);
+  EXPECT_EQ(compares({1, 1, 20}), 1u);
+  EXPECT_EQ(compares({1, 1, 21}), 1u);
+  EXPECT_EQ(compares({2, 0, 30}), 1u);
+  EXPECT_EQ(compares({1, 2, 10}), 0u);
+  EXPECT_EQ(compares({3, 0, 10}), 0u);
+  EXPECT_EQ(compares({-1, 0, 10}), 0u);
 }
 
 }  // namespace

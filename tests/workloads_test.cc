@@ -4,7 +4,13 @@
 // runners.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "src/baselines/concurrent_backends.h"
+#include "src/cluster/cluster.h"
 #include "src/driver/driver.h"
 #include "src/workloads/clients.h"
 #include "src/workloads/fleet.h"
@@ -115,6 +121,63 @@ TEST(ZooTest, ByNameLookupCoversAllModels) {
   for (const auto& job : TrainingJobs()) {
     EXPECT_NE(MakeTrainingByName(job.model, Spec()), nullptr) << job.model;
   }
+}
+
+// Two kernels share a launch signature exactly when they share the launch
+// configuration it hashes (name, grid, threads per block, shared memory),
+// over every kernel the experiments launch: the zoo's inference profiles at
+// every dynamic batch size, LLM profiles at the trace's shapes, the training
+// profiles, and the fleet's request, load, checkpoint and restore kernels.
+TEST(ZooTest, LaunchSignaturesMatchLaunchConfigurations) {
+  using Config = std::tuple<std::string, uint32_t, uint32_t, uint32_t, uint32_t, uint32_t>;
+  std::map<Config, uint64_t> signature_of;
+  std::map<uint64_t, Config> config_of;
+  size_t kernels = 0;
+  auto add = [&](const KernelDesc& k) {
+    ++kernels;
+    const Config config{k.name, k.grid_x, k.grid_y, k.grid_z, k.threads_per_block,
+                        k.smem_per_block_bytes};
+    const uint64_t signature = k.LaunchSignature();
+    const auto [s, new_config] = signature_of.emplace(config, signature);
+    ASSERT_EQ(s->second, signature) << k.name;
+    const auto [c, new_signature] = config_of.emplace(signature, config);
+    ASSERT_EQ(new_config, new_signature) << k.name << " collides with " << std::get<0>(c->second);
+  };
+  auto add_profile = [&](const ModelProfileRef& profile) {
+    for (const KernelDesc& k : profile->ops) {
+      add(k);
+    }
+  };
+  for (const InferenceServiceSpec& service : InferenceServices()) {
+    for (int batch = 1; batch <= service.max_batch; ++batch) {
+      add_profile(MakeInferenceByName(service.model, Spec(), batch));
+    }
+  }
+  AzureLlmTrace trace(7);
+  std::vector<LlmRequestShape> shapes = {AzureLlmTrace::Small(), AzureLlmTrace::Medium(),
+                                         AzureLlmTrace::Large()};
+  for (int i = 0; i < 6; ++i) {
+    shapes.push_back(trace.Sample());
+  }
+  for (const LlmRequestShape& shape : shapes) {
+    add_profile(MakeLlama3Inference(Spec(), shape.prompt_len, shape.output_len));
+    add_profile(MakeGptJInference(Spec(), shape.prompt_len, shape.output_len));
+  }
+  for (const TrainingJobSpec& job : TrainingJobs()) {
+    add_profile(MakeTrainingByName(job.model, Spec()));
+  }
+  Simulator sim;
+  ClusterConfig config;
+  config.num_nodes = 1;
+  const ClusterDispatcher dispatcher(&sim, config);
+  for (int m = 0; m < static_cast<int>(dispatcher.models().size()); ++m) {
+    const ClusterDispatcher::ModelKernels& k = dispatcher.model_kernels(m);
+    for (const KernelDesc* kernel : {&k.request, &k.load, &k.checkpoint, &k.restore}) {
+      add(*kernel);
+    }
+  }
+  EXPECT_GT(signature_of.size(), 1000u);
+  EXPECT_GT(kernels, signature_of.size());  // equal configurations do recur
 }
 
 TEST(FleetTest, DiurnalRpsRatioMatchesFig4) {
