@@ -18,8 +18,7 @@ namespace {
 // device from it.
 void BM_TpcAcquireRelease(benchmark::State& state) {
   const GpuSpec spec = GpuSpec::A100();
-  LithosConfig cfg;
-  TpcScheduler sched(spec, cfg);
+  TpcScheduler sched(spec);
   sched.RegisterClient(1, PriorityClass::kHighPriority, static_cast<int>(state.range(1)));
   sched.RegisterClient(2, PriorityClass::kBestEffort, 0);
   for (auto _ : state) {

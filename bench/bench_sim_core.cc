@@ -539,9 +539,20 @@ int main(int argc, char** argv) {
   const double ring_new = RingEventsPerSec<Simulator>(kRingTotal, kRingSize);
   const double ring_legacy = RingEventsPerSec<legacy::Simulator>(kRingTotal, kRingSize);
   // Ring recorder sized to one segment: appends stay allocation-free, the
-  // recorder keeps the last 64K records (--trace writes them out).
+  // recorder keeps the last 64K records (--trace writes them out). The
+  // traced/untraced fraction takes the best of three interleaved runs per
+  // side, so a burst of host load during one run does not read as tracing
+  // overhead.
   TraceRecorder ring_trace(TraceRecorder::kSegmentRecords);
-  const double ring_traced = RingEventsPerSecTraced(kRingTotal, kRingSize, &ring_trace);
+  double ring_untraced_best = 0;
+  double ring_traced = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    ring_untraced_best =
+        std::max(ring_untraced_best, RingEventsPerSec<Simulator>(kRingTotal, kRingSize));
+    ring_trace.Clear();
+    ring_traced =
+        std::max(ring_traced, RingEventsPerSecTraced(kRingTotal, kRingSize, &ring_trace));
+  }
   const double churn_new_cancel = ChurnCancelReinsertPerSec<Simulator>(kChurnOps, kChurnPending);
   const double churn_new_resched = ChurnReschedulePerSec(kChurnOps, kChurnPending);
   const double churn_legacy =
@@ -578,7 +589,7 @@ int main(int argc, char** argv) {
                 Table::Num(churn_new_resched / 1e6, 2), Table::Num(churn_speedup, 2)});
   micro.Print();
 
-  const double ring_traced_fraction = ring_new > 0 ? ring_traced / ring_new : 0.0;
+  const double ring_traced_fraction = ring_traced / ring_untraced_best;
   std::printf("\nTraced ring (binary recorder attached, %zu-record ring): %.2f Mev/s "
               "(%.0f%% of untraced)\n",
               TraceRecorder::kSegmentRecords, ring_traced / 1e6, 100 * ring_traced_fraction);

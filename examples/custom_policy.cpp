@@ -24,8 +24,6 @@ class StrictPriorityBackend : public Backend {
   StrictPriorityBackend(Simulator* sim, ExecutionEngine* engine) : Backend(sim, engine) {}
   std::string Name() const override { return "StrictPriority"; }
 
-  void OnClientRegistered(const Client& client) override { clients_[client.id] = client; }
-
   void OnStreamReady(Stream* stream) override {
     Queue(stream).push_back(stream);
     Pump();
@@ -33,7 +31,9 @@ class StrictPriorityBackend : public Backend {
 
  private:
   std::deque<Stream*>& Queue(Stream* stream) {
-    const bool hp = clients_[stream->client_id()].priority == PriorityClass::kHighPriority;
+    // The driver owns each client; a backend reads its facts through the
+    // stream instead of keeping a copy.
+    const bool hp = stream->client().priority == PriorityClass::kHighPriority;
     return hp ? hp_queue_ : be_queue_;
   }
 
@@ -65,7 +65,6 @@ class StrictPriorityBackend : public Backend {
     engine_->Launch(std::move(item), engine_->spec().AllTpcs());
   }
 
-  std::unordered_map<int, Client> clients_;
   std::deque<Stream*> hp_queue_, be_queue_;
   bool busy_ = false;
 };

@@ -2,10 +2,15 @@
 // "Baselines"). Each baseline dispatches whole kernels (no atomization — the
 // coarseness the paper criticises) and differs only in *when* a stream's head
 // kernel may launch and on *which* TPC mask / share weight it runs.
+//
+// A baseline keeps no copy of its clients: it reads a stream's priority class
+// and quota through Stream::client(). Its own state is one dense per-stream
+// table (the whole-kernel grant on the device, and whether the stream waits
+// in the subclass's queue), so launches and queueing allocate nothing.
 #ifndef LITHOS_BASELINES_BASELINE_BASE_H_
 #define LITHOS_BASELINES_BASELINE_BASE_H_
 
-#include <unordered_map>
+#include <deque>
 #include <vector>
 
 #include "src/common/time.h"
@@ -19,8 +24,6 @@ class BaselineBackend : public Backend {
  public:
   BaselineBackend(Simulator* sim, ExecutionEngine* engine) : Backend(sim, engine) {}
 
-  void OnClientRegistered(const Client& client) override { clients_[client.id] = client; }
-
   // Whole-kernel dispatch makes in-flight cancellation exact: abort the
   // grant (the engine rescinds its completion without running on_complete),
   // drop it from the in-flight table, and pop the head so the FIFO advances.
@@ -30,11 +33,6 @@ class BaselineBackend : public Backend {
   // Fixed per-launch dispatch overhead (driver + runtime), matching the
   // interposition-free native path.
   static constexpr DurationNs kLaunchOverheadNs = 2'000;
-
-  bool IsHighPriority(int client_id) const {
-    auto it = clients_.find(client_id);
-    return it != clients_.end() && it->second.priority == PriorityClass::kHighPriority;
-  }
 
   // Claims the stream head and launches the whole kernel on `mask`. The
   // grant's share weight is priority_boost * thread blocks: when TPCs are
@@ -52,17 +50,29 @@ class BaselineBackend : public Backend {
   // Streams with work currently on the device, filtered by priority class.
   int InflightOfClass(PriorityClass cls) const;
 
-  // One stream's whole-kernel grant on the device; `stream` is null while
-  // the stream has none.
-  struct InflightGrant {
-    Stream* stream = nullptr;
-    GrantId grant = kInvalidGrant;
+  // Appends `stream` to `queue` unless it already waits there. A stream
+  // waits in at most one queue, so a re-notified stream keeps its place.
+  void EnqueueOnce(std::deque<Stream*>& queue, Stream* stream);
+  // Removes and returns the stream at `pos` of `queue`.
+  Stream* Unqueue(std::deque<Stream*>& queue, size_t pos = 0);
+
+  // One stream's entry: its whole-kernel grant on the device, if any, and
+  // whether it waits in a queue. A stream can be both when a policy launches
+  // a re-notified stream directly.
+  struct StreamEntry {
+    Stream* stream = nullptr;       // null until the stream's first contact
+    GrantId grant = kInvalidGrant;  // kInvalidGrant while nothing is on the device
+    bool queued = false;
+    bool InFlight() const { return grant != kInvalidGrant; }
   };
 
-  std::unordered_map<int, Client> clients_;
-  // Indexed by stream id (dense per driver): launches allocate nothing, and
-  // walks visit streams in ascending id order.
-  std::vector<InflightGrant> inflight_;
+  // Indexed by stream id (dense per driver): walks visit streams in
+  // ascending id order.
+  std::vector<StreamEntry> streams_;
+
+ private:
+  // The stream's entry, grown on first contact.
+  StreamEntry& Entry(Stream* stream);
 };
 
 }  // namespace lithos

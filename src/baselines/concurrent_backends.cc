@@ -24,7 +24,7 @@ constexpr double kHpWeight = 8.0;
 }  // namespace
 
 void PriorityBackend::OnStreamReady(Stream* stream) {
-  const double boost = IsHighPriority(stream->client_id()) ? kHpWeight : 1.0;
+  const double boost = stream->client().IsHighPriority() ? kHpWeight : 1.0;
   SubmitWhole(stream, engine_->AllTpcs(), boost);
 }
 
@@ -35,13 +35,11 @@ bool ReefBackend::AnyHpActive() const {
 }
 
 void ReefBackend::OnStreamReady(Stream* stream) {
-  if (IsHighPriority(stream->client_id())) {
+  if (stream->client().IsHighPriority()) {
     SubmitWhole(stream, engine_->AllTpcs(), 1.0);
     return;
   }
-  if (be_waiting_set_.insert(stream).second) {
-    be_waiting_.push_back(stream);
-  }
+  EnqueueOnce(be_waiting_, stream);
   PumpBestEffort();
 }
 
@@ -55,9 +53,7 @@ void ReefBackend::PumpBestEffort() {
       }
       be_window_remaining_ = kBeWindow;
     }
-    Stream* s = be_waiting_.front();
-    be_waiting_.pop_front();
-    be_waiting_set_.erase(s);
+    Stream* s = Unqueue(be_waiting_);
     if (s->HasDispatchableKernel()) {
       SubmitWhole(s, engine_->AllTpcs(), 1.0);
       --be_window_remaining_;
@@ -74,7 +70,7 @@ void ReefBackend::HandleHeadComplete(Stream* stream, const GrantInfo& info) {
 // --- TGS ----------------------------------------------------------------------
 
 void TgsBackend::OnStreamReady(Stream* stream) {
-  if (IsHighPriority(stream->client_id())) {
+  if (stream->client().IsHighPriority()) {
     // Rate-control feedback: HP work arriving while BE work is resident is
     // the congestion signal; widen the BE launch gap.
     if (InflightOfClass(PriorityClass::kBestEffort) > 0) {
@@ -85,9 +81,7 @@ void TgsBackend::OnStreamReady(Stream* stream) {
     SubmitWhole(stream, engine_->AllTpcs(), 1.0);
     return;
   }
-  if (be_waiting_set_.insert(stream).second) {
-    be_waiting_.push_back(stream);
-  }
+  EnqueueOnce(be_waiting_, stream);
   PumpBestEffort();
 }
 
@@ -104,9 +98,7 @@ void TgsBackend::PumpBestEffort() {
     });
     return;
   }
-  Stream* s = be_waiting_.front();
-  be_waiting_.pop_front();
-  be_waiting_set_.erase(s);
+  Stream* s = Unqueue(be_waiting_);
   if (s->HasDispatchableKernel()) {
     SubmitWhole(s, engine_->AllTpcs(), 1.0);
     be_earliest_launch_ = now + be_gap_;
@@ -119,7 +111,7 @@ void TgsBackend::HandleHeadComplete(Stream* stream, const GrantInfo& info) {
   // fully idle — the controller's steady-arrival-rate assumption makes the
   // decay deliberately sluggish (the weakness §7.1 calls out under bursty
   // inference load).
-  if (!IsHighPriority(stream->client_id()) &&
+  if (!stream->client().IsHighPriority() &&
       InflightOfClass(PriorityClass::kHighPriority) == 0) {
     be_gap_ = static_cast<DurationNs>(static_cast<double>(be_gap_) * kDecay);
   }
@@ -133,8 +125,8 @@ bool OrionBackend::Contends(const KernelDesc& be_kernel) const {
   // A BE kernel contends when any in-flight HP kernel stresses the same
   // dominant resource (compute vs memory bandwidth). Profiles come from the
   // descriptor, standing in for Orion's offline profiling pass.
-  for (const InflightGrant& g : inflight_) {
-    if (g.stream == nullptr || !IsHighPriority(g.stream->client_id())) {
+  for (const StreamEntry& g : streams_) {
+    if (!g.InFlight() || !g.stream->client().IsHighPriority()) {
       continue;
     }
     const LaunchRecord* head = g.stream->InFlightHead();
@@ -149,7 +141,7 @@ bool OrionBackend::Contends(const KernelDesc& be_kernel) const {
 }
 
 void OrionBackend::OnStreamReady(Stream* stream) {
-  if (IsHighPriority(stream->client_id())) {
+  if (stream->client().IsHighPriority()) {
     SubmitWhole(stream, engine_->AllTpcs(), 1.0);
     return;
   }
@@ -158,24 +150,19 @@ void OrionBackend::OnStreamReady(Stream* stream) {
     SubmitWhole(stream, engine_->AllTpcs(), 1.0);
     return;
   }
-  if (be_waiting_set_.insert(stream).second) {
-    be_waiting_.push_back(stream);
-  }
+  EnqueueOnce(be_waiting_, stream);
 }
 
 void OrionBackend::PumpBestEffort() {
   for (size_t i = 0; i < be_waiting_.size();) {
     Stream* s = be_waiting_[i];
     if (!s->HasDispatchableKernel()) {
-      be_waiting_.erase(be_waiting_.begin() + static_cast<long>(i));
-      be_waiting_set_.erase(s);
+      Unqueue(be_waiting_, i);
       continue;
     }
     const KernelDesc& k = *s->PeekHead().kernel;
     if (InflightOfClass(PriorityClass::kHighPriority) == 0 || !Contends(k)) {
-      be_waiting_.erase(be_waiting_.begin() + static_cast<long>(i));
-      be_waiting_set_.erase(s);
-      SubmitWhole(s, engine_->AllTpcs(), 1.0);
+      SubmitWhole(Unqueue(be_waiting_, i), engine_->AllTpcs(), 1.0);
       continue;
     }
     ++i;

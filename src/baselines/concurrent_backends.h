@@ -27,7 +27,6 @@
 
 #include <deque>
 #include <string>
-#include <unordered_set>
 
 #include "src/baselines/baseline_base.h"
 
@@ -75,7 +74,6 @@ class ReefBackend : public BaselineBackend {
   int be_window_remaining_ = 0;
 
   std::deque<Stream*> be_waiting_;
-  std::unordered_set<Stream*> be_waiting_set_;
 };
 
 // --- TGS (adaptive rate control) ------------------------------------------------------
@@ -97,7 +95,6 @@ class TgsBackend : public BaselineBackend {
   DurationNs be_gap_ = 0;
   TimeNs be_earliest_launch_ = 0;
   std::deque<Stream*> be_waiting_;
-  std::unordered_set<Stream*> be_waiting_set_;
   bool be_timer_armed_ = false;
 
   static constexpr DurationNs kMinGap = 0;
@@ -126,7 +123,6 @@ class OrionBackend : public BaselineBackend {
   void PumpBestEffort();
 
   std::deque<Stream*> be_waiting_;
-  std::unordered_set<Stream*> be_waiting_set_;
 };
 
 }  // namespace lithos

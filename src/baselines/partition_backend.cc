@@ -7,7 +7,6 @@
 namespace lithos {
 
 void PartitionBackend::OnClientRegistered(const Client& client) {
-  BaselineBackend::OnClientRegistered(client);
   if (client.tpc_quota <= 0) {
     return;  // No partition: under MIG/Limits this tenant can never run.
   }
@@ -34,14 +33,15 @@ void PartitionBackend::OnClientRegistered(const Client& client) {
     next_tpc_ += granted;
   }
 
-  if (mask.any()) {
-    partitions_[client.id] = mask;
+  if (client.id >= static_cast<int>(partitions_.size())) {
+    partitions_.resize(static_cast<size_t>(client.id) + 1);
   }
+  partitions_[static_cast<size_t>(client.id)] = mask;
 }
 
 TpcMask PartitionBackend::PartitionOf(int client_id) const {
-  auto it = partitions_.find(client_id);
-  return it == partitions_.end() ? TpcMask{} : it->second;
+  const size_t index = static_cast<size_t>(client_id);
+  return index < partitions_.size() ? partitions_[index] : TpcMask{};
 }
 
 void PartitionBackend::OnStreamReady(Stream* stream) {

@@ -11,7 +11,7 @@
 #define LITHOS_BASELINES_PARTITION_BACKEND_H_
 
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "src/baselines/baseline_base.h"
 
@@ -37,7 +37,7 @@ class PartitionBackend : public BaselineBackend {
 
  private:
   Mode mode_;
-  std::unordered_map<int, TpcMask> partitions_;
+  std::vector<TpcMask> partitions_;  // indexed by client id; empty = no partition
   int next_tpc_ = 0;
   int next_gpc_ = 0;
 };

@@ -1,7 +1,5 @@
 #include "src/baselines/timeslice_backend.h"
 
-#include <algorithm>
-
 #include "src/common/check.h"
 
 namespace lithos {
@@ -13,52 +11,44 @@ constexpr DurationNs kQuantum = FromMillis(2.0);
 
 }  // namespace
 
-void TimesliceBackend::OnClientRegistered(const Client& client) {
-  BaselineBackend::OnClientRegistered(client);
-  rotation_.push_back(client.id);
-  slots_.emplace(client.id, ClientSlot{});
+TimesliceBackend::ClientSlot& TimesliceBackend::Slot(int client_id) {
+  LITHOS_CHECK_GT(client_id, 0);
+  if (client_id >= static_cast<int>(slots_.size())) {
+    slots_.resize(static_cast<size_t>(client_id) + 1);
+  }
+  return slots_[static_cast<size_t>(client_id)];
 }
 
 void TimesliceBackend::OnStreamReady(Stream* stream) {
-  ClientSlot& slot = slots_[stream->client_id()];
-  if (slot.ready_set.insert(stream).second) {
-    slot.ready.push_back(stream);
-  }
+  const int client = stream->client_id();
+  EnqueueOnce(Slot(client).ready, stream);
   if (current_ == -1) {
-    SwitchTo(stream->client_id());
-  } else if (current_ == stream->client_id()) {
-    DispatchReady(slot);
+    SwitchTo(client);
+  } else if (current_ == client) {
+    DispatchReady(client);
   }
   // Another client's turn: the work waits for its slice.
 }
 
 int TimesliceBackend::NextClientWithWork() const {
-  if (rotation_.empty()) {
-    return -1;
-  }
-  // Scan the rotation starting after the current holder.
-  size_t start = 0;
-  for (size_t i = 0; i < rotation_.size(); ++i) {
-    if (rotation_[i] == current_) {
-      start = i + 1;
-      break;
-    }
-  }
-  for (size_t off = 0; off < rotation_.size(); ++off) {
-    const int candidate = rotation_[(start + off) % rotation_.size()];
-    auto it = slots_.find(candidate);
-    if (it != slots_.end() && HasWork(it->second)) {
+  // Clients 1..n in id order, scanned starting after the current holder
+  // (from client 1 when nobody holds the device). Clients past the last slot
+  // never had a stream ready, so they have no work to skip.
+  const int n = static_cast<int>(slots_.size()) - 1;
+  const int start = current_ == -1 ? 0 : current_;
+  for (int off = 0; off < n; ++off) {
+    const int candidate = (start + off) % n + 1;
+    if (HasWork(slots_[static_cast<size_t>(candidate)])) {
       return candidate;
     }
   }
   return -1;
 }
 
-void TimesliceBackend::DispatchReady(ClientSlot& slot) {
+void TimesliceBackend::DispatchReady(int client_id) {
+  ClientSlot& slot = Slot(client_id);
   while (!slot.ready.empty()) {
-    Stream* s = slot.ready.front();
-    slot.ready.pop_front();
-    slot.ready_set.erase(s);
+    Stream* s = Unqueue(slot.ready);
     if (!s->HasDispatchableKernel()) {
       continue;
     }
@@ -68,9 +58,8 @@ void TimesliceBackend::DispatchReady(ClientSlot& slot) {
 }
 
 void TimesliceBackend::SwitchTo(int client_id) {
-  LITHOS_CHECK(slots_.count(client_id) > 0);
   current_ = client_id;
-  ClientSlot& slot = slots_[client_id];
+  ClientSlot& slot = Slot(client_id);
   // Resume anything preempted on a previous slice.
   for (GrantId g : slot.paused) {
     if (engine_->IsActive(g)) {
@@ -79,7 +68,7 @@ void TimesliceBackend::SwitchTo(int client_id) {
     }
   }
   slot.paused.clear();
-  DispatchReady(slot);
+  DispatchReady(client_id);
   ArmQuantum();
 }
 
@@ -111,10 +100,9 @@ void TimesliceBackend::OnQuantumExpired() {
   }
   // Preempt the current holder: pause its running grants (progress kept),
   // in stream id order — the order SwitchTo resumes them in.
-  ClientSlot& slot = slots_[current_];
-  for (const InflightGrant& g : inflight_) {
-    if (g.stream != nullptr && g.stream->client_id() == current_ &&
-        engine_->IsActive(g.grant)) {
+  ClientSlot& slot = Slot(current_);
+  for (const StreamEntry& g : streams_) {
+    if (g.InFlight() && g.stream->client_id() == current_ && engine_->IsActive(g.grant)) {
       engine_->Pause(g.grant);
       slot.paused.push_back(g.grant);
       --slot.running;
@@ -125,11 +113,11 @@ void TimesliceBackend::OnQuantumExpired() {
 
 void TimesliceBackend::HandleHeadComplete(Stream* stream, const GrantInfo& info) {
   (void)info;
-  ClientSlot& slot = slots_[stream->client_id()];
-  --slot.running;
-  stream->CompleteHead();
-  if (current_ == stream->client_id()) {
-    DispatchReady(slot);
+  const int client = stream->client_id();
+  --Slot(client).running;
+  stream->CompleteHead();  // may re-enter OnStreamReady, growing slots_
+  if (current_ == client) {
+    DispatchReady(client);
     AdvanceIfIdle();
   }
 }
@@ -138,8 +126,7 @@ void TimesliceBackend::AdvanceIfIdle() {
   if (current_ == -1) {
     return;
   }
-  ClientSlot& slot = slots_[current_];
-  if (HasWork(slot)) {
+  if (HasWork(Slot(current_))) {
     return;
   }
   // Current holder drained: hand the device over early (work conservation).

@@ -6,13 +6,14 @@
 //
 // Only one job runs at a time, which is precisely the low-utilization
 // behaviour the paper attributes to temporal multitenancy (Section 2.2).
+//
+// The round robin visits clients in the driver's id order (dense from 1, in
+// registration order), so per-client slots live in a vector indexed by id.
 #ifndef LITHOS_BASELINES_TIMESLICE_BACKEND_H_
 #define LITHOS_BASELINES_TIMESLICE_BACKEND_H_
 
 #include <deque>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/baselines/baseline_base.h"
@@ -24,7 +25,6 @@ class TimesliceBackend : public BaselineBackend {
   TimesliceBackend(Simulator* sim, ExecutionEngine* engine) : BaselineBackend(sim, engine) {}
 
   std::string Name() const override { return "Time slicing"; }
-  void OnClientRegistered(const Client& client) override;
   void OnStreamReady(Stream* stream) override;
 
   int current_client() const { return current_; }
@@ -35,7 +35,6 @@ class TimesliceBackend : public BaselineBackend {
  private:
   struct ClientSlot {
     std::deque<Stream*> ready;            // streams with dispatchable heads
-    std::unordered_set<Stream*> ready_set;
     std::vector<GrantId> paused;          // grants preempted mid-kernel
     int running = 0;                      // grants currently on device
   };
@@ -44,16 +43,20 @@ class TimesliceBackend : public BaselineBackend {
     return !slot.ready.empty() || !slot.paused.empty() || slot.running > 0;
   }
 
+  // The client's slot, grown on its first ready stream.
+  ClientSlot& Slot(int client_id);
   // Gives the device to the next client with work (round robin).
   void SwitchTo(int client_id);
   void AdvanceIfIdle();
   int NextClientWithWork() const;
-  void DispatchReady(ClientSlot& slot);
+  // Launches every ready stream of `client_id` (which holds the device).
+  void DispatchReady(int client_id);
   void ArmQuantum();
   void OnQuantumExpired();
 
-  std::vector<int> rotation_;  // registration order
-  std::unordered_map<int, ClientSlot> slots_;
+  // Indexed by client id; slot 0 is unused. Not held by reference across a
+  // call that can re-enter OnStreamReady (marker callbacks can) and grow it.
+  std::vector<ClientSlot> slots_;
   int current_ = -1;
   EventId quantum_event_ = 0;
 };

@@ -1,13 +1,12 @@
 // Tunable configuration of the LithOS backend: the feature switches the
-// ablations toggle, the latency-slip parameter k, and the few limits tests
-// vary.
+// ablations toggle and the latency-slip parameter k.
 //
 // Defaults follow the paper: k = 1.1 bounds right-sizing and DVFS
-// degradation to ~10% (Sections 7.2, 7.3), and outstanding-work limits keep
-// the GPU backlog shallow so scheduling stays flexible (Section 4.3). The
-// OS's fixed policy — atom sizing, the best-effort outstanding limit,
-// right-sizing exploration, DVFS cadence and predictor smoothing — lives as
-// named constants in the module that applies it.
+// degradation to ~10% (Sections 7.2, 7.3). The OS's fixed policy — atom
+// sizing, the outstanding-atom limits that keep the GPU backlog shallow
+// (Section 4.3), right-sizing exploration, the DVFS cadence and learning
+// period, and predictor smoothing — lives as named constants in the module
+// that applies it. TPC Stealing is always on.
 #ifndef LITHOS_CORE_CONFIG_H_
 #define LITHOS_CORE_CONFIG_H_
 
@@ -16,7 +15,6 @@ namespace lithos {
 struct LithosConfig {
   // --- Feature switches (the ablation in Fig. 19 toggles these) -------------
   bool enable_atomization = true;
-  bool enable_stealing = true;
   bool enable_rightsizing = false;   // off in scheduling-only comparisons (§7.1)
   bool enable_dvfs = false;          // off in scheduling-only comparisons (§7.1)
   // Dedicated-deployment allocation: every kernel occupies the client's full
@@ -25,11 +23,6 @@ struct LithosConfig {
   // scheduling caps the width at the kernel's occupancy bound.
   bool allocate_full_quota = false;
 
-  // --- TPC Scheduler / sync queues --------------------------------------------
-  // Maximum outstanding atoms per high-priority client before the dispatcher
-  // throttles (sync-queue backlog threshold, Fig. 8 step 5).
-  int max_outstanding_hp = 4;
-
   // --- Right-sizing ------------------------------------------------------------
   // Latency-slip parameter k: accept up to this multiplicative latency
   // increase in exchange for fewer TPCs (k = 1.1 in §7.2).
@@ -37,9 +30,6 @@ struct LithosConfig {
 
   // --- DVFS ---------------------------------------------------------------------
   double dvfs_slip = 1.10;
-  // Number of batches observed at f_max before scaling begins (the learning
-  // period, §4.6 "Operation").
-  int dvfs_learning_batches = 3;
 };
 
 }  // namespace lithos

@@ -34,7 +34,7 @@ bool DvfsManager::InLearningPeriod() const {
     return true;
   }
   for (const auto& [id, q] : queues_) {
-    if (q.batches_seen < config_.dvfs_learning_batches) {
+    if (q.batches_seen < kLearningBatches) {
       return true;
     }
   }

@@ -30,6 +30,9 @@ class DvfsManager {
   // Re-evaluation cadence of the frequency target; must be much larger than
   // the hardware switch latency to avoid thrashing (§4.6).
   static constexpr DurationNs kPeriod = FromMillis(250);
+  // Batches each stream runs at f_max before scaling begins (the learning
+  // period, §4.6 "Operation").
+  static constexpr int kLearningBatches = 3;
 
   DvfsManager(Simulator* sim, ExecutionEngine* engine, const LithosConfig& config);
 

@@ -6,18 +6,11 @@
 #include "src/common/check.h"
 
 namespace lithos {
-namespace {
-
-// Maximum outstanding atoms per best-effort client before the dispatcher
-// throttles (sync-queue backlog threshold, Fig. 8 step 5).
-constexpr int kMaxOutstandingBe = 2;
-
-}  // namespace
 
 LithosBackend::LithosBackend(Simulator* sim, ExecutionEngine* engine, LithosConfig config)
     : Backend(sim, engine),
       config_(config),
-      tpc_scheduler_(engine->spec(), config),
+      tpc_scheduler_(engine->spec()),
       predictor_(engine->spec()),
       atomizer_(config),
       right_sizer_(engine->spec(), config, &predictor_),
@@ -32,32 +25,17 @@ void LithosBackend::OnClientRegistered(const Client& client) {
     // A client is listed at most once, so publishing never allocates.
     waiting_changed_.reserve(clients_.size());
   }
-  ClientState& state = clients_[client.id];
-  state.priority = client.priority;
-  state.tpc_quota = client.tpc_quota;
   tpc_scheduler_.RegisterClient(client.id, client.priority, client.tpc_quota);
 }
 
-const LithosBackend::ClientState& LithosBackend::State(int client_id) const {
+LithosBackend::ClientState& LithosBackend::State(int client_id) {
   // Streams belong to clients the driver registered before creating them.
   LITHOS_CHECK(client_id >= 0 && client_id < static_cast<int>(clients_.size()));
   return clients_[client_id];
 }
 
-LithosBackend::ClientState& LithosBackend::State(int client_id) {
-  return const_cast<ClientState&>(std::as_const(*this).State(client_id));
-}
-
-bool LithosBackend::IsHighPriority(int client_id) const {
-  return State(client_id).priority == PriorityClass::kHighPriority;
-}
-
-int LithosBackend::OutstandingLimit(int client_id) const {
-  return IsHighPriority(client_id) ? config_.max_outstanding_hp : kMaxOutstandingBe;
-}
-
-int LithosBackend::BaseAllocation(int client_id, const KernelDesc& kernel) const {
-  const int quota = State(client_id).tpc_quota;
+int LithosBackend::BaseAllocation(const Stream* stream, const KernelDesc& kernel) const {
+  const int quota = stream->client().tpc_quota;
   const int useful = std::max(1, kernel.MaxUsefulTpcs(engine_->spec()));
   if (config_.allocate_full_quota && quota > 0) {
     // Dedicated-deployment behaviour: the kernel occupies the whole quota,
@@ -94,9 +72,8 @@ void LithosBackend::Park(Stream* stream, bool mid_kernel) {
     return;
   }
   head.parked = true;
-  const int client = stream->client_id();
-  CountParked(client, +1);
-  if (!IsHighPriority(client)) {
+  CountParked(stream->client_id(), +1);
+  if (!stream->client().IsHighPriority()) {
     waiting_be_.push_back(stream);
   } else if (mid_kernel) {
     waiting_hp_.push_front(stream);  // Mid-kernel heads resume first.
@@ -198,7 +175,8 @@ bool LithosBackend::TryDispatch(Stream* stream) {
     return true;
   }
   const int client = stream->client_id();
-  if (State(client).outstanding >= OutstandingLimit(client)) {
+  const int limit = stream->client().IsHighPriority() ? kMaxOutstandingHp : kMaxOutstandingBe;
+  if (State(client).outstanding >= limit) {
     return false;  // Sync-queue throttle: backlog above threshold.
   }
 
@@ -222,11 +200,11 @@ bool LithosBackend::TryDispatch(Stream* stream) {
   // full guaranteed region (quota), like a dedicated deployment — the waste
   // the right-sizer then reclaims per kernel (Fig. 17's baseline). Quota-less
   // best-effort clients ask for the kernel's occupancy bound.
-  const int desired = right_sizer_.ChooseTpcs(model, kernel, BaseAllocation(client, kernel));
+  const int desired = right_sizer_.ChooseTpcs(model, kernel, BaseAllocation(stream, kernel));
 
   const TpcMask mask = tpc_scheduler_.Acquire(client, desired);
   if (mask.none()) {
-    if (IsHighPriority(client)) {
+    if (stream->client().IsHighPriority()) {
       tpc_scheduler_.RequestReclaim(client);
     }
     return false;
@@ -269,12 +247,12 @@ bool LithosBackend::LaunchNextAtom(HeadExec* exec) {
   // Re-acquire TPCs: allocations may shrink (reclaim took effect) or grow
   // (new idle TPCs appeared) between atoms — the paper's mid-kernel
   // reallocation.
-  const int desired =
-      right_sizer_.ChooseTpcs(exec->model, *exec->kernel, BaseAllocation(client, *exec->kernel));
+  const int desired = right_sizer_.ChooseTpcs(exec->model, *exec->kernel,
+                                              BaseAllocation(exec->stream, *exec->kernel));
 
   const TpcMask mask = tpc_scheduler_.Acquire(client, desired);
   if (mask.none()) {
-    if (IsHighPriority(client)) {
+    if (exec->stream->client().IsHighPriority()) {
       tpc_scheduler_.RequestReclaim(client);
     }
     return false;

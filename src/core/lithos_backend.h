@@ -24,11 +24,13 @@
 //      queues, HP before BE.
 //
 // Per-stream state (the in-flight head, its parked flag, its last batch
-// ordinal) lives in one table indexed by stream id, and per-client state in
-// one indexed by client id; both id spaces are dense. A head looks its
-// operator up in the predictor once and keeps the model and an arithmetic
-// atom plan, so its atoms do no lookup and a kernel allocates no map node or
-// plan vector.
+// ordinal) lives in one table indexed by stream id, and per-client dispatcher
+// state (outstanding atoms, parked streams) in one indexed by client id; both
+// id spaces are dense. A client's priority class and quota are not copied:
+// they are read through Stream::client() from the driver's Client. A head
+// looks its operator up in the predictor once and keeps the model and an
+// arithmetic atom plan, so its atoms do no lookup and a kernel allocates no
+// map node or plan vector.
 #ifndef LITHOS_CORE_LITHOS_BACKEND_H_
 #define LITHOS_CORE_LITHOS_BACKEND_H_
 
@@ -50,6 +52,11 @@ namespace lithos {
 class LithosBackend : public Backend {
  public:
   LithosBackend(Simulator* sim, ExecutionEngine* engine, LithosConfig config = {});
+
+  // Maximum outstanding atoms per client before the dispatcher throttles
+  // (sync-queue backlog threshold, Fig. 8 step 5).
+  static constexpr int kMaxOutstandingHp = 4;
+  static constexpr int kMaxOutstandingBe = 2;
 
   std::string Name() const override { return "LithOS"; }
   void OnClientRegistered(const Client& client) override;
@@ -92,11 +99,7 @@ class LithosBackend : public Backend {
   };
 
   // Dispatcher state of one client, indexed by client id (dense from 1).
-  // Slots of ids that never registered keep the defaults: best-effort, no
-  // quota.
   struct ClientState {
-    PriorityClass priority = PriorityClass::kBestEffort;
-    int tpc_quota = 0;
     int outstanding = 0;  // atoms in flight
     int parked = 0;       // streams queued in waiting_hp_/waiting_be_
     // `parked` crossed zero since the flags were last published.
@@ -106,13 +109,10 @@ class LithosBackend : public Backend {
   // The stream's slot, grown on first contact.
   HeadExec& Head(Stream* stream);
   ClientState& State(int client_id);
-  const ClientState& State(int client_id) const;
-  bool IsHighPriority(int client_id) const;
-  int OutstandingLimit(int client_id) const;
   // Allocation a kernel requests before right-sizing: the client's quota
   // (dedicated-deployment behaviour) or, for quota-less clients, the
   // kernel's occupancy bound.
-  int BaseAllocation(int client_id, const KernelDesc& kernel) const;
+  int BaseAllocation(const Stream* stream, const KernelDesc& kernel) const;
 
   // Attempts to dispatch every waiting stream, HP queue first.
   void Pump();

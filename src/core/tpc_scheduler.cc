@@ -36,8 +36,8 @@ TpcMask TakeLowest(const TpcMask& mask, int& n) {
 
 }  // namespace
 
-TpcScheduler::TpcScheduler(const GpuSpec& spec, const LithosConfig& config)
-    : config_(config), total_tpcs_(spec.TotalTpcs()), device_(TpcRange(0, total_tpcs_)) {
+TpcScheduler::TpcScheduler(const GpuSpec& spec)
+    : total_tpcs_(spec.TotalTpcs()), device_(TpcRange(0, total_tpcs_)) {
   home_owner_.fill(-1);
   free_ = device_;
   unowned_ = device_;
@@ -95,7 +95,7 @@ TpcMask TpcScheduler::Acquire(int client_id, int desired) {
   // Best-effort work never steals while a high-priority client waits, which
   // would invert priorities.
   const bool thief_is_be = client->priority == PriorityClass::kBestEffort;
-  if (remaining > 0 && config_.enable_stealing && !(thief_is_be && hp_waiting_ > 0)) {
+  if (remaining > 0 && !(thief_is_be && hp_waiting_ > 0)) {
     ++acquire_epoch_;
     // Passes 1-2 took only home and unowned TPCs, so `free_` still holds
     // every candidate, and each owner's `home & free_` below is unchanged.

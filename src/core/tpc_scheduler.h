@@ -44,7 +44,6 @@
 #include <array>
 #include <vector>
 
-#include "src/core/config.h"
 #include "src/driver/client.h"
 #include "src/gpu/gpu_spec.h"
 
@@ -60,7 +59,7 @@ struct TpcSchedulerStats {
 
 class TpcScheduler {
  public:
-  TpcScheduler(const GpuSpec& spec, const LithosConfig& config);
+  explicit TpcScheduler(const GpuSpec& spec);
 
   // Registers a client (id >= 0) and carves its home region (next-fit from
   // TPC 0). Quotas beyond the remaining capacity are truncated. New home TPCs
@@ -127,7 +126,6 @@ class TpcScheduler {
   ClientState* Find(int client_id);
   const ClientState* Find(int client_id) const;
 
-  LithosConfig config_;
   int total_tpcs_;
   TpcMask device_;                         // TPCs [0, total_tpcs_)
   std::array<int, kMaxTpcs> home_owner_;   // -1 = free pool

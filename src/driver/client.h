@@ -28,6 +28,8 @@ struct Client {
   int tpc_quota = 0;
   // Memory footprint; used only for reporting and MIG partition sizing.
   double memory_gib = 0;
+
+  bool IsHighPriority() const { return priority == PriorityClass::kHighPriority; }
 };
 
 }  // namespace lithos

@@ -6,9 +6,6 @@ namespace lithos {
 
 // --- Stream ------------------------------------------------------------------
 
-Stream::Stream(Driver* driver, int id, int client_id, StreamPriority priority)
-    : driver_(driver), id_(id), client_id_(client_id), priority_(priority) {}
-
 void Stream::EnqueueKernel(uint64_t launch_id, const KernelDesc* kernel, TimeNs now) {
   LITHOS_CHECK(kernel != nullptr);
   LaunchRecord rec;
@@ -120,10 +117,9 @@ Client* Driver::CuCtxCreate(const std::string& name, PriorityClass priority, int
   return ptr;
 }
 
-Stream* Driver::CuStreamCreate(Client* client, StreamPriority priority) {
+Stream* Driver::CuStreamCreate(Client* client) {
   LITHOS_CHECK(client != nullptr);
-  auto stream =
-      std::make_unique<Stream>(this, static_cast<int>(streams_.size()) + 1, client->id, priority);
+  auto stream = std::make_unique<Stream>(this, static_cast<int>(streams_.size()) + 1, client);
   Stream* ptr = stream.get();
   streams_.push_back(std::move(stream));
   return ptr;

@@ -7,6 +7,10 @@
 // the installed scheduling backend, which decides when and where each kernel
 // runs. Nothing in the workload layer can bypass the backend — the same
 // transparency property the paper's interposition library provides.
+//
+// The driver owns every Client and Stream, and a client's facts (priority
+// class, TPC quota) live only here: each stream reaches its client through
+// Stream::client(), and backends keep only their own dynamic state.
 #ifndef LITHOS_DRIVER_DRIVER_H_
 #define LITHOS_DRIVER_DRIVER_H_
 
@@ -40,7 +44,7 @@ class Driver {
                       double memory_gib = 0);
 
   // cuStreamCreate.
-  Stream* CuStreamCreate(Client* client, StreamPriority priority = StreamPriority::kNormal);
+  Stream* CuStreamCreate(Client* client);
 
   // cuLaunchKernel: asynchronous; enqueues and returns immediately. The
   // returned launch id names the operation for CancelLaunch.

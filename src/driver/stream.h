@@ -15,6 +15,10 @@
 //   3. When the backend has finished executing the head (all atoms complete),
 //      it calls CompleteHead(); the stream pops the record, drains any
 //      markers behind it, and re-arms OnStreamReady if more kernels wait.
+//
+// A stream points at its driver-owned Client, so a backend reads the
+// client's priority class and TPC quota through client() rather than keeping
+// a copy; backends hold only their own dynamic scheduling state.
 #ifndef LITHOS_DRIVER_STREAM_H_
 #define LITHOS_DRIVER_STREAM_H_
 
@@ -25,14 +29,13 @@
 
 #include "src/common/check.h"
 #include "src/common/time.h"
+#include "src/driver/client.h"
 #include "src/gpu/kernel.h"
 
 namespace lithos {
 
 class Backend;
 class Driver;
-
-enum class StreamPriority { kHigh, kNormal, kLow };
 
 // One enqueued operation.
 struct LaunchRecord {
@@ -50,11 +53,13 @@ struct LaunchRecord {
 
 class Stream {
  public:
-  Stream(Driver* driver, int id, int client_id, StreamPriority priority);
+  Stream(Driver* driver, int id, const Client* client)
+      : driver_(driver), id_(id), client_(client) {}
 
   int id() const { return id_; }
-  int client_id() const { return client_id_; }
-  StreamPriority priority() const { return priority_; }
+  // The owning client; the driver keeps it alive for the stream's lifetime.
+  const Client& client() const { return *client_; }
+  int client_id() const { return client_->id; }
 
   // True when a kernel is at the head and not yet claimed by the backend.
   bool HasDispatchableKernel() const { return !head_in_flight_ && !pending_.empty(); }
@@ -100,8 +105,7 @@ class Stream {
 
   Driver* driver_;
   int id_;
-  int client_id_;
-  StreamPriority priority_;
+  const Client* client_;
   std::deque<LaunchRecord> pending_;
   bool head_in_flight_ = false;
   uint32_t next_ordinal_ = 0;  // kernels since the last marker

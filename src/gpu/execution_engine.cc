@@ -392,25 +392,6 @@ void ExecutionEngine::Resume(GrantId id, const TpcMask& mask) {
   RescheduleOverlapping(mask);  // includes the resumed grant
 }
 
-void ExecutionEngine::Reassign(GrantId id, const TpcMask& mask) {
-  Grant* g = Resolve(id);
-  LITHOS_CHECK(g != nullptr);
-  LITHOS_CHECK_GT(mask.count(), 0u);
-  CheckOnDevice(mask);
-
-  if (g->paused) {
-    g->mask = mask;  // No rates change until Resume.
-    return;
-  }
-  FlushAccounting();
-  const TpcMask touched = g->mask | mask;
-  CheckpointOverlapping(touched);
-  RemoveFromTpcs(*g);
-  g->mask = mask;
-  AddToTpcs(*g);
-  RescheduleOverlapping(touched);
-}
-
 WorkItem ExecutionEngine::Abort(GrantId id) {
   Grant* g = Resolve(id);
   LITHOS_CHECK(g != nullptr);

@@ -14,7 +14,7 @@
 //   * temporal preemption           (time slicing: Pause/Resume keep progress)
 //   * reset-based preemption        (REEF: Abort discards progress)
 //
-// Hot-path design: a mutation (launch, completion, pause, abort, reassign)
+// Hot-path design: a mutation (launch, completion, pause, resume, abort)
 // only changes the progress rates of grants whose masks overlap the touched
 // TPCs — disjoint grants keep their rate, so their progress and completion
 // events are left untouched (the *affected-set* fast path). Affected grants
@@ -132,9 +132,6 @@ class ExecutionEngine {
 
   // Resumes a paused grant on a (possibly different) TPC set.
   void Resume(GrantId id, const TpcMask& mask);
-
-  // Moves a running grant onto a different TPC set without losing progress.
-  void Reassign(GrantId id, const TpcMask& mask);
 
   // Terminates a grant. The completion callback is NOT invoked. Returns the
   // original work item so reset-style schedulers (REEF) can relaunch it from

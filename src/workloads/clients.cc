@@ -14,7 +14,7 @@ BatchingInferenceServer::BatchingInferenceServer(Driver* driver, Client* client,
                                                  RequestRecorder* recorder)
     : driver_(driver),
       sim_(driver->sim()),
-      stream_(driver->CuStreamCreate(client, StreamPriority::kHigh)),
+      stream_(driver->CuStreamCreate(client)),
       factory_(std::move(factory)),
       max_batch_(max_batch),
       max_queue_delay_(max_queue_delay),
@@ -88,7 +88,7 @@ LlmInferenceServer::LlmInferenceServer(Driver* driver, Client* client, ShapeFact
                                        uint64_t trace_seed, RequestRecorder* recorder)
     : driver_(driver),
       sim_(driver->sim()),
-      stream_(driver->CuStreamCreate(client, StreamPriority::kHigh)),
+      stream_(driver->CuStreamCreate(client)),
       factory_(std::move(factory)),
       trace_(trace_seed),
       recorder_(recorder) {}
@@ -147,7 +147,7 @@ void PoissonArrivals::ScheduleNext(TimeNs until) {
 ClosedLoopRunner::ClosedLoopRunner(Driver* driver, Client* client, ModelProfileRef profile)
     : driver_(driver),
       sim_(driver->sim()),
-      stream_(driver->CuStreamCreate(client, StreamPriority::kLow)),
+      stream_(driver->CuStreamCreate(client)),
       profile_(std::move(profile)) {}
 
 void ClosedLoopRunner::Start() { LaunchIteration(); }

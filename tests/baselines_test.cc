@@ -248,6 +248,140 @@ TEST_F(BaselinesTest, OrionAdmitsComplementaryBeKernel) {
   EXPECT_EQ(engine_.NumRunningGrants(), 2);
 }
 
+TEST_F(BaselinesTest, BackendInstalledAfterClientsSeesPriorityClasses) {
+  // Clients and streams exist before the backend does, as when a harness
+  // installs a backend on a populated driver: the backend reads each stream's
+  // class through its client, so REEF still gates BE behind HP.
+  Client* hp = MakeHp("hp");
+  Client* be = MakeBe("be");
+  Stream* sh = driver_.CuStreamCreate(hp);
+  Stream* sb = driver_.CuStreamCreate(be);
+  ReefBackend backend(&sim_, &engine_);
+  driver_.SetBackend(&backend);
+
+  driver_.CuLaunchKernel(sh, &big_);
+  driver_.CuLaunchKernel(sb, &small_);
+  EXPECT_EQ(engine_.NumRunningGrants(), 1);  // BE held back
+  TimeNs be_end = 0;
+  driver_.CuStreamAddCallback(sb, [&] { be_end = sim_.Now(); });
+  sim_.RunUntil(FromMillis(30));
+  EXPECT_GT(be_end, FromMillis(10));
+}
+
+TEST_F(BaselinesTest, PartitionsCarvedForClientsRegisteredBeforeInstall) {
+  Client* a = MakeHp("a", 40);
+  Client* b = MakeBe("b", 0);
+  Client* c = MakeHp("c", 14);
+  PartitionBackend backend(&sim_, &engine_, PartitionBackend::Mode::kLimits);
+  driver_.SetBackend(&backend);
+  EXPECT_EQ(backend.PartitionOf(a->id).count(), 40u);
+  EXPECT_EQ(backend.PartitionOf(b->id).count(), 0u);
+  EXPECT_EQ(backend.PartitionOf(c->id).count(), 14u);
+  EXPECT_EQ(backend.PartitionOf(c->id + 1).count(), 0u);  // never registered
+}
+
+enum class GatedPolicy { kReef, kTgs, kOrion, kTimeslice };
+
+// When each of two queued BE streams drained, and how many grants completed.
+struct RequeueOutcome {
+  TimeNs a_done = 0;
+  TimeNs b_done = 0;
+  uint64_t grants = 0;
+};
+
+// Two BE streams, a then b, wait behind `policy`'s gate. With `renotify`,
+// a's queued head is cancelled while it waits, so the driver hands the
+// backend the same stream again (its next kernel) while it is still queued.
+RequeueOutcome RunRequeued(GatedPolicy policy, bool renotify) {
+  Simulator sim;
+  ExecutionEngine engine(&sim, GpuSpec::A100());
+  Driver driver(&sim, &engine);
+  std::unique_ptr<Backend> backend;
+  switch (policy) {
+    case GatedPolicy::kReef:
+      backend = std::make_unique<ReefBackend>(&sim, &engine);
+      break;
+    case GatedPolicy::kTgs:
+      backend = std::make_unique<TgsBackend>(&sim, &engine);
+      break;
+    case GatedPolicy::kOrion:
+      backend = std::make_unique<OrionBackend>(&sim, &engine);
+      break;
+    case GatedPolicy::kTimeslice:
+      backend = std::make_unique<TimesliceBackend>(&sim, &engine);
+      break;
+  }
+  driver.SetBackend(backend.get());
+  const KernelDesc big = MakeKernel("big", 100000, FromMillis(10), 1.0, 0.8, engine.spec(), 64);
+  const KernelDesc small = MakeKernel("small", 4096, FromMillis(1), 0.9, 0.8, engine.spec());
+  Client* hp = driver.CuCtxCreate("hp", PriorityClass::kHighPriority);
+  Client* be = driver.CuCtxCreate("be", PriorityClass::kBestEffort);
+
+  // Close the gate. REEF and Orion hold compute-bound BE work while an HP
+  // kernel runs; time slicing holds it until the HP client's slice ends. TGS
+  // widens its BE launch gap when HP work arrives with BE work resident, so
+  // the BE launch after that holds the queue until the gap passes.
+  if (policy == GatedPolicy::kTgs) {
+    driver.CuLaunchKernel(driver.CuStreamCreate(be), &small);
+    driver.CuLaunchKernel(driver.CuStreamCreate(hp), &big);
+    driver.CuLaunchKernel(driver.CuStreamCreate(be), &small);
+  } else {
+    driver.CuLaunchKernel(driver.CuStreamCreate(hp), &big);
+  }
+  const int gate_grants = engine.NumRunningGrants();
+
+  Stream* a = driver.CuStreamCreate(be);
+  Stream* b = driver.CuStreamCreate(be);
+  if (renotify) {
+    const uint64_t first = driver.CuLaunchKernel(a, &small);
+    driver.CuLaunchKernel(a, &small);
+    EXPECT_TRUE(driver.CancelLaunch(a, first));
+  } else {
+    driver.CuLaunchKernel(a, &small);
+  }
+  driver.CuLaunchKernel(b, &small);
+  EXPECT_EQ(engine.NumRunningGrants(), gate_grants);  // a and b both wait
+
+  RequeueOutcome out;
+  driver.CuStreamAddCallback(a, [&] { out.a_done = sim.Now(); });
+  driver.CuStreamAddCallback(b, [&] { out.b_done = sim.Now(); });
+  sim.RunToCompletion();
+  out.grants = engine.Stats().grants_completed;
+  EXPECT_EQ(static_cast<int>(out.grants), gate_grants + 2);  // a and b launched once each
+  return out;
+}
+
+class RequeueTest : public ::testing::TestWithParam<GatedPolicy> {};
+
+TEST_P(RequeueTest, RenotifiedQueuedStreamKeepsItsPlaceAndLaunchesOnce) {
+  // A stream re-notified while queued is queued once: the run matches one in
+  // which the stream was notified only once.
+  const RequeueOutcome renotified = RunRequeued(GetParam(), true);
+  const RequeueOutcome once = RunRequeued(GetParam(), false);
+  EXPECT_GT(renotified.a_done, 0);
+  EXPECT_GT(renotified.b_done, 0);
+  EXPECT_EQ(renotified.a_done, once.a_done);
+  EXPECT_EQ(renotified.b_done, once.b_done);
+  EXPECT_EQ(renotified.grants, once.grants);
+}
+
+INSTANTIATE_TEST_SUITE_P(GatedBaselines, RequeueTest,
+                         ::testing::Values(GatedPolicy::kReef, GatedPolicy::kTgs,
+                                           GatedPolicy::kOrion, GatedPolicy::kTimeslice),
+                         [](const ::testing::TestParamInfo<GatedPolicy>& info) {
+                           switch (info.param) {
+                             case GatedPolicy::kReef:
+                               return "Reef";
+                             case GatedPolicy::kTgs:
+                               return "Tgs";
+                             case GatedPolicy::kOrion:
+                               return "Orion";
+                             case GatedPolicy::kTimeslice:
+                               return "Timeslice";
+                           }
+                           return "Unknown";
+                         });
+
 // One timeslice client with two streams in flight across a preemption by a
 // second client. Returns the run's engine and simulator trace bytes, which
 // record the pause and resume sequence (each Pause/Resume checkpoints the

@@ -13,12 +13,11 @@ class DvfsTest : public ::testing::Test {
   DvfsTest() : engine_(&sim_, GpuSpec::A100()) {
     config_.enable_dvfs = true;
     config_.dvfs_slip = 1.10;
-    config_.dvfs_learning_batches = 2;
     manager_ = std::make_unique<DvfsManager>(&sim_, &engine_, config_);
   }
 
   void EndLearning(int queue) {
-    for (int i = 0; i < config_.dvfs_learning_batches; ++i) {
+    for (int i = 0; i < DvfsManager::kLearningBatches; ++i) {
       manager_->OnBatchBoundary(queue);
     }
   }
@@ -31,9 +30,13 @@ class DvfsTest : public ::testing::Test {
 
 TEST_F(DvfsTest, LearningPeriodForcesMaxFrequency) {
   manager_->RecordKernel(1, FromMillis(1), 0.2);
+  // One batch short of the learning period: still pinned at f_max.
+  for (int i = 1; i < DvfsManager::kLearningBatches; ++i) {
+    manager_->OnBatchBoundary(1);
+  }
   EXPECT_TRUE(manager_->InLearningPeriod());
   EXPECT_EQ(manager_->ComputeTargetMhz(), engine_.spec().max_mhz);
-  EndLearning(1);
+  manager_->OnBatchBoundary(1);
   EXPECT_FALSE(manager_->InLearningPeriod());
 }
 
@@ -118,9 +121,11 @@ TEST_P(DvfsSlipTest, ImpliedSlowdownWithinSlip) {
   LithosConfig cfg;
   cfg.enable_dvfs = true;
   cfg.dvfs_slip = 1.10;
-  cfg.dvfs_learning_batches = 0;
   DvfsManager manager(&sim, &engine, cfg);
   manager.RecordKernel(1, FromMillis(10), s);
+  for (int i = 0; i < DvfsManager::kLearningBatches; ++i) {
+    manager.OnBatchBoundary(1);
+  }
 
   const int f = manager.ComputeTargetMhz();
   const double slowdown = s * (1410.0 / f - 1.0);

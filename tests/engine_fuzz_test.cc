@@ -1,5 +1,5 @@
 // Randomised invariant tests for the execution engine: arbitrary interleaved
-// launches, pauses, resumes, reassignments, and aborts must never violate
+// launches, pauses, resumes and aborts must never violate
 // the engine's accounting invariants, and all surviving work must eventually
 // complete exactly once.
 #include <gtest/gtest.h>
@@ -24,7 +24,7 @@ struct FuzzResult {
   std::multiset<GrantId> completions;
 };
 
-// With `whole_device_share` > 0, that share of launch, resume and reassign
+// With `whole_device_share` > 0, that share of launch and resume
 // masks covers the whole device, so the engine moves in and out of its
 // uniform (every grant whole-device) bookkeeping mid-run.
 void ExpectEveryGrantCompletesOrAbortsExactlyOnce(const GpuSpec& spec, uint64_t seed,
@@ -118,12 +118,7 @@ void ExpectEveryGrantCompletesOrAbortsExactlyOnce(const GpuSpec& spec, uint64_t 
         engine.Resume(paused[i], masks[paused[i]]);
         live.push_back(paused[i]);
         paused.erase(paused.begin() + static_cast<long>(i));
-      } else if (action == 7 && !live.empty()) {
-        const size_t i = static_cast<size_t>(rng.UniformInt(0, static_cast<int>(live.size()) - 1));
-        masks[live[i]] =
-            draw_mask([&] { return TpcRange(0, static_cast<int>(rng.UniformInt(1, total))); });
-        engine.Reassign(live[i], masks[live[i]]);
-      } else if (action >= 8 && !live.empty()) {
+      } else if (action >= 7 && !live.empty()) {
         const size_t i = static_cast<size_t>(rng.UniformInt(0, static_cast<int>(live.size()) - 1));
         engine.Abort(live[i]);
         ++result.aborted;

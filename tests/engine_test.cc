@@ -163,17 +163,6 @@ TEST_F(EngineTest, AbortDiscardsProgressAndSkipsCallback) {
   EXPECT_EQ(engine_.Stats().grants_completed, 0u);
 }
 
-TEST_F(EngineTest, ReassignKeepsProgress) {
-  const KernelDesc k = BigKernel(engine_.spec());
-  TimeNs end = 0;
-  const GrantId id = engine_.Launch(
-      Item(&k, 1, [&](const GrantInfo& i) { end = i.end_time; }), engine_.spec().AllTpcs());
-  // At 5ms, halve the allocation: 5ms of remaining work now takes 10ms.
-  sim_.ScheduleAt(FromMillis(5), [&] { engine_.Reassign(id, TpcRange(0, 27)); });
-  sim_.RunToCompletion();
-  EXPECT_EQ(end, FromMillis(15));
-}
-
 TEST_F(EngineTest, FrequencySwitchTakesLatencyAndSlowsComputeBound) {
   const GpuSpec& spec = engine_.spec();
   const KernelDesc k = BigKernel(spec, /*sens=*/1.0);

@@ -259,18 +259,24 @@ TEST_F(LithosBackendTest, StreamsCreatedFromCompletionCallbacksRun) {
 }
 
 TEST_F(LithosBackendTest, OutstandingThrottleLimitsConcurrentAtoms) {
-  LithosConfig cfg;
-  cfg.max_outstanding_hp = 2;
-  Install(cfg);
-  Client* c = driver_.CuCtxCreate("app", PriorityClass::kHighPriority, 54);
-  // Four streams, each with one kernel: at most 2 dispatched at once.
-  const KernelDesc k = MakeKernel("k", 8000, FromMillis(5), 0.9, 0.5, engine_.spec());
-  for (int i = 0; i < 4; ++i) {
-    Stream* s = driver_.CuStreamCreate(c);
-    driver_.CuLaunchKernel(s, &k);
+  Install();
+  // No quotas: every TPC is in the free pool, so the throttled HP streams'
+  // waiting flag (which bars BE stealing) does not hold BE work back.
+  Client* hp = driver_.CuCtxCreate("hp", PriorityClass::kHighPriority, 0);
+  Client* be = driver_.CuCtxCreate("be", PriorityClass::kBestEffort, 0);
+  // Each client gets more single-kernel streams than its limit, each kernel
+  // narrow enough that TPCs are not what holds it back.
+  const KernelDesc k = MakeKernel("k", 64, FromMillis(5), 0.9, 0.5, engine_.spec());
+  for (int i = 0; i < LithosBackend::kMaxOutstandingHp + 2; ++i) {
+    driver_.CuLaunchKernel(driver_.CuStreamCreate(hp), &k);
   }
   // Immediately after the synchronous dispatch cascade:
-  EXPECT_LE(engine_.NumRunningGrants(), 2);
+  EXPECT_EQ(engine_.NumRunningGrants(), LithosBackend::kMaxOutstandingHp);
+  for (int i = 0; i < LithosBackend::kMaxOutstandingBe + 2; ++i) {
+    driver_.CuLaunchKernel(driver_.CuStreamCreate(be), &k);
+  }
+  EXPECT_EQ(engine_.NumRunningGrants(),
+            LithosBackend::kMaxOutstandingHp + LithosBackend::kMaxOutstandingBe);
   sim_.RunUntil(FromSeconds(1));
   EXPECT_EQ(engine_.NumRunningGrants(), 0);
 }
@@ -322,18 +328,24 @@ TEST_F(LithosBackendTest, RightSizingShrinksAllocations) {
 TEST_F(LithosBackendTest, DvfsLowersClockForMemoryBoundStream) {
   LithosConfig cfg;
   cfg.enable_dvfs = true;
-  cfg.dvfs_learning_batches = 1;
   Install(cfg);
   Client* c = driver_.CuCtxCreate("app", PriorityClass::kHighPriority, 54);
   Stream* s = driver_.CuStreamCreate(c);
   // Memory-bound kernel (sensitivity 0).
   const KernelDesc k = MakeKernel("mem", 100000, FromMillis(5), 0.9, 0.0, engine_.spec(), 64);
 
-  // Several batches (marker-delimited) over multiple DVFS periods.
-  for (int batch = 0; batch < 10; ++batch) {
-    RunKernels(s, &k, 4);
-    sim_.RunUntil(sim_.Now() + FromMillis(200));
-  }
+  // Marker-delimited batches over multiple DVFS periods. A boundary is seen
+  // when the next batch starts, so the first kLearningBatches batches end
+  // one boundary short of the learning period and keep f_max.
+  auto run_batches = [&](int batches) {
+    for (int batch = 0; batch < batches; ++batch) {
+      RunKernels(s, &k, 4);
+      sim_.RunUntil(sim_.Now() + FromMillis(200));
+    }
+  };
+  run_batches(DvfsManager::kLearningBatches);
+  EXPECT_EQ(engine_.CurrentFrequencyMhz(), engine_.spec().max_mhz);
+  run_batches(10 - DvfsManager::kLearningBatches);
   EXPECT_LT(engine_.CurrentFrequencyMhz(), engine_.spec().max_mhz);
 }
 

@@ -18,13 +18,7 @@ namespace {
 
 class TpcSchedulerTest : public ::testing::Test {
  protected:
-  TpcSchedulerTest() : spec_(GpuSpec::A100()), sched_(spec_, Config()) {}
-
-  static LithosConfig Config() {
-    LithosConfig cfg;
-    cfg.enable_stealing = true;
-    return cfg;
-  }
+  TpcSchedulerTest() : spec_(GpuSpec::A100()), sched_(spec_) {}
 
   GpuSpec spec_;
   TpcScheduler sched_;
@@ -72,17 +66,6 @@ TEST_F(TpcSchedulerTest, StealFromIdleOwner) {
   const TpcMask got = sched_.Acquire(2, 54);
   EXPECT_EQ(got.count(), 54u);
   EXPECT_EQ(sched_.stats().tpcs_stolen, 54u);
-}
-
-TEST_F(TpcSchedulerTest, NoStealWhenDisabled) {
-  LithosConfig cfg;
-  cfg.enable_stealing = false;
-  TpcScheduler sched(spec_, cfg);
-  sched.RegisterClient(1, PriorityClass::kHighPriority, 54);
-  sched.RegisterClient(2, PriorityClass::kBestEffort, 0);
-  const TpcMask got = sched.Acquire(2, 54);
-  EXPECT_EQ(got.count(), 0u);
-  EXPECT_EQ(sched.stats().failed_acquisitions, 1u);
 }
 
 TEST_F(TpcSchedulerTest, NoStealFromWaitingOwner) {
@@ -239,8 +222,7 @@ class NoDoubleGrantTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(NoDoubleGrantTest, GrantsAreDisjoint) {
   const GpuSpec spec = GpuSpec::A100();
-  LithosConfig cfg;
-  TpcScheduler sched(spec, cfg);
+  TpcScheduler sched(spec);
   const int clients = GetParam();
   for (int c = 1; c <= clients; ++c) {
     sched.RegisterClient(c, c % 2 ? PriorityClass::kHighPriority : PriorityClass::kBestEffort,
@@ -264,8 +246,7 @@ INSTANTIATE_TEST_SUITE_P(ClientCounts, NoDoubleGrantTest, ::testing::Values(1, 2
 // must grant exactly the same TPCs and leave exactly the same state.
 class ReferenceScheduler {
  public:
-  ReferenceScheduler(const GpuSpec& spec, const LithosConfig& config)
-      : config_(config), total_tpcs_(spec.TotalTpcs()) {
+  explicit ReferenceScheduler(const GpuSpec& spec) : total_tpcs_(spec.TotalTpcs()) {
     home_owner_.fill(-1);
     occupant_.fill(-1);
     reclaim_.fill(false);
@@ -310,27 +291,25 @@ class ReferenceScheduler {
         take(t, false);
       }
     }
-    if (config_.enable_stealing) {
-      std::unordered_map<int, int> spare;
-      for (int t = 0; t < total_tpcs_ && remaining > 0; ++t) {
-        if (occupant_[t] != -1 || home_owner_[t] == -1 || home_owner_[t] == client_id ||
-            !StealAllowed(client_id, t)) {
+    std::unordered_map<int, int> spare;
+    for (int t = 0; t < total_tpcs_ && remaining > 0; ++t) {
+      if (occupant_[t] != -1 || home_owner_[t] == -1 || home_owner_[t] == client_id ||
+          !StealAllowed(client_id, t)) {
+        continue;
+      }
+      const int owner = home_owner_[t];
+      auto oit = clients_.find(owner);
+      if (oit != clients_.end() && oit->second.active) {
+        auto [sit, inserted] = spare.try_emplace(owner, 0);
+        if (inserted) {
+          sit->second = FreeHomeTpcs(owner) - static_cast<int>(std::ceil(oit->second.demand));
+        }
+        if (sit->second <= 0) {
           continue;
         }
-        const int owner = home_owner_[t];
-        auto oit = clients_.find(owner);
-        if (oit != clients_.end() && oit->second.active) {
-          auto [sit, inserted] = spare.try_emplace(owner, 0);
-          if (inserted) {
-            sit->second = FreeHomeTpcs(owner) - static_cast<int>(std::ceil(oit->second.demand));
-          }
-          if (sit->second <= 0) {
-            continue;
-          }
-          --sit->second;
-        }
-        take(t, true);
+        --sit->second;
       }
+      take(t, true);
     }
     ++stats_.acquisitions;
     stats_.tpcs_granted += granted.count();
@@ -435,7 +414,6 @@ class ReferenceScheduler {
     return !(thief_is_be && AnyHighPriorityWaiting());
   }
 
-  LithosConfig config_;
   int total_tpcs_;
   std::array<int, kMaxTpcs> home_owner_;
   std::array<int, kMaxTpcs> occupant_;  // -1 = idle
@@ -473,10 +451,8 @@ void ExpectSameState(const TpcScheduler& sched, const ReferenceScheduler& ref, i
 void ExpectMatchesReference(const GpuSpec& spec, uint64_t seed) {
   constexpr int kClients = 5;
   constexpr int kSteps = 3000;
-  LithosConfig cfg;
-  cfg.enable_stealing = true;
-  TpcScheduler sched(spec, cfg);
-  ReferenceScheduler ref(spec, cfg);
+  TpcScheduler sched(spec);
+  ReferenceScheduler ref(spec);
   Rng rng(seed);
   const int total = spec.TotalTpcs();
 
@@ -562,10 +538,8 @@ void ExpectMatchesReference(const GpuSpec& spec, uint64_t seed) {
 void ExpectMatchesReferenceOnFleetNode(const GpuSpec& spec, uint64_t seed) {
   constexpr int kClients = 4;
   constexpr int kSteps = 4000;
-  LithosConfig cfg;
-  cfg.enable_stealing = true;
-  TpcScheduler sched(spec, cfg);
-  ReferenceScheduler ref(spec, cfg);
+  TpcScheduler sched(spec);
+  ReferenceScheduler ref(spec);
   Rng rng(seed);
   const int total = spec.TotalTpcs();
   for (int id = 1; id <= kClients; ++id) {
